@@ -56,6 +56,36 @@ TEST(ScaleEngineTest, ShardCountInvariantAcrossSeeds) {
   }
 }
 
+// Absolute goldens for SmallConfig seeds 1-5 (crashes, joins, one sweep at
+// the end of epoch 2). The shard-invariance test above only checks that the
+// job counts agree with each other; these pin what they agree on, so a
+// change to the sweep or repair path that moves every job count in lockstep
+// still fails here. Recorded before the sweep's parallel diagnose pass
+// existed; never re-pin them to accommodate a sweep change.
+struct ScaleGolden {
+  uint64_t seed;
+  const char* state;
+  const char* schedule;
+};
+
+constexpr ScaleGolden kScaleGoldens[] = {
+    {1, "30e3b40ab99f7ab029a7c2a35e19176f04094042", "59018e6f2bed71b43a305e86ae904ea357414181"},
+    {2, "345778a0a53fb81a03c30f6dd00d4063ce026abe", "95c8fa62528b75a3a479b29d1cb44ae7d94d978b"},
+    {3, "4ebf40385d9e86d2239337949922ec1edcd6aa39", "7b1dd8a2232259a772784ac672252194c4ec1eb8"},
+    {4, "e7ac5797f4a7ac060327cb67a17487becef64f4a", "92a7ce5e7c02c5455af2e80956344667287dd4e0"},
+    {5, "13af6483ab592227e66699a39f0ba61748328542", "359d8dd4d0939e1aedfb7056decda1e858443b04"},
+};
+
+TEST(ScaleEngineTest, GoldenFingerprints) {
+  for (const ScaleGolden& golden : kScaleGoldens) {
+    for (size_t jobs : {size_t{1}, size_t{4}}) {
+      RunWitness w = RunWith(SmallConfig(golden.seed), jobs);
+      EXPECT_EQ(w.state, golden.state) << "seed " << golden.seed << " jobs " << jobs;
+      EXPECT_EQ(w.schedule, golden.schedule) << "seed " << golden.seed << " jobs " << jobs;
+    }
+  }
+}
+
 TEST(ScaleEngineTest, JoinCohortInvariantAcrossSeeds) {
   // Batched join announcements are observationally identical to the eager
   // per-join schedule: cohort=1 bypasses the queueing machinery entirely
