@@ -54,6 +54,7 @@ class SimTransport : public Transport {
   bool StepOne() override { return queue_.Step(); }
 
   uint64_t InFlightDeliveries() const override { return in_flight_; }
+  bool Idle() const override { return queue_.empty(); }
 
   const Options& options() const { return options_; }
 

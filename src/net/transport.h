@@ -106,6 +106,10 @@ class Transport {
   // no longer be referenced by a queued delivery closure and may be freed.
   virtual uint64_t InFlightDeliveries() const { return 0; }
 
+  // True when Settle()/StepOne() would run nothing: no delivery in flight
+  // and no timer pending, including events co-scheduled on a shared queue.
+  virtual bool Idle() const { return InFlightDeliveries() == 0; }
+
   TransportStats& stats() { return *stats_; }
   const TransportStats& stats() const { return *stats_; }
 

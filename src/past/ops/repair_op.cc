@@ -27,7 +27,7 @@ void RepairOp::SendSettled(Exchange& ex, const Message& msg,
   transport_.Settle();
 }
 
-void RepairOp::RestoreInvariants(const std::vector<NodeId>& region) {
+void RepairOp::RestoreInvariants(const std::vector<NodeId>& region, ThreadPool* pool) {
   std::unordered_set<FileId, FileIdHash> files;
   for (const NodeId& id : region) {
     const PastNode* pn = net_.storage_node(id);
@@ -43,9 +43,47 @@ void RepairOp::RestoreInvariants(const std::vector<NodeId>& region) {
       files.insert(f);
     }
   }
-  for (const FileId& f : files) {
-    RepairFile(f);
+  if (pool == nullptr) {
+    for (const FileId& f : files) {
+      if (NeedsRepair(f)) {
+        RepairFile(f);
+      }
+    }
+    return;
   }
+  const std::vector<FileId> ordered(files.begin(), files.end());
+  std::vector<uint8_t> needs(ordered.size());
+  ParallelChunks(*pool, ordered.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      needs[i] = NeedsRepair(ordered[i]) ? 1 : 0;
+    }
+  });
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    if (needs[i] != 0) {
+      RepairFile(ordered[i]);
+    }
+  }
+}
+
+bool RepairOp::NeedsRepair(const FileId& file_id) const {
+  NodeId key = file_id.ToRoutingKey();
+  NodeId root = net_.pastry_.ClosestLive(key);
+  if (net_.pastry_.node(root) == nullptr) {
+    return false;
+  }
+  // KClosestFromLeafSet lists live nodes only (the live root among them);
+  // the conservative answer for an empty list keeps RepairFile in charge.
+  std::vector<NodeId> k_closest = net_.KClosestFromLeafSet(root, key, net_.config_.k);
+  if (k_closest.empty()) {
+    return true;
+  }
+  for (const NodeId& n : k_closest) {
+    const PastNode* pn = net_.storage_node(n);
+    if (pn == nullptr || !pn->store().HasReplica(file_id)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void RepairOp::RepairFile(const FileId& file_id) {

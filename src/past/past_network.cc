@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/past/cache_tiers.h"
 #include "src/past/ops/insert_op.h"
 #include "src/past/ops/lookup_op.h"
@@ -641,7 +643,18 @@ std::vector<NodeId> PastNetwork::StorageNodeIds() const {
   return out;
 }
 
-void PastNetwork::MaintenanceSweep() {
+void PastNetwork::MaintenanceSweep(ThreadPool* pool) {
+  if (pool != nullptr) {
+    if (transport_->InFlightDeliveries() != 0) {
+      throw std::logic_error("MaintenanceSweep(pool): deliveries in flight");
+    }
+    if (!transport_->Idle()) {
+      throw std::logic_error("MaintenanceSweep(pool): transport events pending");
+    }
+    if (pastry_.join_batch_active()) {
+      throw std::logic_error("MaintenanceSweep(pool): join batch open");
+    }
+  }
   if (!any_file_inserted_) {
     return;
   }
@@ -651,7 +664,7 @@ void PastNetwork::MaintenanceSweep() {
   for (const auto& [id, node] : nodes_) {
     node->DecayRecentLoad();
   }
-  RestoreInvariants(pastry_.live_nodes());
+  RestoreInvariants(pastry_.live_nodes(), pool);
 
   // Reconcile every replica and pointer against the post-repair k-closest
   // sets. Membership change strands state where insert/reclaim/repair never
@@ -662,7 +675,8 @@ void PastNetwork::MaintenanceSweep() {
   // a node that fell out of the k+1 closest is dropped. Decisions are
   // collected on a snapshot first — mutating stores while iterating them
   // would invalidate the table iterators — so one sweep applies a
-  // consistent set of actions.
+  // consistent set of actions. Collection only reads, so with a pool it runs
+  // in chunks of live nodes, concatenated back in live-node order.
   enum class ActionKind { kPromote, kRemoveReplica, kRemovePointer };
   struct Action {
     ActionKind kind;
@@ -671,42 +685,55 @@ void PastNetwork::MaintenanceSweep() {
     uint64_t size = 0;
     bool diverted = false;
   };
-  std::vector<Action> actions;
-  for (const NodeId& id : pastry_.live_nodes()) {
-    const PastNode* pn = storage_node(id);
-    if (pn == nullptr) {
-      continue;
-    }
-    for (const auto& [file, entry] : pn->store().replicas()) {
-      std::vector<NodeId> k_closest = pastry_.KClosestLive(file.ToRoutingKey(), config_.k);
-      bool among_k = std::find(k_closest.begin(), k_closest.end(), id) != k_closest.end();
-      if (among_k) {
-        if (entry.kind == ReplicaKind::kDiverted) {
-          actions.push_back(Action{ActionKind::kPromote, id, file, entry.size, true});
-        }
+  const std::vector<NodeId> live = pastry_.live_nodes();
+  auto collect = [&](size_t begin, size_t end) {
+    std::vector<Action> found;
+    for (size_t i = begin; i < end; ++i) {
+      const NodeId& id = live[i];
+      const PastNode* pn = storage_node(id);
+      if (pn == nullptr) {
         continue;
       }
-      bool referenced = false;
-      for (const NodeId& t : k_closest) {
-        const PastNode* tn = storage_node(t);
-        const DiversionPointer* ptr = tn == nullptr ? nullptr : tn->store().GetPointer(file);
-        if (ptr != nullptr && ptr->holder == id) {
-          referenced = true;
-          break;
+      for (const auto& [file, entry] : pn->store().replicas()) {
+        std::vector<NodeId> k_closest = pastry_.KClosestLive(file.ToRoutingKey(), config_.k);
+        bool among_k = std::find(k_closest.begin(), k_closest.end(), id) != k_closest.end();
+        if (among_k) {
+          if (entry.kind == ReplicaKind::kDiverted) {
+            found.push_back(Action{ActionKind::kPromote, id, file, entry.size, true});
+          }
+          continue;
+        }
+        bool referenced = false;
+        for (const NodeId& t : k_closest) {
+          const PastNode* tn = storage_node(t);
+          const DiversionPointer* ptr = tn == nullptr ? nullptr : tn->store().GetPointer(file);
+          if (ptr != nullptr && ptr->holder == id) {
+            referenced = true;
+            break;
+          }
+        }
+        if (!referenced) {
+          found.push_back(Action{ActionKind::kRemoveReplica, id, file, entry.size,
+                                 entry.kind == ReplicaKind::kDiverted});
         }
       }
-      if (!referenced) {
-        actions.push_back(Action{ActionKind::kRemoveReplica, id, file, entry.size,
-                                 entry.kind == ReplicaKind::kDiverted});
+      for (const auto& [file, ptr] : pn->store().pointers()) {
+        (void)ptr;
+        std::vector<NodeId> k_plus_one =
+            pastry_.KClosestLive(file.ToRoutingKey(), config_.k + 1);
+        if (std::find(k_plus_one.begin(), k_plus_one.end(), id) == k_plus_one.end()) {
+          found.push_back(Action{ActionKind::kRemovePointer, id, file});
+        }
       }
     }
-    for (const auto& [file, ptr] : pn->store().pointers()) {
-      (void)ptr;
-      std::vector<NodeId> k_plus_one =
-          pastry_.KClosestLive(file.ToRoutingKey(), config_.k + 1);
-      if (std::find(k_plus_one.begin(), k_plus_one.end(), id) == k_plus_one.end()) {
-        actions.push_back(Action{ActionKind::kRemovePointer, id, file});
-      }
+    return found;
+  };
+  std::vector<Action> actions;
+  if (pool == nullptr) {
+    actions = collect(0, live.size());
+  } else {
+    for (std::vector<Action>& chunk : ParallelChunks(*pool, live.size(), collect)) {
+      actions.insert(actions.end(), chunk.begin(), chunk.end());
     }
   }
   for (const Action& action : actions) {
@@ -737,7 +764,7 @@ void PastNetwork::MaintenanceSweep() {
   // Sweep mutations (promotions, GC) carry no acks, but the state they leave
   // behind must still survive a crash — one commit per touched store.
   if (durable_env_ != nullptr) {
-    for (const NodeId& id : pastry_.live_nodes()) {
+    for (const NodeId& id : live) {
       PastNode* pn = storage_node(id);
       if (pn != nullptr) {
         pn->store().Commit();
@@ -746,8 +773,8 @@ void PastNetwork::MaintenanceSweep() {
   }
 }
 
-void PastNetwork::RestoreInvariants(const std::vector<NodeId>& region) {
-  RepairOp(*this).RestoreInvariants(region);
+void PastNetwork::RestoreInvariants(const std::vector<NodeId>& region, ThreadPool* pool) {
+  RepairOp(*this).RestoreInvariants(region, pool);
 }
 
 void PastNetwork::RepairFile(const FileId& file_id) {

@@ -37,6 +37,7 @@ class PastClient;
 class ReclaimOp;
 class RepairOp;
 class ScaleEngine;
+class ThreadPool;
 
 // Legacy value-type view of the network-level operation tallies. The live
 // data now lives in the metrics registry; this struct is built on demand by
@@ -225,7 +226,16 @@ class PastNetwork : public MembershipObserver {
   // re-replicated around it) is garbage-collected so the bytes are not
   // leaked forever. The simulation soak harness runs this at every
   // checkpoint; it is also safe to call from experiments after churn.
-  void MaintenanceSweep();
+  //
+  // With `pool`, the sweep's two read-only scans run in parallel chunks on
+  // it: the per-file diagnosis (RepairOp::NeedsRepair) and the reconcile
+  // pass's decision collection. Repairs and reconcile actions still apply
+  // serially in the serial sweep's order, so the result is identical. That
+  // equivalence needs a quiescent network, which the pool path checks: it
+  // throws std::logic_error, before changing anything, if the transport
+  // has a delivery in flight or any other event pending, or a join batch
+  // is open.
+  void MaintenanceSweep(ThreadPool* pool = nullptr);
 
   // Count of live replicas of one file across all nodes.
   uint32_t CountLiveReplicas(const FileId& file_id) const;
@@ -307,8 +317,9 @@ class PastNetwork : public MembershipObserver {
   // the cooperative tier).
   void AdvertiseCachedCopy(const NodeId& holder, const FileId& file);
 
-  // Replica maintenance (section 3.5) over a set of nodes' file tables.
-  void RestoreInvariants(const std::vector<NodeId>& region);
+  // Replica maintenance (section 3.5) over a set of nodes' file tables
+  // (see RepairOp::RestoreInvariants for what `pool` changes).
+  void RestoreInvariants(const std::vector<NodeId>& region, ThreadPool* pool = nullptr);
   void RepairFile(const FileId& file_id);
 
   // Emits `event` into the trace sink, stamping the sequence number.

@@ -489,10 +489,7 @@ bool PastryNetwork::IsMalicious(const NodeId& id) const {
   return flag != nullptr && *flag != 0;
 }
 
-NodeId PastryNetwork::ClosestLive(const NodeId& key) const {
-  std::vector<NodeId> closest = ring_.KClosest(key, 1);
-  return closest.empty() ? NodeId() : closest.front();
-}
+NodeId PastryNetwork::ClosestLive(const NodeId& key) const { return ring_.Closest(key); }
 
 void PastryNetwork::RemoveObserver(MembershipObserver* observer) {
   observers_.erase(std::remove(observers_.begin(), observers_.end(), observer), observers_.end());

@@ -144,6 +144,9 @@ class PastryNetwork {
   void BeginJoinBatch();
   void FlushJoinBatch();
   void EndJoinBatch();
+  // While true, const reads of node state may apply queued announcements,
+  // so they are not safe to run concurrently.
+  bool join_batch_active() const { return join_batch_active_; }
 
   // Fails a node and immediately runs failure detection and leaf-set repair
   // on the affected nodes (the common case in tests and experiments).

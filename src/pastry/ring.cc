@@ -91,4 +91,16 @@ std::vector<NodeId> SortedRing::KClosest(const NodeId& key, size_t k) const {
   return out;
 }
 
+NodeId SortedRing::Closest(const NodeId& key) const {
+  const size_t lb = LowerBound(key.value());  // flushes pending bulk inserts
+  const size_t n = ids_.size();
+  if (n == 0) {
+    return NodeId();
+  }
+  // The same two cursors KClosest starts from; its first take is the answer.
+  const NodeId& f = ids_[lb == n ? 0 : lb];
+  const NodeId& b = ids_[(lb == 0 ? n : lb) - 1];
+  return f.CloserTo(key, b) ? f : b;
+}
+
 }  // namespace past

@@ -71,6 +71,11 @@ class SortedRing {
   // walk in PastryNetwork::KClosestLive.
   std::vector<NodeId> KClosest(const NodeId& key, size_t k) const;
 
+  // KClosest(key, 1).front() without the vector: the closer of the two ring
+  // neighbors around the key's insertion point, same tie rule. A
+  // default-constructed NodeId when the ring is empty.
+  NodeId Closest(const NodeId& key) const;
+
   // Iteration over NodeIds in ring order.
   std::vector<NodeId>::const_iterator begin() const {
     FlushBulk();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <utility>
 
 namespace past {
@@ -355,16 +354,11 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
   for (auto& forgets : shard_forgets_) {
     forgets.clear();
   }
-  {
-    std::vector<std::future<void>> done;
-    done.reserve(config_.jobs);
-    for (uint32_t s = 0; s < config_.jobs; ++s) {
-      done.push_back(pool_->Submit([this, &ops, s] { PlanShard(ops, s); }));
+  ParallelChunks(*pool_, config_.jobs, [this, &ops](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      PlanShard(ops, static_cast<uint32_t>(s));
     }
-    for (auto& f : done) {
-      f.get();
-    }
-  }
+  });
 
   // --- Barrier: canonical-order route accounting, then deferred forgets ---
   TransportStats& ledger = net_->overlay().stats();
@@ -402,7 +396,7 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
   ApplyChurn(epoch_rng, stats);
   ++epochs_since_sweep_;
   if (config_.sweep_period != 0 && (epoch_ + 1) % config_.sweep_period == 0) {
-    net_->MaintenanceSweep();
+    net_->MaintenanceSweep(pool_.get());
     stats.swept = true;
     survival_probability_ = 1.0;
     epochs_since_sweep_ = 0;
@@ -414,7 +408,7 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
   return stats;
 }
 
-void ScaleEngine::SnapshotEligibleFiles() {
+FlatTable<FileId, uint32_t, FileIdHash> ScaleEngine::LiveReplicaCounts() const {
   FlatTable<FileId, uint32_t, FileIdHash> counts;
   counts.Reserve(files_.size() * 2);
   for (const auto& [id, node] : net_->nodes_) {
@@ -426,6 +420,11 @@ void ScaleEngine::SnapshotEligibleFiles() {
       ++*counts.TryEmplace(fid, 0).first;
     }
   }
+  return counts;
+}
+
+void ScaleEngine::SnapshotEligibleFiles() {
+  const FlatTable<FileId, uint32_t, FileIdHash> counts = LiveReplicaCounts();
   eligible_files_.clear();
   const uint32_t k = net_->config_.k;
   for (const TrackedFile& f : files_) {
@@ -441,17 +440,7 @@ void ScaleEngine::MeasureMeanField(ScaleReport& report) const {
     return;
   }
   const uint32_t k = net_->config_.k;
-  FlatTable<FileId, uint32_t, FileIdHash> counts;
-  counts.Reserve(files_.size() * 2);
-  for (const auto& [id, node] : net_->nodes_) {
-    if (!net_->pastry_.IsAlive(id)) {
-      continue;
-    }
-    for (const auto& [fid, entry] : node->store().replicas()) {
-      (void)entry;
-      ++*counts.TryEmplace(fid, 0).first;
-    }
-  }
+  const FlatTable<FileId, uint32_t, FileIdHash> counts = LiveReplicaCounts();
   report.replica_histogram.assign(k + 1, 0);
   for (const FileId& f : eligible_files_) {
     const uint32_t* count = counts.Find(f);

@@ -21,12 +21,24 @@
 //                       insert/lookup op semantics (primary store, replica
 //                       diversion with diverter/witness pointers, rollback)
 //                       via PastNetwork's private helpers.
-//   Epoch edge (serial) Churn (crashes, joins) and periodic maintenance
-//                       sweeps run between epochs, so membership only
-//                       changes at barriers.
+//   Epoch edge          Churn (crashes, joins) runs serially between
+//                       epochs, so membership only changes at barriers.
+//                       Periodic maintenance sweeps diagnose in parallel
+//                       and repair serially: RepairOp::NeedsRepair runs over
+//                       every tracked file in ParallelChunks on the pool,
+//                       in the file set's iteration order, then RepairFile
+//                       runs serially, in that order, on the flagged few;
+//                       the reconcile pass collects its actions per chunk of
+//                       live nodes and applies them serially in live-node
+//                       order. The diagnosis is exact because the network
+//                       is quiescent here (InlineTransport, no join batch;
+//                       MaintenanceSweep(pool) checks): a repair of one file
+//                       writes only that file's entries and node byte
+//                       counts, which no other file's verdict reads.
 //
-// Because op generation, Phase B, and churn are serial and Phase A is pure
-// with per-op derived RNG, the run is bit-identical for any --jobs value;
+// Because op generation, Phase B, churn and every sweep mutation are serial,
+// and Phase A and the sweep's scans are pure (Phase A with per-op derived
+// RNG), the run is bit-identical for any --jobs value;
 // jobs=1 *is* the serial reference (same code path, one shard). The SHA-1
 // state fingerprint at the end of a run (ring membership, leaf sets, every
 // store's sorted contents, counters) is the equality witness the tier-1
@@ -49,6 +61,7 @@
 #include <vector>
 
 #include "src/common/file_id.h"
+#include "src/common/flat_table.h"
 #include "src/common/node_id.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -225,6 +238,8 @@ class ScaleEngine {
   void CommitInsert(Op& op, ScaleEpochStats& stats);
   void CommitLookup(const Op& op, ScaleEpochStats& stats);
   void ApplyChurn(Rng& epoch_rng, ScaleEpochStats& stats);
+  // Live replicas per file, counted over every live node's store.
+  FlatTable<FileId, uint32_t, FileIdHash> LiveReplicaCounts() const;
   void SnapshotEligibleFiles();
   void MeasureMeanField(ScaleReport& report) const;
   void FingerprintOp(const Op& op);

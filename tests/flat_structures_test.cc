@@ -365,6 +365,38 @@ TEST(SortedRingTest, LowerBoundEdgeCases) {
   EXPECT_EQ(ring.LowerBound(uint128(301)), 3u);  // size(): callers wrap to 0
 }
 
+TEST(SortedRingTest, ClosestMatchesKClosestOne) {
+  SortedRing ring;
+  EXPECT_EQ(ring.Closest(Id(0, 5)), NodeId());
+  // Exact ties, including across the wrap point, go to the smaller id.
+  ring.Insert(Id(0, 100));
+  EXPECT_EQ(ring.Closest(Id(0, 7)), Id(0, 100));
+  ring.Insert(Id(0, 300));
+  ring.Insert(Id(~uint64_t{0}, ~uint64_t{0} - 99));  // 100 below the wrap
+  EXPECT_EQ(ring.Closest(Id(0, 200)), Id(0, 100));
+  EXPECT_EQ(ring.Closest(Id(0, 0)), Id(0, 100));
+  for (uint64_t key_low : {0ull, 99ull, 100ull, 200ull, 250ull, 301ull, 1ull << 40}) {
+    EXPECT_EQ(ring.Closest(Id(0, key_low)), ring.KClosest(Id(0, key_low), 1).front());
+  }
+  // Random rings (dense in a small id space, so ties and neighbors at equal
+  // distance are common) against the KClosest oracle, bulk inserts pending.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    SortedRing random_ring;
+    random_ring.BeginBulkLoad();
+    for (int i = 0; i < 64; ++i) {
+      NodeId id(rng.NextBelow(2) * ~uint64_t{0}, rng.NextBelow(1024));
+      if (!random_ring.Contains(id)) {
+        random_ring.Insert(id);
+      }
+      NodeId key(rng.NextBelow(2) * ~uint64_t{0}, rng.NextBelow(1024));
+      ASSERT_EQ(random_ring.Closest(key), random_ring.KClosest(key, 1).front())
+          << "seed " << seed << " step " << i;
+    }
+    random_ring.EndBulkLoad();
+  }
+}
+
 // --- Topology grid NearestTo vs linear scan ---
 
 TEST(TopologyTest, NearestToMatchesLinearScan) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -92,6 +93,58 @@ TEST(ThreadPoolTest, DestructionDrainsQueuedTasks) {
     EXPECT_NO_THROW(f.get());
   }
   EXPECT_EQ(ran.load(), 200);
+}
+
+TEST(ThreadPoolTest, ParallelChunksTilesTheRangeInOrder) {
+  for (size_t workers : {1u, 3u, 8u}) {
+    ThreadPool pool(workers);
+    for (size_t n : {0u, 1u, 2u, 7u, 100u}) {
+      // Value-returning form: concatenating the per-chunk results in order
+      // must reproduce [0, n) exactly once, with no empty chunk.
+      std::vector<std::vector<size_t>> chunks =
+          ParallelChunks(pool, n, [](size_t begin, size_t end) {
+            std::vector<size_t> out;
+            for (size_t i = begin; i < end; ++i) {
+              out.push_back(i);
+            }
+            return out;
+          });
+      EXPECT_EQ(chunks.size(), std::min(n, workers)) << "n " << n << " workers " << workers;
+      std::vector<size_t> joined;
+      for (const std::vector<size_t>& chunk : chunks) {
+        EXPECT_FALSE(chunk.empty());
+        joined.insert(joined.end(), chunk.begin(), chunk.end());
+      }
+      std::vector<size_t> expected(n);
+      std::iota(expected.begin(), expected.end(), size_t{0});
+      EXPECT_EQ(joined, expected) << "n " << n << " workers " << workers;
+
+      // Void form: each index is written by exactly one chunk.
+      std::vector<int> hits(n, 0);
+      ParallelChunks(pool, n, [&hits](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          ++hits[i];
+        }
+      });
+      EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), static_cast<ptrdiff_t>(n));
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelChunksRethrowsAfterAllChunksFinish) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(ParallelChunks(pool, 4,
+                              [&finished](size_t begin, size_t) {
+                                if (begin == 0) {
+                                  throw std::runtime_error("chunk failed");
+                                }
+                                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                                finished.fetch_add(1);
+                              }),
+               std::runtime_error);
+  // The throw surfaced only once the slower chunks were done.
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(ThreadPoolTest, SubmitDuringShutdownThrows) {
