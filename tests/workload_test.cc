@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "src/workload/capacity.h"
 #include "src/workload/trace_generator.h"
 
 namespace past {
+
+// Prints a distribution parameter by name. The default would print the
+// pointer, and discovered test names carry it, so they would change from run
+// to run under address randomisation.
+void PrintTo(const CapacityDistribution* dist, std::ostream* os) { *os << dist->name; }
+
 namespace {
 
 TEST(CapacityTest, Table1Parameters) {
