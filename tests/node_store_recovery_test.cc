@@ -8,7 +8,8 @@
 // write is ever lost. A separate sweep arms the lying-disk fault (an fsync
 // that reports success without persisting) and shows the damage is still
 // confined to record-boundary prefixes, acked-loss being precisely what a
-// lying disk costs. Deployment-level tests pin the reclaim/ack ordering fix
+// lying disk costs. Deployment-level tests pin the reclaim/ack ordering fix,
+// its insert-side twin (no store receipt from a node that cannot commit)
 // and the rejoin audit (recovered replicas re-advertised where still
 // referenced, stale ones dropped, never double-counted).
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include "src/harness/experiment.h"
 #include "src/past/client.h"
+#include "src/sim/invariant_checker.h"
 #include "src/storage/node_store.h"
 #include "src/storage/storage_env.h"
 #include "src/storage/wal.h"
@@ -389,6 +391,57 @@ TEST_F(RecoveryDeploymentTest, ReclaimReceiptsRequireDurableRemoval) {
   for (const NodeId& h : holders) {
     env_.FailFsyncs(h.ToHex(), false);
   }
+}
+
+// The insert-side twin of the test above. Each case uses its own fixture: a
+// journal stays failed after its first failed fsync.
+TEST_F(RecoveryDeploymentTest, InsertFailsWhenNoStoreCanCommit) {
+  for (const NodeId& n : deployment_.node_ids) {
+    env_.FailFsyncs(n.ToHex(), true);
+  }
+  // Every primary declines on its failed commit, so every attempt rolls
+  // back and the client gives up after re-salting.
+  PastClient client(network(), deployment_.node_ids[0], 1ull << 40, 9);
+  ClientInsertResult inserted = client.Insert("e.bin", 2000);
+  EXPECT_FALSE(inserted.stored);
+  EXPECT_EQ(inserted.attempts, 4);
+  EXPECT_EQ(network().total_stored(), 0u);
+  for (const NodeId& n : deployment_.node_ids) {
+    const PastNode* pn = network().storage_node(n);
+    ASSERT_NE(pn, nullptr);
+    EXPECT_EQ(pn->store().replica_count(), 0u) << n.ToHex();
+    EXPECT_TRUE(pn->store().pointers().empty()) << n.ToHex();
+  }
+}
+
+TEST_F(RecoveryDeploymentTest, NodeThatCannotCommitHoldsNothingAndSignsNothing) {
+  const NodeId bad = deployment_.node_ids[5];
+  env_.FailFsyncs(bad.ToHex(), true);
+  PastClient client(network(), deployment_.node_ids[0], 1ull << 40, 10);
+  size_t stored = 0;
+  for (int i = 0; i < 60; ++i) {
+    auto cert = client.card().IssueFileCertificate("f" + std::to_string(i) + ".bin", 11, 2000,
+                                                   5, Sha1::Hash("f"), static_cast<uint64_t>(i));
+    ASSERT_TRUE(cert.has_value());
+    InsertResult r = client.InsertCertified(*cert, 2000);
+    if (r.status == InsertStatus::kStored) {
+      ++stored;
+    }
+    // A replica, diverted replica or pointer at `bad` is undone the moment
+    // its commit fails, so no receipt may ever name it.
+    for (const StoreReceipt& receipt : r.receipts) {
+      EXPECT_FALSE(receipt.storing_node == bad) << "insert " << i;
+    }
+  }
+  // Some inserts landed on `bad` and were declined, the rest stored.
+  EXPECT_GT(stored, 0u);
+  EXPECT_LT(stored, 60u);
+  const PastNode* pn = network().storage_node(bad);
+  ASSERT_NE(pn, nullptr);
+  EXPECT_EQ(pn->store().replica_count(), 0u);
+  EXPECT_TRUE(pn->store().pointers().empty());
+  InvariantReport audit = InvariantChecker().CheckDuringOps(network());
+  EXPECT_TRUE(audit.ok()) << audit.Summary();
 }
 
 TEST_F(RecoveryDeploymentTest, AckedReclaimSurvivesHolderCrash) {

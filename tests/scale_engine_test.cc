@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/invariant_checker.h"
 #include "src/sim/scale_engine.h"
 
 namespace past {
@@ -82,6 +83,54 @@ TEST(ScaleEngineTest, GoldenFingerprints) {
       RunWitness w = RunWith(SmallConfig(golden.seed), jobs);
       EXPECT_EQ(w.state, golden.state) << "seed " << golden.seed << " jobs " << jobs;
       EXPECT_EQ(w.schedule, golden.schedule) << "seed " << golden.seed << " jobs " << jobs;
+    }
+  }
+}
+
+// SmallConfig driven to saturation: 1 MB per node instead of 4 MB and ten
+// times the insert rate, ending near 65% utilization with 85-143 diverted
+// replicas and roughly a third of the 2,400 inserts failing. Phase B
+// therefore diverts replicas, installs witness pointers and rolls back
+// declined inserts; the goldens above run at a few percent utilization and
+// never take those paths. Recorded before Phase B moved onto the shared
+// PastNetwork placement steps; never re-pin them to accommodate a placement
+// change.
+ScaleConfig SaturatedConfig(uint64_t seed) {
+  ScaleConfig config = SmallConfig(seed);
+  config.node_capacity = 1'000'000;
+  config.inserts_per_epoch = 600;
+  config.epochs = 4;
+  return config;
+}
+
+constexpr ScaleGolden kSaturatedGoldens[] = {
+    {1, "09a9a8d6114a909759bb0c6f91ccbc22c610a970", "2e6cfbd68701f5a7097dcba5257ed7f4a6099f92"},
+    {2, "174d0bff4957931c2bfc4a0e40e258c99325be43", "ab42be9fa38ed785dd071c4665c50b24ea5d57f6"},
+    {3, "658fbf28de30c9c9cfc3e624ee7d6e175cd49c99", "b3fc425b7a52e6896ad941af0cec4738f081a8bb"},
+};
+
+TEST(ScaleEngineTest, SaturatedGoldenFingerprints) {
+  for (const ScaleGolden& golden : kSaturatedGoldens) {
+    for (size_t jobs : {size_t{1}, size_t{4}}) {
+      ScaleConfig config = SaturatedConfig(golden.seed);
+      config.jobs = jobs;
+      ScaleEngine engine(config);
+      engine.BuildNetwork();
+      for (size_t e = 0; e < config.epochs; ++e) {
+        engine.RunEpoch();
+        // The engine's accounting (total_stored, replica gauges) must match
+        // a full census after every epoch, sweep or not.
+        InvariantReport audit = InvariantChecker().CheckDuringOps(engine.network());
+        EXPECT_TRUE(audit.ok()) << "seed " << golden.seed << " jobs " << jobs << " epoch " << e
+                                << ": " << audit.Summary();
+      }
+      ScaleReport report = engine.BuildReport();
+      EXPECT_GT(engine.network().CountReplicas().diverted, 0u) << "seed " << golden.seed;
+      EXPECT_LT(report.inserts_stored, report.inserts) << "seed " << golden.seed;
+      EXPECT_EQ(report.state_fingerprint, golden.state)
+          << "seed " << golden.seed << " jobs " << jobs;
+      EXPECT_EQ(report.schedule_fingerprint, golden.schedule)
+          << "seed " << golden.seed << " jobs " << jobs;
     }
   }
 }
