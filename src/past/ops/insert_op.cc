@@ -58,7 +58,6 @@ void InsertOp::AfterRequest() {
   // --- from here on, decisions are the root's (reads are root-local) ---
 
   const FileId& file_id = certificate_.file_id;
-  size_t k = net_.config_.k;
 
   // The root verifies the file certificate — and, when the bytes travel with
   // the request, recomputes the content hash — before accepting
@@ -69,28 +68,19 @@ void InsertOp::AfterRequest() {
     return;
   }
 
-  targets_ = net_.KClosestFromLeafSet(root_, key_, k);
-  if (targets_.empty()) {
+  // The targets, plus the witness node C that shadows diversion pointers
+  // so that the diverting node A is not a single point of failure.
+  plan_ = net_.PlanInsertTargets(root_, key_);
+  if (plan_.targets.empty()) {
     Finish(InsertStatus::kNoSpace);
     return;
   }
 
   // fileId collision: a file with this id already exists — reject the later
   // insert (paper section 2).
-  for (const NodeId& t : targets_) {
-    const PastNode* pn = net_.storage_node(t);
-    if (pn != nullptr &&
-        (pn->store().HasReplica(file_id) || pn->store().GetPointer(file_id) != nullptr)) {
-      Finish(InsertStatus::kDuplicateFileId);
-      return;
-    }
-  }
-
-  // The witness node C: the (k+1)-th closest, which shadows diversion
-  // pointers so that the diverting node A is not a single point of failure.
-  std::vector<NodeId> k_plus_one = net_.KClosestFromLeafSet(root_, key_, k + 1);
-  if (k_plus_one.size() == k + 1) {
-    witness_ = k_plus_one.back();
+  if (net_.AnyHolds(plan_.targets, file_id)) {
+    Finish(InsertStatus::kDuplicateFileId);
+    return;
   }
 
   cert_ref_ = std::make_shared<const FileCertificate>(certificate_);
@@ -114,11 +104,11 @@ void InsertOp::OnRootAck(const Delivery&) {
 }
 
 void InsertOp::StoreNext() {
-  while (target_index_ < targets_.size() &&
-         net_.storage_node(targets_[target_index_]) == nullptr) {
+  while (target_index_ < plan_.targets.size() &&
+         net_.storage_node(plan_.targets[target_index_]) == nullptr) {
     ++target_index_;
   }
-  if (target_index_ == targets_.size()) {
+  if (target_index_ == plan_.targets.size()) {
     net_.any_file_inserted_ = true;
     net_.CacheAlongPath(route_path_, certificate_.file_id, size_, content_);
     Finish(InsertStatus::kStored);
@@ -128,7 +118,7 @@ void InsertOp::StoreNext() {
   // One store exchange per target, driven to completion before the next
   // (the settle-era code was sequential too). All per-exchange state lives
   // in the op, keyed to this phase; AfterStore() inspects it.
-  const NodeId t = targets_[target_index_];
+  const NodeId t = plan_.targets[target_index_];
   outcome_ = Outcome::kPending;
   divert_target_.reset();
 
@@ -143,34 +133,34 @@ void InsertOp::StoreNext() {
 }
 
 void InsertOp::OnStoreReplica(const Delivery&) {
-  const NodeId t = targets_[target_index_];
+  const NodeId t = plan_.targets[target_index_];
   PastNode* pn = net_.storage_node(t);
   if (pn == nullptr) {
     AckRoot(t, false);
     return;
   }
-  if (net_.ShouldStorePrimary(t, size_) &&
-      pn->StoreReplica(certificate_.file_id, ReplicaKind::kPrimary, size_, cert_ref_, content_)) {
-    // Write-ahead contract: the insert record must be durable before the
-    // store receipt or the ack leaves this node. A node whose log cannot
-    // commit declines the store instead.
-    if (!pn->store().Commit()) {
-      pn->RemoveReplica(certificate_.file_id);
-      AckRoot(t, false);
-      return;
+  if (net_.ShouldStorePrimary(t, size_)) {
+    switch (net_.PlaceReplica(*pn, certificate_.file_id, ReplicaKind::kPrimary, size_, cert_ref_,
+                              content_)) {
+      case PastNetwork::PlaceOutcome::kStored:
+        created_.push_back({t, /*is_pointer=*/false});
+        pn->NoteServedOp();
+        ++result_.replicas_stored;
+        result_.receipts.push_back(pn->MakeStoreReceipt(certificate_.file_id));
+        AckRoot(t, true);
+        return;
+      case PastNetwork::PlaceOutcome::kNotDurable:
+        // A node whose log cannot commit declines outright; it does not
+        // divert a replica it could not make durable itself.
+        AckRoot(t, false);
+        return;
+      case PastNetwork::PlaceOutcome::kNoRoom:
+        break;
     }
-    created_.push_back({t, /*is_pointer=*/false});
-    pn->NoteServedOp();
-    net_.total_stored_ += size_;
-    net_.ins_.replicas_stored->Add(1);
-    ++result_.replicas_stored;
-    result_.receipts.push_back(pn->MakeStoreReceipt(certificate_.file_id));
-    AckRoot(t, true);
-    return;
   }
 
   if (net_.config_.enable_replica_diversion) {
-    divert_target_ = net_.ChooseDiversionTarget(t, targets_, certificate_.file_id, size_);
+    divert_target_ = net_.ChooseDiversionTarget(t, plan_.targets, certificate_.file_id, size_);
     if (divert_target_) {
       // A asks leaf-set member B to hold the replica (an RPC in the
       // legacy accounting, paper section 3.3).
@@ -185,23 +175,14 @@ void InsertOp::OnStoreReplica(const Delivery&) {
 }
 
 void InsertOp::OnDivertReply(const Delivery&) {
-  const NodeId t = targets_[target_index_];
+  const NodeId t = plan_.targets[target_index_];
   PastNode* b = net_.storage_node(*divert_target_);
   stored_at_b_ = b != nullptr && b->WouldAcceptDiverted(size_) &&
-                 b->StoreReplica(certificate_.file_id, ReplicaKind::kDiverted, size_, cert_ref_,
-                                 content_);
-  if (stored_at_b_ && !b->store().Commit()) {
-    // B's log could not make the diverted replica durable: undo and report
-    // the diversion as declined.
-    b->RemoveReplica(certificate_.file_id);
-    stored_at_b_ = false;
-  }
+                 net_.PlaceReplica(*b, certificate_.file_id, ReplicaKind::kDiverted, size_,
+                                   cert_ref_, content_) == PastNetwork::PlaceOutcome::kStored;
   if (stored_at_b_) {
     created_.push_back({*divert_target_, /*is_pointer=*/false});
     b->NoteServedOp();
-    net_.total_stored_ += size_;
-    net_.ins_.replicas_stored->Add(1);
-    net_.ins_.replicas_diverted->Add(1);
     ++result_.replicas_stored;
     ++result_.replicas_diverted;
   }
@@ -214,26 +195,22 @@ void InsertOp::OnDivertReply(const Delivery&) {
 }
 
 void InsertOp::OnDivertAck(const Delivery&) {
-  const NodeId t = targets_[target_index_];
+  const NodeId t = plan_.targets[target_index_];
   PastNode* a = net_.storage_node(t);
-  if (!stored_at_b_ || a == nullptr) {
-    AckRoot(t, false);
-    return;
-  }
   // Node A keeps a pointer to B and issues the store receipt as usual;
-  // node C shadows the pointer.
-  a->store().InstallPointer(certificate_.file_id, *divert_target_, PointerRole::kDiverter, size_);
-  if (!a->store().Commit()) {
-    // The pointer at A must be durable before A issues the receipt: after a
-    // crash at A nothing else among the k closest would reference B's copy.
-    a->store().RemovePointer(certificate_.file_id);
+  // node C shadows the pointer. A's pointer must be durable before its
+  // receipt: after a crash at A nothing else among the k closest would
+  // reference B's copy.
+  if (!stored_at_b_ || a == nullptr ||
+      !net_.PlacePointer(*a, certificate_.file_id, *divert_target_, PointerRole::kDiverter,
+                         size_)) {
     AckRoot(t, false);
     return;
   }
   created_.push_back({t, /*is_pointer=*/true});
-  if (witness_ && net_.storage_node(*witness_) != nullptr) {
+  if (plan_.witness && net_.storage_node(*plan_.witness) != nullptr) {
     SendTracked(witness_ex_,
-                Direct(MessageType::kInstallPointer, t, *witness_, certificate_.file_id, 0,
+                Direct(MessageType::kInstallPointer, t, *plan_.witness, certificate_.file_id, 0,
                        MessageCost::kRpc),
                 &InsertOp::OnWitnessInstall);
   }
@@ -242,14 +219,10 @@ void InsertOp::OnDivertAck(const Delivery&) {
 }
 
 void InsertOp::OnWitnessInstall(const Delivery&) {
-  PastNode* c = net_.storage_node(*witness_);
-  if (c != nullptr) {
-    c->store().InstallPointer(certificate_.file_id, *divert_target_, PointerRole::kWitness, size_);
-    if (c->store().Commit()) {
-      created_.push_back({*witness_, /*is_pointer=*/true});
-    } else {
-      c->store().RemovePointer(certificate_.file_id);
-    }
+  PastNode* c = net_.storage_node(*plan_.witness);
+  if (c != nullptr && net_.PlacePointer(*c, certificate_.file_id, *divert_target_,
+                                        PointerRole::kWitness, size_)) {
+    created_.push_back({*plan_.witness, /*is_pointer=*/true});
   }
 }
 

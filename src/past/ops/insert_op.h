@@ -7,6 +7,11 @@
 // a kInstallPointer to the witness; every store exchange ends with an
 // kAck (positive or negative) back to the root.
 //
+// Every store, divert and pointer commit, and the accounting that goes
+// with it, is a PastNetwork placement step (PlaceReplica, PlacePointer,
+// RollbackInsert, ...). This op only decides which message phase each step
+// runs in; ScaleEngine runs the same steps in epoch order.
+//
 // State machine:
 //
 //   Start ──request phase──▶ AfterRequest ──▶ StoreNext(target 0)
@@ -49,7 +54,7 @@ class InsertOp : public AsyncOp {
 
  private:
   void AfterRequest();
-  void StoreNext();   // issues the store exchange for targets_[target_index_]
+  void StoreNext();   // issues the store exchange for plan_.targets[target_index_]
   void AfterStore();  // inspects the exchange outcome, advances or rolls back
   void AckRoot(const NodeId& from_node, bool ok);
   void Finish(InsertStatus status);
@@ -75,8 +80,7 @@ class InsertOp : public AsyncOp {
   NodeId key_;
   NodeId root_;
   std::vector<NodeId> route_path_;  // for CacheAlongPath on success
-  std::vector<NodeId> targets_;     // the k closest, in exchange order
-  std::optional<NodeId> witness_;
+  PastNetwork::InsertPlan plan_;    // the k closest, in exchange order
   FileCertificateRef cert_ref_;
   std::vector<PastNetwork::PendingStore> created_;
   size_t target_index_ = 0;

@@ -128,38 +128,19 @@ void LookupOp::StartRoute() {
     // The route ended at the numerically closest node without finding a
     // replica en route; a diverted replica is reachable through its pointer
     // at the cost of one extra hop (paper section 3.3).
-    NodeId dest = route.destination();
-    PastNode* pn = net_.storage_node(dest);
-    const DiversionPointer* ptr = pn == nullptr ? nullptr : pn->store().GetPointer(file_id_);
-    if (ptr != nullptr && net_.pastry_.IsAlive(ptr->holder)) {
-      PastNode* holder = net_.storage_node(ptr->holder);
-      if (holder != nullptr && holder->store().HasReplica(file_id_)) {
-        served_ = ptr->holder;
-        from_cache_ = false;
-        found = true;
+    std::optional<PastNetwork::NearRootServe> near =
+        net_.ServeNearRoot(route.destination(), key, file_id_);
+    if (near) {
+      served_ = near->holder;
+      from_cache_ = false;
+      found = true;
+      if (near->via_pointer) {
         result_.via_diversion_pointer = true;
         net_.ins_.lookup_pointer_hops->Inc();
-        double d = net_.pastry_.topology().Distance(dest, ptr->holder);
-        net_.pastry_.stats().RecordHop(d);
-        result_.hops += 1;
-        result_.distance += d;
       }
-    }
-    if (!found) {
-      // Rare: routing terminated at a node that is not tracking the file
-      // (e.g. stale leaf set right after churn). Probe the k closest.
-      for (const NodeId& t : net_.KClosestFromLeafSet(dest, key, net_.config_.k)) {
-        PastNode* candidate = net_.storage_node(t);
-        if (candidate != nullptr && candidate->store().HasReplica(file_id_)) {
-          served_ = t;
-          found = true;
-          double d = net_.pastry_.topology().Distance(dest, t);
-          net_.pastry_.stats().RecordHop(d);
-          result_.hops += 1;
-          result_.distance += d;
-          break;
-        }
-      }
+      net_.pastry_.stats().RecordHop(near->distance);
+      result_.hops += 1;
+      result_.distance += near->distance;
     }
   }
 

@@ -73,14 +73,7 @@ void ReclaimOp::ReclaimAt(const NodeId& node_id) {
       owner_mismatch_ = true;
       return;
     }
-    uint64_t size = entry->size;
-    bool diverted = entry->kind == ReplicaKind::kDiverted;
-    pn->RemoveReplica(file_id);
-    net_.total_stored_ -= size;
-    net_.ins_.replicas_stored->Sub(1);
-    if (diverted) {
-      net_.ins_.replicas_diverted->Sub(1);
-    }
+    uint64_t size = *net_.DropReplica(*pn, file_id);
     ++result_.replicas_reclaimed;
     result_.bytes_reclaimed += size;
     // The reclaim receipt credits the owner's quota, so the removal record

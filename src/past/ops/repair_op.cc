@@ -151,24 +151,21 @@ void RepairOp::RepairFile(const FileId& file_id) {
   // The holder that pushes replica data to repair targets.
   NodeId source = holders.front();
 
-  // Pushes the replica from `source` to `t` as a primary copy; returns true
-  // if `t` accepted and stored it (false on decline or a dropped message).
-  auto push_replica = [&](const NodeId& t) {
+  // Pushes the replica from `source` to `t` as a `kind` copy, which `t`
+  // admits under the matching threshold (t_pri or t_div); returns true if
+  // `t` stored it (false on decline or a dropped message).
+  auto push_replica = [&](const NodeId& t, ReplicaKind kind) {
     bool stored = false;
     Exchange push_ex;
     SendSettled(push_ex,
                 Direct(MessageType::kRepairStore, source, t, file_id, size, MessageCost::kNone),
-                [&, t](const Delivery&) {
+                [&, t, kind](const Delivery&) {
                   PastNode* pn = net_.storage_node(t);
-                  if (pn != nullptr && pn->WouldAcceptPrimary(size) &&
-                      pn->StoreReplica(file_id, ReplicaKind::kPrimary, size, certificate,
-                                       content)) {
-                    if (!pn->store().Commit()) {
-                      pn->RemoveReplica(file_id);  // un-committable: decline
-                      return;
-                    }
-                    net_.total_stored_ += size;
-                    net_.ins_.replicas_stored->Add(1);
+                  bool admits = pn != nullptr && (kind == ReplicaKind::kPrimary
+                                                      ? pn->WouldAcceptPrimary(size)
+                                                      : pn->WouldAcceptDiverted(size));
+                  if (admits && net_.PlaceReplica(*pn, file_id, kind, size, certificate,
+                                                  content) == PastNetwork::PlaceOutcome::kStored) {
                     net_.ins_.replicas_recreated->Inc();
                     stored = true;
                   }
@@ -183,15 +180,10 @@ void RepairOp::RepairFile(const FileId& file_id) {
                 Direct(MessageType::kRepairPointer, root, t, file_id, 0, MessageCost::kNone),
                 [&, t, target, count_metric](const Delivery&) {
                   PastNode* pn = net_.storage_node(t);
-                  if (pn != nullptr) {
-                    pn->store().InstallPointer(file_id, target, PointerRole::kDiverter, size);
-                    if (!pn->store().Commit()) {
-                      pn->store().RemovePointer(file_id);
-                      return;
-                    }
-                    if (count_metric) {
-                      net_.ins_.maintenance_pointers->Inc();
-                    }
+                  if (pn != nullptr &&
+                      net_.PlacePointer(*pn, file_id, target, PointerRole::kDiverter, size) &&
+                      count_metric) {
+                    net_.ins_.maintenance_pointers->Inc();
                   }
                 });
   };
@@ -207,19 +199,16 @@ void RepairOp::RepairFile(const FileId& file_id) {
       continue;
     }
     const DiversionPointer* ptr = pn->store().GetPointer(file_id);
+    if (net_.PointerResolves(ptr, file_id)) {
+      continue;
+    }
     if (ptr != nullptr) {
-      bool valid = net_.pastry_.IsAlive(ptr->holder) &&
-                   net_.storage_node(ptr->holder) != nullptr &&
-                   net_.storage_node(ptr->holder)->store().HasReplica(file_id);
-      if (valid) {
-        continue;
-      }
       pn->store().RemovePointer(file_id);
     }
     // Prefer acquiring a real replica; otherwise install a pointer to an
     // existing holder (semantically identical to replica diversion, paper
     // section 3.5: the joining node installs a pointer and migrates later).
-    if (push_replica(t)) {
+    if (push_replica(t, ReplicaKind::kPrimary)) {
       if (std::find(holders.begin(), holders.end(), t) == holders.end()) {
         holders.push_back(t);
       }
@@ -251,7 +240,7 @@ void RepairOp::RepairFile(const FileId& file_id) {
     if (pn == nullptr || pn->store().HasReplica(file_id)) {
       continue;
     }
-    if (push_replica(t)) {
+    if (push_replica(t, ReplicaKind::kPrimary)) {
       PastNode* stored_node = net_.storage_node(t);
       if (stored_node != nullptr) {
         stored_node->store().RemovePointer(file_id);
@@ -274,28 +263,7 @@ void RepairOp::RepairFile(const FileId& file_id) {
     }
     // Diverted re-creation: push the data to the leaf-set member, then have
     // the k-closest node point at it.
-    bool stored_at_b = false;
-    Exchange divert_ex;
-    SendSettled(divert_ex,
-                Direct(MessageType::kRepairStore, source, *target, file_id, size,
-                       MessageCost::kNone),
-                [&](const Delivery&) {
-                  PastNode* b = net_.storage_node(*target);
-                  if (b != nullptr && b->WouldAcceptDiverted(size) &&
-                      b->StoreReplica(file_id, ReplicaKind::kDiverted, size, certificate,
-                                      content)) {
-                    if (!b->store().Commit()) {
-                      b->RemoveReplica(file_id);
-                      return;
-                    }
-                    net_.total_stored_ += size;
-                    net_.ins_.replicas_stored->Add(1);
-                    net_.ins_.replicas_diverted->Add(1);
-                    net_.ins_.replicas_recreated->Inc();
-                    stored_at_b = true;
-                  }
-                });
-    if (!stored_at_b) {
+    if (!push_replica(*target, ReplicaKind::kDiverted)) {
       continue;
     }
     install_pointer(t, *target, /*count_metric=*/false);

@@ -295,8 +295,7 @@ PastNetwork::RejoinOutcome PastNetwork::RejoinStorageNode(const NodeId& id,
   // the replica (the witness/diverter roles are rebuilt by repair anyway).
   std::vector<FileId> drop_pointers;
   for (const auto& [file, ptr] : pn->store().pointers()) {
-    const PastNode* holder = storage_node(ptr.holder);
-    if (!pastry_.IsAlive(ptr.holder) || holder == nullptr || !holder->store().HasReplica(file)) {
+    if (!PointerResolves(&ptr, file)) {
       drop_pointers.push_back(file);
     }
   }
@@ -466,6 +465,94 @@ std::optional<NodeId> PastNetwork::ChooseDiversionTarget(const NodeId& primary,
   return eligible[*pick].id;
 }
 
+PastNetwork::InsertPlan PastNetwork::PlanInsertTargets(const NodeId& root,
+                                                      const NodeId& key) const {
+  // CloserTo is a strict total order, so the k closest are exactly the
+  // first k of the k+1 closest: one leaf-set scan yields both.
+  InsertPlan plan;
+  plan.targets = KClosestFromLeafSet(root, key, config_.k + 1);
+  if (plan.targets.size() == config_.k + 1) {
+    plan.witness = plan.targets.back();
+    plan.targets.pop_back();
+  }
+  return plan;
+}
+
+bool PastNetwork::AnyHolds(const std::vector<NodeId>& targets, const FileId& file) const {
+  return std::any_of(targets.begin(), targets.end(), [&](const NodeId& t) {
+    const PastNode* pn = storage_node(t);
+    return pn != nullptr &&
+           (pn->store().HasReplica(file) || pn->store().GetPointer(file) != nullptr);
+  });
+}
+
+PastNetwork::PlaceOutcome PastNetwork::PlaceReplica(PastNode& node, const FileId& file,
+                                                    ReplicaKind kind, uint64_t size,
+                                                    FileCertificateRef certificate,
+                                                    FileContentRef content) {
+  if (!node.StoreReplica(file, kind, size, std::move(certificate), std::move(content))) {
+    return PlaceOutcome::kNoRoom;
+  }
+  if (!node.store().Commit()) {
+    node.RemoveReplica(file);
+    return PlaceOutcome::kNotDurable;
+  }
+  total_stored_ += size;
+  ins_.replicas_stored->Add(1);
+  if (kind == ReplicaKind::kDiverted) {
+    ins_.replicas_diverted->Add(1);
+  }
+  return PlaceOutcome::kStored;
+}
+
+bool PastNetwork::PlacePointer(PastNode& node, const FileId& file, const NodeId& holder,
+                               PointerRole role, uint64_t size) {
+  node.store().InstallPointer(file, holder, role, size);
+  if (node.store().Commit()) {
+    return true;
+  }
+  node.store().RemovePointer(file);
+  return false;
+}
+
+std::optional<uint64_t> PastNetwork::DropReplica(PastNode& node, const FileId& file) {
+  const ReplicaEntry* entry = node.store().GetReplica(file);
+  if (entry == nullptr) {
+    return std::nullopt;
+  }
+  if (entry->kind == ReplicaKind::kDiverted) {
+    ins_.replicas_diverted->Sub(1);
+  }
+  ins_.replicas_stored->Sub(1);
+  total_stored_ -= entry->size;
+  return node.RemoveReplica(file);
+}
+
+bool PastNetwork::PointerResolves(const DiversionPointer* ptr, const FileId& file) const {
+  if (ptr == nullptr || !pastry_.IsAlive(ptr->holder)) {
+    return false;
+  }
+  const PastNode* holder = storage_node(ptr->holder);
+  return holder != nullptr && holder->store().HasReplica(file);
+}
+
+std::optional<PastNetwork::NearRootServe> PastNetwork::ServeNearRoot(const NodeId& dest,
+                                                                     const NodeId& key,
+                                                                     const FileId& file) const {
+  const PastNode* pn = storage_node(dest);
+  const DiversionPointer* ptr = pn == nullptr ? nullptr : pn->store().GetPointer(file);
+  if (PointerResolves(ptr, file)) {
+    return NearRootServe{ptr->holder, true, pastry_.topology().Distance(dest, ptr->holder)};
+  }
+  for (const NodeId& t : KClosestFromLeafSet(dest, key, config_.k)) {
+    const PastNode* candidate = storage_node(t);
+    if (candidate != nullptr && candidate->store().HasReplica(file)) {
+      return NearRootServe{t, false, pastry_.topology().Distance(dest, t)};
+    }
+  }
+  return std::nullopt;
+}
+
 void PastNetwork::RollbackInsert(const FileId& file_id,
                                  const std::vector<PendingStore>& stores) {
   for (const PendingStore& pending : stores) {
@@ -475,16 +562,8 @@ void PastNetwork::RollbackInsert(const FileId& file_id,
     }
     if (pending.is_pointer) {
       pn->store().RemovePointer(file_id);
-      continue;
-    }
-    const ReplicaEntry* entry = pn->store().GetReplica(file_id);
-    if (entry != nullptr) {
-      if (entry->kind == ReplicaKind::kDiverted) {
-        ins_.replicas_diverted->Sub(1);
-      }
-      ins_.replicas_stored->Sub(1);
-      total_stored_ -= entry->size;
-      pn->RemoveReplica(file_id);
+    } else {
+      DropReplica(*pn, file_id);
     }
   }
 }
@@ -571,17 +650,9 @@ size_t PastNetwork::CountStorageInvariantViolations(const std::vector<FileId>& f
         ++violations;
         continue;
       }
-      if (pn->store().HasReplica(f)) {
-        continue;
+      if (!pn->store().HasReplica(f) && !PointerResolves(pn->store().GetPointer(f), f)) {
+        ++violations;
       }
-      const DiversionPointer* ptr = pn->store().GetPointer(f);
-      if (ptr != nullptr && pastry_.IsAlive(ptr->holder)) {
-        const PastNode* holder = storage_node(ptr->holder);
-        if (holder != nullptr && holder->store().HasReplica(f)) {
-          continue;
-        }
-      }
-      ++violations;
     }
   }
   return violations;
@@ -682,8 +753,6 @@ void PastNetwork::MaintenanceSweep(ThreadPool* pool) {
     ActionKind kind;
     NodeId node;
     FileId file;
-    uint64_t size = 0;
-    bool diverted = false;
   };
   const std::vector<NodeId> live = pastry_.live_nodes();
   auto collect = [&](size_t begin, size_t end) {
@@ -699,7 +768,7 @@ void PastNetwork::MaintenanceSweep(ThreadPool* pool) {
         bool among_k = std::find(k_closest.begin(), k_closest.end(), id) != k_closest.end();
         if (among_k) {
           if (entry.kind == ReplicaKind::kDiverted) {
-            found.push_back(Action{ActionKind::kPromote, id, file, entry.size, true});
+            found.push_back(Action{ActionKind::kPromote, id, file});
           }
           continue;
         }
@@ -713,8 +782,7 @@ void PastNetwork::MaintenanceSweep(ThreadPool* pool) {
           }
         }
         if (!referenced) {
-          found.push_back(Action{ActionKind::kRemoveReplica, id, file, entry.size,
-                                 entry.kind == ReplicaKind::kDiverted});
+          found.push_back(Action{ActionKind::kRemoveReplica, id, file});
         }
       }
       for (const auto& [file, ptr] : pn->store().pointers()) {
@@ -748,13 +816,7 @@ void PastNetwork::MaintenanceSweep(ThreadPool* pool) {
         }
         break;
       case ActionKind::kRemoveReplica:
-        if (pn->RemoveReplica(action.file).has_value()) {
-          total_stored_ -= action.size;
-          ins_.replicas_stored->Sub(1);
-          if (action.diverted) {
-            ins_.replicas_diverted->Sub(1);
-          }
-        }
+        DropReplica(*pn, action.file);
         break;
       case ActionKind::kRemovePointer:
         pn->store().RemovePointer(action.file);

@@ -300,6 +300,58 @@ class PastNetwork : public MembershipObserver {
                                               const std::vector<NodeId>& k_closest,
                                               const FileId& file_id, uint64_t size);
 
+  // --- placement steps (paper section 3.3) ---
+  //
+  // The one home of the store / divert / pointer commit and its byte and
+  // replica accounting. InsertOp, RepairOp, ReclaimOp, MaintenanceSweep and
+  // ScaleEngine only sequence these steps; each keeps its own acceptance
+  // checks (policy verdict or threshold test) and its own message phases.
+
+  // The k closest live nodes to `key` per `root`'s leaf set, closest first,
+  // plus the witness C: the (k+1)-th closest, when the leaf set knows one.
+  struct InsertPlan {
+    std::vector<NodeId> targets;
+    std::optional<NodeId> witness;
+  };
+  InsertPlan PlanInsertTargets(const NodeId& root, const NodeId& key) const;
+
+  // fileId collision check: some target already holds a replica of `file`
+  // or a pointer for it.
+  bool AnyHolds(const std::vector<NodeId>& targets, const FileId& file) const;
+
+  // Stores and commits a replica at `node`. Write-ahead contract: the
+  // record is durable before any ack or receipt leaves the node, so a
+  // replica whose commit fails is removed again (kNotDurable). kNoRoom: the
+  // store could not physically fit it. Only kStored changes total_stored_
+  // and the replica gauges.
+  enum class PlaceOutcome { kStored, kNoRoom, kNotDurable };
+  PlaceOutcome PlaceReplica(PastNode& node, const FileId& file, ReplicaKind kind, uint64_t size,
+                            FileCertificateRef certificate, FileContentRef content);
+
+  // Installs and commits a diverter or witness pointer at `node`; a pointer
+  // whose commit fails is removed again and false returned.
+  bool PlacePointer(PastNode& node, const FileId& file, const NodeId& holder, PointerRole role,
+                    uint64_t size);
+
+  // Removes `node`'s replica of `file` with its accounting; returns the
+  // freed size, or nullopt if it held none.
+  std::optional<uint64_t> DropReplica(PastNode& node, const FileId& file);
+
+  // True if `ptr` is non-null and names a live node still holding `file`.
+  bool PointerResolves(const DiversionPointer* ptr, const FileId& file) const;
+
+  // A lookup whose route ended at `dest` without meeting a replica: the
+  // holder one extra hop away, via dest's diversion pointer, else the first
+  // of the k closest to `key` that holds one (stale leaf sets right after
+  // churn). Read-only, so planners may call it in parallel.
+  struct NearRootServe {
+    NodeId holder;
+    bool via_pointer = false;
+    double distance = 0.0;  // proximity distance of the extra hop
+  };
+  std::optional<NearRootServe> ServeNearRoot(const NodeId& dest, const NodeId& key,
+                                             const FileId& file) const;
+
   // Rolls back replicas and pointers created by a failed insert attempt.
   void RollbackInsert(const FileId& file_id, const std::vector<PendingStore>& stores);
 

@@ -33,11 +33,10 @@ InvariantReport InvariantChecker::Check(const PastNetwork& net, const EventQueue
                                         const std::vector<QuotaExpectation>& quotas,
                                         size_t expected_live_events) const {
   InvariantReport report;
-  auto fail = [&report](std::string msg) { report.violations.push_back(std::move(msg)); };
-  auto check = [&report, &fail](bool ok, auto make_msg) {
+  auto check = [&report](bool ok, auto make_msg) {
     ++report.checks;
     if (!ok) {
-      fail(make_msg());
+      report.violations.push_back(make_msg());
     }
   };
 
@@ -47,11 +46,13 @@ InvariantReport InvariantChecker::Check(const PastNetwork& net, const EventQueue
   check(net.overlay().CountLeafSetViolations() == 0,
         [&] { return "overlay: leaf-set invariant violated after convergence"; });
 
-  // --- per-node storage and cache accounting ---
-  uint64_t sum_used = 0;
-  uint64_t sum_capacity = 0;
-  uint64_t sum_replicas = 0;
-  uint64_t sum_diverted = 0;
+  // --- per-node and global storage accounting (the in-flight subset) ---
+  InvariantReport accounting = CheckDuringOps(net);
+  report.checks += accounting.checks;
+  report.violations.insert(report.violations.end(), accounting.violations.begin(),
+                           accounting.violations.end());
+
+  // --- pointer references; caches never shadow replicas or reclaimed files ---
   // file -> holders referenced by a diversion pointer at any live node.
   std::unordered_map<FileId, std::unordered_set<NodeId, NodeIdHash>, FileIdHash> referenced;
   std::unordered_set<FileId, FileIdHash> reclaimed_ids;
@@ -67,41 +68,6 @@ InvariantReport InvariantChecker::Check(const PastNetwork& net, const EventQueue
       continue;
     }
     const NodeStore& store = pn->store();
-    sum_used += store.used();
-    sum_capacity += store.capacity();
-    sum_replicas += store.replica_count();
-    sum_diverted += store.diverted_count();
-
-    uint64_t replica_bytes = 0;
-    size_t census_primary = 0;
-    for (const auto& [file, entry] : store.replicas()) {
-      (void)file;
-      replica_bytes += entry.size;
-      if (entry.kind == ReplicaKind::kPrimary) {
-        ++census_primary;
-      }
-    }
-    check(replica_bytes == store.used(), [&] {
-      std::ostringstream out;
-      out << "store: node " << Short(id.ToHex()) << " charges used=" << store.used()
-          << " but replica entries sum to " << replica_bytes;
-      return out.str();
-    });
-    // Kind bookkeeping must match the entries — a recovery replay or rejoin
-    // audit that double-counted a replica would skew these counters first.
-    check(census_primary == store.primary_count(), [&] {
-      std::ostringstream out;
-      out << "store: node " << Short(id.ToHex()) << " primary_count=" << store.primary_count()
-          << " but entries count " << census_primary;
-      return out.str();
-    });
-    check(store.used() <= store.capacity(), [&] {
-      std::ostringstream out;
-      out << "store: node " << Short(id.ToHex()) << " over capacity (used=" << store.used()
-          << " cap=" << store.capacity() << ")";
-      return out.str();
-    });
-
     for (const auto& [file, ptr] : store.pointers()) {
       referenced[file].insert(ptr.holder);
     }
@@ -168,33 +134,6 @@ InvariantReport InvariantChecker::Check(const PastNetwork& net, const EventQueue
       return out.str();
     });
   }
-
-  // --- global accounting: totals and gauges agree with a full census ---
-  check(sum_used == net.total_stored(), [&] {
-    std::ostringstream out;
-    out << "accounting: total_stored=" << net.total_stored() << " but nodes sum to "
-        << sum_used;
-    return out.str();
-  });
-  check(sum_capacity == net.total_capacity(), [&] {
-    std::ostringstream out;
-    out << "accounting: total_capacity=" << net.total_capacity() << " but nodes sum to "
-        << sum_capacity;
-    return out.str();
-  });
-  PastCounters counters = net.CountersSnapshot();
-  check(counters.replicas_stored_total == sum_replicas, [&] {
-    std::ostringstream out;
-    out << "accounting: replicas gauge=" << counters.replicas_stored_total
-        << " but census counts " << sum_replicas;
-    return out.str();
-  });
-  check(counters.replicas_diverted_total == sum_diverted, [&] {
-    std::ostringstream out;
-    out << "accounting: diverted gauge=" << counters.replicas_diverted_total
-        << " but census counts " << sum_diverted;
-    return out.str();
-  });
 
   // --- diverted replicas are referenced by a pointer somewhere ---
   for (const NodeId& id : node_ids) {

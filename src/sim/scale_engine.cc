@@ -151,12 +151,7 @@ void ScaleEngine::PlanInsert(Op& op, const RouteOptions& options) {
   if (!op.route.delivered || !op.route.reached) {
     return;
   }
-  NodeId root = op.route.destination;
-  op.targets = net_->KClosestFromLeafSet(root, key, k);
-  std::vector<NodeId> k_plus_one = net_->KClosestFromLeafSet(root, key, k + 1);
-  if (k_plus_one.size() == k + 1) {
-    op.witness = k_plus_one.back();
-  }
+  op.plan = net_->PlanInsertTargets(op.route.destination, key);
 }
 
 void ScaleEngine::PlanLookup(Op& op, const RouteOptions& options) {
@@ -179,33 +174,16 @@ void ScaleEngine::PlanLookup(Op& op, const RouteOptions& options) {
     return;
   }
   // Mirror LookupOp: the route ended at the numerically closest node without
-  // finding a replica — follow a diversion pointer (one extra hop), else
-  // probe the k closest (stale leaf sets right after churn).
-  NodeId dest = op.route.destination;
-  const PastNode* pn = cnet.storage_node(dest);
-  const DiversionPointer* ptr = pn == nullptr ? nullptr : pn->store().GetPointer(file);
-  if (ptr != nullptr && cnet.pastry_.IsAlive(ptr->holder)) {
-    const PastNode* holder = cnet.storage_node(ptr->holder);
-    if (holder != nullptr && holder->store().HasReplica(file)) {
-      op.found = true;
-      op.via_pointer = true;
-      op.served = ptr->holder;
-      op.extra_hops = 1;
-      op.extra_distance = cnet.pastry_.topology().Distance(dest, ptr->holder);
-      options.stats->RecordHop(op.extra_distance);
-      return;
-    }
-  }
-  for (const NodeId& t : cnet.KClosestFromLeafSet(dest, op.key, cnet.config_.k)) {
-    const PastNode* candidate = cnet.storage_node(t);
-    if (candidate != nullptr && candidate->store().HasReplica(file)) {
-      op.found = true;
-      op.served = t;
-      op.extra_hops = 1;
-      op.extra_distance = cnet.pastry_.topology().Distance(dest, t);
-      options.stats->RecordHop(op.extra_distance);
-      return;
-    }
+  // finding a replica — one extra hop to a holder near the root.
+  std::optional<PastNetwork::NearRootServe> near =
+      cnet.ServeNearRoot(op.route.destination, op.key, file);
+  if (near) {
+    op.found = true;
+    op.via_pointer = near->via_pointer;
+    op.served = near->holder;
+    op.extra_hops = 1;
+    op.extra_distance = near->distance;
+    options.stats->RecordHop(op.extra_distance);
   }
 }
 
@@ -214,86 +192,55 @@ void ScaleEngine::CommitInsert(Op& op, ScaleEpochStats& stats) {
   net_->ins_.insert_attempts->Inc();
   net_->ins_.insert_size->Observe(static_cast<double>(op.size));
 
-  bool stored = false;
-  do {
-    if (!op.route.delivered || !op.route.reached || op.targets.empty()) {
-      break;
+  // The fileId collision check runs at commit time (root semantics: against
+  // the stores as they are when the request lands).
+  bool stored = op.route.delivered && op.route.reached && !op.plan.targets.empty() &&
+                !net_->AnyHolds(op.plan.targets, op.file);
+  std::vector<PastNetwork::PendingStore> created;
+  for (size_t i = 0; stored && i < op.plan.targets.size(); ++i) {
+    const NodeId& t = op.plan.targets[i];
+    PastNode* a = net_->storage_node(t);
+    if (a == nullptr) {
+      continue;
     }
-    // fileId collision check at commit time (root semantics: the check runs
-    // against the stores as they are when the request lands).
-    bool duplicate = false;
-    for (const NodeId& t : op.targets) {
-      const PastNode* pn = net_->storage_node(t);
-      if (pn != nullptr &&
-          (pn->store().HasReplica(op.file) || pn->store().GetPointer(op.file) != nullptr)) {
-        duplicate = true;
-        break;
+    if (net_->ShouldStorePrimary(t, op.size) &&
+        net_->PlaceReplica(*a, op.file, ReplicaKind::kPrimary, op.size, nullptr, nullptr) ==
+            PastNetwork::PlaceOutcome::kStored) {
+      created.push_back({t, /*is_pointer=*/false});
+      a->NoteServedOp();
+      continue;
+    }
+    std::optional<NodeId> divert;
+    if (net_->config_.enable_replica_diversion) {
+      divert = net_->ChooseDiversionTarget(t, op.plan.targets, op.file, op.size);
+    }
+    PastNode* b = divert ? net_->storage_node(*divert) : nullptr;
+    stored = b != nullptr && b->WouldAcceptDiverted(op.size) &&
+             net_->PlaceReplica(*b, op.file, ReplicaKind::kDiverted, op.size, nullptr,
+                                nullptr) == PastNetwork::PlaceOutcome::kStored;
+    if (stored) {
+      created.push_back({*divert, /*is_pointer=*/false});
+      b->NoteServedOp();
+      stored = net_->PlacePointer(*a, op.file, *divert, PointerRole::kDiverter, op.size);
+    }
+    if (stored) {
+      created.push_back({t, /*is_pointer=*/true});
+      PastNode* c = op.plan.witness ? net_->storage_node(*op.plan.witness) : nullptr;
+      if (c != nullptr &&
+          net_->PlacePointer(*c, op.file, *divert, PointerRole::kWitness, op.size)) {
+        created.push_back({*op.plan.witness, /*is_pointer=*/true});
       }
     }
-    if (duplicate) {
-      break;
-    }
-    std::vector<PastNetwork::PendingStore> created;
-    bool declined = false;
-    for (const NodeId& t : op.targets) {
-      PastNode* pn = net_->storage_node(t);
-      if (pn == nullptr) {
-        continue;
-      }
-      if (net_->ShouldStorePrimary(t, op.size) &&
-          pn->StoreReplica(op.file, ReplicaKind::kPrimary, op.size, nullptr, nullptr)) {
-        created.push_back({t, /*is_pointer=*/false});
-        pn->NoteServedOp();
-        net_->total_stored_ += op.size;
-        net_->ins_.replicas_stored->Add(1);
-        continue;
-      }
-      bool diverted = false;
-      if (net_->config_.enable_replica_diversion) {
-        std::optional<NodeId> divert =
-            net_->ChooseDiversionTarget(t, op.targets, op.file, op.size);
-        if (divert) {
-          PastNode* b = net_->storage_node(*divert);
-          if (b != nullptr && b->WouldAcceptDiverted(op.size) &&
-              b->StoreReplica(op.file, ReplicaKind::kDiverted, op.size, nullptr, nullptr)) {
-            created.push_back({*divert, /*is_pointer=*/false});
-            b->NoteServedOp();
-            net_->total_stored_ += op.size;
-            net_->ins_.replicas_stored->Add(1);
-            net_->ins_.replicas_diverted->Add(1);
-            pn->store().InstallPointer(op.file, *divert, PointerRole::kDiverter, op.size);
-            created.push_back({t, /*is_pointer=*/true});
-            if (op.witness) {
-              PastNode* c = net_->storage_node(*op.witness);
-              if (c != nullptr) {
-                c->store().InstallPointer(op.file, *divert, PointerRole::kWitness, op.size);
-                created.push_back({*op.witness, /*is_pointer=*/true});
-              }
-            }
-            diverted = true;
-          }
-        }
-      }
-      if (!diverted) {
-        // Primary and its diversion choice both declined: the whole insert
-        // rolls back (the client would re-salt; at engine scale we just
-        // count the failure).
-        net_->RollbackInsert(op.file, created);
-        declined = true;
-        break;
-      }
-    }
-    if (declined) {
-      break;
-    }
-    net_->any_file_inserted_ = true;
-    stored = true;
-  } while (false);
-
+  }
   if (stored) {
+    net_->any_file_inserted_ = true;
     ++stats.inserts_stored;
     files_.push_back({op.file, op.size});
   } else {
+    // A primary and its diversion choice both declined: the whole insert
+    // rolls back (the client would re-salt; at engine scale we just count
+    // the failure).
+    net_->RollbackInsert(op.file, created);
     net_->ins_.insert_failures->Inc();
   }
   net_->ins_.insert_hops->Observe(static_cast<double>(op.route.hops));
@@ -521,8 +468,8 @@ std::string ScaleEngine::StateFingerprint() const {
       HashU64(h, ptr.size);
     }
   }
-  HashU64(h, net_->total_stored_);
-  HashU64(h, net_->total_capacity_);
+  HashU64(h, net_->total_stored());
+  HashU64(h, net_->total_capacity());
   PastCounters counters = net_->CountersSnapshot();
   HashU64(h, counters.insert_attempts);
   HashU64(h, counters.insert_attempts_failed);

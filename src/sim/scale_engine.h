@@ -216,8 +216,7 @@ class ScaleEngine {
 
     // Phase A plan.
     RouteSummary route;
-    std::vector<NodeId> targets;      // insert: k closest from the root
-    std::optional<NodeId> witness;    // insert: the (k+1)-th closest
+    PastNetwork::InsertPlan plan;     // insert: k closest + witness
     bool found = false;               // lookup
     NodeId served;                    // lookup
     bool via_pointer = false;         // lookup
