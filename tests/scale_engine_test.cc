@@ -135,6 +135,33 @@ TEST(ScaleEngineTest, SaturatedGoldenFingerprints) {
   }
 }
 
+// The past.* op instruments mean the same thing in both engines: one insert
+// attempt and one hops sample per insert, lookup hops for found lookups
+// only, and a tier miss for every lookup no cache served (the scale engine
+// has no caches and no timeouts). Each must agree with the report's tallies.
+TEST(ScaleEngineTest, RegistryAgreesWithReport) {
+  for (uint64_t seed : {1ull, 2ull, 3ull}) {
+    ScaleConfig config = SaturatedConfig(seed);
+    config.jobs = 2;
+    ScaleEngine engine(config);
+    ScaleReport report = engine.Run();
+    obs::MetricsSnapshot m = engine.network().metrics().Snapshot();
+    const obs::HistogramSnapshot* insert_hops = m.FindHistogram("past.insert.hops");
+    const obs::HistogramSnapshot* lookup_hops = m.FindHistogram("past.lookup.hops");
+    ASSERT_NE(insert_hops, nullptr);
+    ASSERT_NE(lookup_hops, nullptr);
+    EXPECT_EQ(m.CounterValue("past.insert.attempts"), report.inserts) << "seed " << seed;
+    EXPECT_EQ(m.CounterValue("past.insert.attempts") - m.CounterValue("past.insert.failures"),
+              report.inserts_stored)
+        << "seed " << seed;
+    EXPECT_EQ(insert_hops->count, report.inserts) << "seed " << seed;
+    EXPECT_EQ(m.CounterValue("past.lookup.requests"), report.lookups) << "seed " << seed;
+    EXPECT_EQ(m.CounterValue("past.lookup.found"), report.lookups_found) << "seed " << seed;
+    EXPECT_EQ(lookup_hops->count, report.lookups_found) << "seed " << seed;
+    EXPECT_EQ(m.CounterValue("past.cache.tier_misses"), report.lookups) << "seed " << seed;
+  }
+}
+
 TEST(ScaleEngineTest, JoinCohortInvariantAcrossSeeds) {
   // Batched join announcements are observationally identical to the eager
   // per-join schedule: cohort=1 bypasses the queueing machinery entirely
