@@ -58,7 +58,8 @@ int main() {
     network.FailStorageNode(live[live.size() / 2]);
   }
   std::printf("15 nodes failed; %llu replicas re-created by maintenance\n",
-              static_cast<unsigned long long>(network.CountersSnapshot().replicas_recreated));
+              static_cast<unsigned long long>(network.metrics().Snapshot().CounterValue(
+                  "past.maintenance.replicas_recreated")));
 
   // Restore: every file must still be retrievable, from any access point.
   size_t restored = 0;

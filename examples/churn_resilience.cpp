@@ -69,12 +69,14 @@ int main() {
                 network.overlay().live_count(), retrievable, files.size(), violations);
   }
 
-  const PastCounters& counters = network.CountersSnapshot();
+  const obs::MetricsSnapshot m = network.metrics().Snapshot();
+  auto count = [&m](const char* name) {
+    return static_cast<unsigned long long>(m.CounterValue(name));
+  };
   std::printf("\nmaintenance re-created %llu replicas, installed %llu pointers; "
               "%llu files lost\n",
-              static_cast<unsigned long long>(counters.replicas_recreated),
-              static_cast<unsigned long long>(counters.maintenance_pointers_installed),
-              static_cast<unsigned long long>(counters.files_lost));
+              count("past.maintenance.replicas_recreated"),
+              count("past.maintenance.pointers_installed"), count("past.maintenance.files_lost"));
   std::printf("leaf-set invariant violations: %zu\n",
               network.overlay().CountLeafSetViolations());
   return 0;

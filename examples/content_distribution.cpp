@@ -66,11 +66,12 @@ RunStats Run(past::CacheMode mode) {
   RunStats stats;
   stats.avg_hops_first_wave = first_wave_hops / std::max(first_wave_count, 1);
   stats.avg_hops_last_wave = last_wave_hops / std::max(last_wave_count, 1);
-  const PastCounters& counters = network.CountersSnapshot();
-  stats.cache_hit_rate = counters.lookups_found == 0
-                             ? 0.0
-                             : static_cast<double>(counters.lookups_from_cache) /
-                                   static_cast<double>(counters.lookups_found);
+  const obs::MetricsSnapshot m = network.metrics().Snapshot();
+  const uint64_t found = m.CounterValue("past.lookup.found");
+  stats.cache_hit_rate =
+      found == 0 ? 0.0
+                 : static_cast<double>(m.CounterValue("past.lookup.cache_hits")) /
+                       static_cast<double>(found);
   stats.distinct_servers = served_by.size();
   return stats;
 }

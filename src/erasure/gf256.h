@@ -21,7 +21,6 @@ class Gf256 {
 
   // Generator element (3 for this polynomial).
   uint8_t generator() const { return 3; }
-  uint8_t Exp(unsigned i) const { return exp_[i % 255]; }
 
  private:
   Gf256();

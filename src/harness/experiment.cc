@@ -321,17 +321,16 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
           : static_cast<double>(census.diverted) / static_cast<double>(census.replicas);
   result.final_utilization = network.utilization();
 
-  const PastCounters counters = network.CountersSnapshot();
-  result.lookups = counters.lookups_found;
+  result.metrics = network.SnapshotMetrics();
+  const uint64_t found = result.metrics.CounterValue("past.lookup.found");
+  const obs::HistogramSnapshot* hops = result.metrics.FindHistogram("past.lookup.hops");
+  result.lookups = found;
   result.global_cache_hit_rate =
-      counters.lookups_found == 0
-          ? 0.0
-          : static_cast<double>(counters.lookups_from_cache) /
-                static_cast<double>(counters.lookups_found);
-  result.avg_lookup_hops = counters.lookups_found == 0
-                               ? 0.0
-                               : static_cast<double>(counters.lookup_hops_total) /
-                                     static_cast<double>(counters.lookups_found);
+      found == 0 ? 0.0
+                 : static_cast<double>(result.metrics.CounterValue("past.lookup.cache_hits")) /
+                       static_cast<double>(found);
+  result.avg_lookup_hops =
+      found == 0 || hops == nullptr ? 0.0 : hops->sum / static_cast<double>(found);
   if (!lookup_latencies.empty()) {
     auto percentile = [&lookup_latencies](double q) {
       size_t idx = static_cast<size_t>(q * static_cast<double>(lookup_latencies.size() - 1));
@@ -343,7 +342,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     result.lookup_latency_p95_ms = percentile(0.95);
   }
 
-  result.metrics = network.SnapshotMetrics();
   if (trace_sink != nullptr) {
     trace_sink->Flush();
   }

@@ -69,7 +69,6 @@ class Exchange {
 
  private:
   friend class AsyncOp;
-  friend class RepairOp;
 
   void Reset(uint64_t epoch) {
     completed_ = false;
@@ -86,8 +85,8 @@ class Exchange {
   void (AsyncOp::*handler_)(const Delivery&) = nullptr;
 };
 
-// Message building and counted sends shared by every coordinator, both the
-// event-driven client ops below and the settle-driven maintenance RepairOp.
+// Message building shared by every coordinator, both the event-driven
+// client ops below and the settle-driven maintenance RepairOp.
 class OpCore {
  protected:
   explicit OpCore(PastNetwork& net) : net_(net), transport_(net.transport()) {}
@@ -101,8 +100,6 @@ class OpCore {
 
   PastNetwork& net_;
   Transport& transport_;
-  uint64_t messages_ = 0;    // fabric sends issued by this op
-  double latency_ms_ = 0.0;  // simulated end-to-end latency on the client path
 };
 
 // Base state machine. Derived ops implement their protocol as a chain of
@@ -168,6 +165,9 @@ class AsyncOp : public OpCore {
 
   // Derived cancel hook: roll back partial effects. Default: nothing.
   virtual void OnCancel() {}
+
+  uint64_t messages_ = 0;    // fabric sends issued by this op
+  double latency_ms_ = 0.0;  // simulated end-to-end latency on the client path
 
  private:
   friend class OpEngine;

@@ -11,9 +11,6 @@ InsertOp::InsertOp(PastNetwork& net, const NodeId& origin, const FileCertificate
       key_(certificate.file_id.ToRoutingKey()) {}
 
 void InsertOp::Start() {
-  net_.ins_.insert_attempts->Inc();
-  net_.ins_.insert_size->Observe(static_cast<double>(size_));
-
   // Route toward the fileId; the first node that finds itself among the k
   // numerically closest takes responsibility (paper section 2.2).
   size_t k = net_.config_.k;
@@ -109,7 +106,6 @@ void InsertOp::StoreNext() {
     ++target_index_;
   }
   if (target_index_ == plan_.targets.size()) {
-    net_.any_file_inserted_ = true;
     net_.CacheAlongPath(route_path_, certificate_.file_id, size_, content_);
     Finish(InsertStatus::kStored);
     return;
@@ -250,10 +246,7 @@ void InsertOp::Rollback() {
 
 void InsertOp::Finish(InsertStatus status) {
   result_.status = status;
-  if (status != InsertStatus::kStored) {
-    net_.ins_.insert_failures->Inc();
-  }
-  net_.ins_.insert_hops->Observe(static_cast<double>(result_.route_hops));
+  net_.RecordInsert(size_, result_.route_hops, result_.stored());
   result_.messages = messages_;
   result_.latency_ms = latency_ms_;
   if (net_.trace_sink() != nullptr) {

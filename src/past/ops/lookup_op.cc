@@ -11,7 +11,6 @@ LookupOp::LookupOp(PastNetwork& net, const NodeId& origin, const FileId& file_id
     : AsyncOp(net), origin_(origin), file_id_(file_id), callback_(std::move(callback)) {}
 
 void LookupOp::Start() {
-  net_.ins_.lookups->Inc();
   if (net_.coop_tier() != nullptr) {
     // Only probe the broker when the origin cannot serve the file itself —
     // a local replica or cached copy stops the route at hop zero for free.
@@ -134,10 +133,7 @@ void LookupOp::StartRoute() {
       served_ = near->holder;
       from_cache_ = false;
       found = true;
-      if (near->via_pointer) {
-        result_.via_diversion_pointer = true;
-        net_.ins_.lookup_pointer_hops->Inc();
-      }
+      result_.via_diversion_pointer = near->via_pointer;
       net_.pastry_.stats().RecordHop(near->distance);
       result_.hops += 1;
       result_.distance += near->distance;
@@ -248,28 +244,12 @@ void LookupOp::AfterFetch() {
   result_.served_from_cache = from_cache_;
   result_.via_coop = coop_attempt_;
   result_.served_by = served_;
-  net_.ins_.lookups_found->Inc();
-  if (from_cache_) {
-    net_.ins_.lookups_from_cache->Inc();
-    if (coop_attempt_) {
-      net_.ins_.coop_hits->Inc();
-    } else {
-      net_.ins_.cache_local_hits->Inc();
-    }
-  }
-  net_.ins_.lookup_hops->Observe(static_cast<double>(result_.hops));
-  net_.ins_.lookup_distance->Observe(result_.distance);
   net_.CacheAlongPath(route_path_, file_id_, result_.file_size, result_.content);
   Finish();
 }
 
 void LookupOp::Finish() {
-  // Every-tier miss: the lookup resolved (or failed to resolve) without any
-  // cache serving it. Timeouts are excluded — the file may well have been
-  // cached, the bytes just never arrived.
-  if (result_.status != LookupStatus::kTimeout && !result_.served_from_cache) {
-    net_.ins_.cache_tier_misses->Inc();
-  }
+  net_.RecordLookup(result_);
   result_.messages = messages_;
   result_.latency_ms = latency_ms_;
   if (net_.trace_sink() != nullptr) {

@@ -7,21 +7,14 @@
 
 namespace past {
 
-void RepairOp::SendSettled(Exchange& ex, const Message& msg,
-                           const std::function<void(const Delivery&)>& handler) {
-  ex.Reset(0);
-  ++messages_;
-  // The exchange lives in the caller's frame; Settle() returns only after
-  // every copy of `msg` was delivered or dropped, so the capture by
-  // reference is safe — the same contract the stack-frame booleans of the
-  // settle-era coordinators relied on, now carried by the Exchange type.
-  transport_.Send(msg, [&ex, &handler](const Delivery& d) {
-    if (ex.completed_) {
-      return;  // duplicate delivery
-    }
-    ex.completed_ = true;
-    if (handler) {
-      handler(d);
+void RepairOp::SendSettled(const Message& msg, const std::function<void()>& at_destination) {
+  // Settle() returns only after every copy of `msg` was delivered or
+  // dropped, so capturing this frame by reference is safe.
+  bool delivered = false;
+  transport_.Send(msg, [&delivered, &at_destination](const Delivery&) {
+    if (!delivered) {
+      delivered = true;
+      at_destination();
     }
   });
   transport_.Settle();
@@ -156,10 +149,8 @@ void RepairOp::RepairFile(const FileId& file_id) {
   // `t` stored it (false on decline or a dropped message).
   auto push_replica = [&](const NodeId& t, ReplicaKind kind) {
     bool stored = false;
-    Exchange push_ex;
-    SendSettled(push_ex,
-                Direct(MessageType::kRepairStore, source, t, file_id, size, MessageCost::kNone),
-                [&, t, kind](const Delivery&) {
+    SendSettled(Direct(MessageType::kRepairStore, source, t, file_id, size, MessageCost::kNone),
+                [&, t, kind] {
                   PastNode* pn = net_.storage_node(t);
                   bool admits = pn != nullptr && (kind == ReplicaKind::kPrimary
                                                       ? pn->WouldAcceptPrimary(size)
@@ -175,10 +166,8 @@ void RepairOp::RepairFile(const FileId& file_id) {
 
   // Instructs `t` to install a diversion pointer at `target`.
   auto install_pointer = [&](const NodeId& t, const NodeId& target, bool count_metric) {
-    Exchange ptr_ex;
-    SendSettled(ptr_ex,
-                Direct(MessageType::kRepairPointer, root, t, file_id, 0, MessageCost::kNone),
-                [&, t, target, count_metric](const Delivery&) {
+    SendSettled(Direct(MessageType::kRepairPointer, root, t, file_id, 0, MessageCost::kNone),
+                [&, t, target, count_metric] {
                   PastNode* pn = net_.storage_node(t);
                   if (pn != nullptr &&
                       net_.PlacePointer(*pn, file_id, target, PointerRole::kDiverter, size) &&

@@ -12,10 +12,9 @@
 //
 // Unlike the client ops (async_op.h), repair runs on the maintenance plane
 // and is driven to quiescence inline: each exchange is a SendSettled() —
-// send, Settle() the transport, inspect. Dedup and handler lifetime are
-// still enforced by the Exchange type (the handler can run at most once,
-// and Settle() returns only after every copy of the message was delivered
-// or dropped, so the exchange never outlives its frame). Repair therefore
+// send, Settle() the transport, inspect what the destination did. It shares
+// only message building (OpCore::Direct) with the client ops: no phases,
+// exchanges, timers, or per-op message and latency tallies. Repair therefore
 // interleaves with in-flight client ops as a unit, at the virtual time its
 // membership trigger fired.
 #ifndef SRC_PAST_OPS_REPAIR_OP_H_
@@ -66,11 +65,10 @@ class RepairOp : public OpCore {
   void RepairFile(const FileId& file_id);
 
  private:
-  // One settle-driven exchange: sends `msg`, runs `handler` at the
-  // destination if (and when) a copy arrives, and drains the transport
-  // before returning. `ex.completed()` afterwards tells delivery from drop.
-  void SendSettled(Exchange& ex, const Message& msg,
-                   const std::function<void(const Delivery&)>& handler);
+  // One settle-driven send: runs `at_destination` once if (and when) a copy
+  // of `msg` arrives — duplicates are absorbed — and drains the transport
+  // before returning. A dropped message runs nothing.
+  void SendSettled(const Message& msg, const std::function<void()>& at_destination);
 };
 
 }  // namespace past

@@ -106,23 +106,6 @@ void PastNetwork::EmitTrace(obs::OpTrace event) {
   trace_sink_->Record(event);
 }
 
-PastCounters PastNetwork::CountersSnapshot() const {
-  PastCounters c;
-  c.insert_attempts = ins_.insert_attempts->value();
-  c.insert_attempts_failed = ins_.insert_failures->value();
-  c.replicas_stored_total = static_cast<uint64_t>(ins_.replicas_stored->value());
-  c.replicas_diverted_total = static_cast<uint64_t>(ins_.replicas_diverted->value());
-  c.lookups = ins_.lookups->value();
-  c.lookups_found = ins_.lookups_found->value();
-  c.lookups_from_cache = ins_.lookups_from_cache->value();
-  c.lookup_hops_total = static_cast<uint64_t>(ins_.lookup_hops->sum());
-  c.lookup_distance_total = ins_.lookup_distance->sum();
-  c.replicas_recreated = ins_.replicas_recreated->value();
-  c.maintenance_pointers_installed = ins_.maintenance_pointers->value();
-  c.files_lost = ins_.files_lost->value();
-  return c;
-}
-
 obs::MetricsSnapshot PastNetwork::SnapshotMetrics() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   snapshot.gauges["past.utilization"] = utilization();
@@ -568,6 +551,38 @@ void PastNetwork::RollbackInsert(const FileId& file_id,
   }
 }
 
+void PastNetwork::RecordInsert(uint64_t size, int hops, bool stored) {
+  ins_.insert_attempts->Inc();
+  ins_.insert_size->Observe(static_cast<double>(size));
+  ins_.insert_hops->Observe(static_cast<double>(hops));
+  if (stored) {
+    any_file_inserted_ = true;
+  } else {
+    ins_.insert_failures->Inc();
+  }
+}
+
+void PastNetwork::RecordLookup(const LookupResult& result) {
+  ins_.lookups->Inc();
+  if (result.via_diversion_pointer) {
+    ins_.lookup_pointer_hops->Inc();
+  }
+  if (result.found()) {
+    ins_.lookups_found->Inc();
+    ins_.lookup_hops->Observe(static_cast<double>(result.hops));
+    ins_.lookup_distance->Observe(result.distance);
+    if (result.served_from_cache) {
+      ins_.lookups_from_cache->Inc();
+      (result.via_coop ? ins_.coop_hits : ins_.cache_local_hits)->Inc();
+    }
+  }
+  // Timeouts are not misses: the file may well have been cached, the bytes
+  // just never arrived.
+  if (result.status != LookupStatus::kTimeout && !result.served_from_cache) {
+    ins_.cache_tier_misses->Inc();
+  }
+}
+
 void PastNetwork::CacheAlongPath(const std::vector<NodeId>& path, const FileId& file_id,
                                  uint64_t size, const FileContentRef& content) {
   if (config_.cache_mode == CacheMode::kNone) {
@@ -837,10 +852,6 @@ void PastNetwork::MaintenanceSweep(ThreadPool* pool) {
 
 void PastNetwork::RestoreInvariants(const std::vector<NodeId>& region, ThreadPool* pool) {
   RepairOp(*this).RestoreInvariants(region, pool);
-}
-
-void PastNetwork::RepairFile(const FileId& file_id) {
-  RepairOp(*this).RepairFile(file_id);
 }
 
 }  // namespace past

@@ -39,29 +39,6 @@ class RepairOp;
 class ScaleEngine;
 class ThreadPool;
 
-// Legacy value-type view of the network-level operation tallies. The live
-// data now lives in the metrics registry; this struct is built on demand by
-// PastNetwork::CountersSnapshot() so the existing harness and tests keep
-// working unchanged.
-struct PastCounters {
-  // Insert attempts at the network level (each re-salt counts as one).
-  uint64_t insert_attempts = 0;
-  uint64_t insert_attempts_failed = 0;  // negative acks (kNoSpace)
-  // Replicas currently stored / cumulative stored.
-  uint64_t replicas_stored_total = 0;
-  uint64_t replicas_diverted_total = 0;
-  // Lookup accounting.
-  uint64_t lookups = 0;
-  uint64_t lookups_found = 0;
-  uint64_t lookups_from_cache = 0;
-  uint64_t lookup_hops_total = 0;
-  double lookup_distance_total = 0.0;
-  // Maintenance accounting.
-  uint64_t replicas_recreated = 0;
-  uint64_t maintenance_pointers_installed = 0;
-  uint64_t files_lost = 0;
-};
-
 class PastNetwork : public MembershipObserver {
  public:
   PastNetwork(const PastConfig& config, const PastryConfig& pastry_config, uint64_t seed);
@@ -96,10 +73,6 @@ class PastNetwork : public MembershipObserver {
   // their own tallies here; all internal increments go through it too.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  // Read-only value snapshot of the legacy counters, derived from the
-  // registry. (The old mutable `PastCounters& counters()` accessor is gone.)
-  PastCounters CountersSnapshot() const;
 
   // Network-wide aggregate: the network registry merged with every live
   // node's per-node registry (store/cache tallies) and the transport stats.
@@ -355,6 +328,22 @@ class PastNetwork : public MembershipObserver {
   // Rolls back replicas and pointers created by a failed insert attempt.
   void RollbackInsert(const FileId& file_id, const std::vector<PendingStore>& stores);
 
+  // --- op outcome records ---
+  //
+  // The only writers of the insert and lookup instruments that InsertOp,
+  // LookupOp and ScaleEngine share, so both engines count the same things.
+  // An op records once, when it finishes; a cancelled op records nothing.
+
+  // One insert attempt (each re-salt is one): attempts, file size and route
+  // hops always; a failure unless it stored.
+  void RecordInsert(uint64_t size, int hops, bool stored);
+
+  // One lookup: always a request (and a pointer hop when a diversion
+  // pointer led to the replica); hops, distance and the cache tier that
+  // served it for found lookups only; a tier miss for every lookup that
+  // did not time out and that no cache served.
+  void RecordLookup(const LookupResult& result);
+
   // Caches the file along a route (section 4). With the cooperative tier
   // active, every successful admission is advertised to the holder's broker.
   void CacheAlongPath(const std::vector<NodeId>& path, const FileId& file_id, uint64_t size,
@@ -372,7 +361,6 @@ class PastNetwork : public MembershipObserver {
   // Replica maintenance (section 3.5) over a set of nodes' file tables
   // (see RepairOp::RestoreInvariants for what `pool` changes).
   void RestoreInvariants(const std::vector<NodeId>& region, ThreadPool* pool = nullptr);
-  void RepairFile(const FileId& file_id);
 
   // Emits `event` into the trace sink, stamping the sequence number.
   void EmitTrace(obs::OpTrace event);

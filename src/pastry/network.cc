@@ -92,17 +92,6 @@ NodeId PastryNetwork::CreateNode() {
   return id;
 }
 
-NodeId PastryNetwork::CreateNodeNear(const Coordinate& center, double spread) {
-  NodeId id = RandomNodeId();
-  // Spread handled by the topology's own generator for determinism.
-  Coordinate location = center;
-  topology_.PlaceNear(id, center, spread);
-  location = topology_.LocationOf(id);
-  topology_.Remove(id);  // Join() re-registers it
-  Join(id, location);
-  return id;
-}
-
 bool PastryNetwork::Join(const NodeId& id, const Coordinate& location) {
   if (IsAlive(id)) {
     return false;

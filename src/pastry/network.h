@@ -118,9 +118,6 @@ class PastryNetwork {
   // joins it through the proximally nearest existing node. Returns its id.
   NodeId CreateNode();
 
-  // Same, but placed near `center` (geographic clustering).
-  NodeId CreateNodeNear(const Coordinate& center, double spread);
-
   // Joins a node with a caller-chosen id at `location`. Returns false if the
   // id is already present.
   bool Join(const NodeId& id, const Coordinate& location);

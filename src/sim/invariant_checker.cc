@@ -282,17 +282,19 @@ InvariantReport InvariantChecker::CheckDuringOps(const PastNetwork& net) const {
         << sum_capacity;
     return out.str();
   });
-  PastCounters counters = net.CountersSnapshot();
-  check(counters.replicas_stored_total == sum_replicas, [&] {
+  const obs::MetricsSnapshot metrics = net.metrics().Snapshot();
+  const auto replicas_gauge = static_cast<uint64_t>(metrics.GaugeValue("past.replicas.stored"));
+  const auto diverted_gauge = static_cast<uint64_t>(metrics.GaugeValue("past.replicas.diverted"));
+  check(replicas_gauge == sum_replicas, [&] {
     std::ostringstream out;
-    out << "accounting: replicas gauge=" << counters.replicas_stored_total
-        << " but census counts " << sum_replicas;
+    out << "accounting: replicas gauge=" << replicas_gauge << " but census counts "
+        << sum_replicas;
     return out.str();
   });
-  check(counters.replicas_diverted_total == sum_diverted, [&] {
+  check(diverted_gauge == sum_diverted, [&] {
     std::ostringstream out;
-    out << "accounting: diverted gauge=" << counters.replicas_diverted_total
-        << " but census counts " << sum_diverted;
+    out << "accounting: diverted gauge=" << diverted_gauge << " but census counts "
+        << sum_diverted;
     return out.str();
   });
 

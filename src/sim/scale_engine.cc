@@ -189,8 +189,6 @@ void ScaleEngine::PlanLookup(Op& op, const RouteOptions& options) {
 
 void ScaleEngine::CommitInsert(Op& op, ScaleEpochStats& stats) {
   ++stats.inserts;
-  net_->ins_.insert_attempts->Inc();
-  net_->ins_.insert_size->Observe(static_cast<double>(op.size));
 
   // The fileId collision check runs at commit time (root semantics: against
   // the stores as they are when the request lands).
@@ -233,7 +231,6 @@ void ScaleEngine::CommitInsert(Op& op, ScaleEpochStats& stats) {
     }
   }
   if (stored) {
-    net_->any_file_inserted_ = true;
     ++stats.inserts_stored;
     files_.push_back({op.file, op.size});
   } else {
@@ -241,24 +238,21 @@ void ScaleEngine::CommitInsert(Op& op, ScaleEpochStats& stats) {
     // rolls back (the client would re-salt; at engine scale we just count
     // the failure).
     net_->RollbackInsert(op.file, created);
-    net_->ins_.insert_failures->Inc();
   }
-  net_->ins_.insert_hops->Observe(static_cast<double>(op.route.hops));
+  net_->RecordInsert(op.size, static_cast<int>(op.route.hops), stored);
 }
 
 void ScaleEngine::CommitLookup(const Op& op, ScaleEpochStats& stats) {
   ++stats.lookups;
-  net_->ins_.lookups->Inc();
+  LookupResult result;
   if (op.found) {
     ++stats.lookups_found;
-    net_->ins_.lookups_found->Inc();
-    if (op.via_pointer) {
-      net_->ins_.lookup_pointer_hops->Inc();
-    }
+    result.status = LookupStatus::kFound;
+    result.via_diversion_pointer = op.via_pointer;
+    result.hops = static_cast<int>(op.route.hops + op.extra_hops);
+    result.distance = op.route.distance + op.extra_distance;
   }
-  net_->ins_.lookup_hops->Observe(
-      static_cast<double>(op.route.hops) + static_cast<double>(op.extra_hops));
-  net_->ins_.lookup_distance->Observe(op.route.distance + op.extra_distance);
+  net_->RecordLookup(result);
 }
 
 void ScaleEngine::ApplyChurn(Rng& epoch_rng, ScaleEpochStats& stats) {
@@ -470,15 +464,15 @@ std::string ScaleEngine::StateFingerprint() const {
   }
   HashU64(h, net_->total_stored());
   HashU64(h, net_->total_capacity());
-  PastCounters counters = net_->CountersSnapshot();
-  HashU64(h, counters.insert_attempts);
-  HashU64(h, counters.insert_attempts_failed);
-  HashU64(h, counters.replicas_stored_total);
-  HashU64(h, counters.replicas_diverted_total);
-  HashU64(h, counters.lookups);
-  HashU64(h, counters.lookups_found);
-  HashU64(h, counters.replicas_recreated);
-  HashU64(h, counters.files_lost);
+  const PastNetwork::Instruments& ins = net_->ins_;
+  HashU64(h, ins.insert_attempts->value());
+  HashU64(h, ins.insert_failures->value());
+  HashU64(h, static_cast<uint64_t>(ins.replicas_stored->value()));
+  HashU64(h, static_cast<uint64_t>(ins.replicas_diverted->value()));
+  HashU64(h, ins.lookups->value());
+  HashU64(h, ins.lookups_found->value());
+  HashU64(h, ins.replicas_recreated->value());
+  HashU64(h, ins.files_lost->value());
   const TransportStats& stats = overlay.stats();
   HashU64(h, stats.hops());
   HashU64(h, stats.messages());

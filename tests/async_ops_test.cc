@@ -140,7 +140,7 @@ TEST_F(AsyncOpsTest, CancelBeforeCompletionSuppressesCallbackAndRollsBack) {
   EXPECT_FALSE(callback_ran);
   EXPECT_EQ(network().CountReplicas().replicas, 0u);
   EXPECT_EQ(network().total_stored(), 0u);
-  EXPECT_EQ(network().CountersSnapshot().replicas_stored_total, 0u);
+  EXPECT_EQ(network().metrics().Snapshot().GaugeValue("past.replicas.stored"), 0.0);
   const obs::Counter* cancelled = network().metrics().FindCounter("engine.ops.cancelled");
   ASSERT_NE(cancelled, nullptr);
   EXPECT_EQ(cancelled->value(), 1u);
@@ -173,7 +173,7 @@ TEST_F(AsyncOpsTest, TimeoutWithDuplicateRepliesInFlightRollsBackCleanly) {
   EXPECT_EQ(network().CountLiveReplicas(cert->file_id), 0u);
   EXPECT_EQ(network().CountReplicas().replicas, 0u);
   EXPECT_EQ(network().total_stored(), 0u);
-  EXPECT_EQ(network().CountersSnapshot().replicas_stored_total, 0u);
+  EXPECT_EQ(network().metrics().Snapshot().GaugeValue("past.replicas.stored"), 0.0);
 
   // With the fabric healthy again the same client inserts successfully.
   sim_->set_faults(FaultPlan{});

@@ -53,7 +53,7 @@ TEST_F(FaultInjectionTest, DroppedStoreReplicaTimesOutAndRollsBack) {
   // the gauges agree.
   EXPECT_EQ(network().CountLiveReplicas(cert->file_id), 0u);
   EXPECT_EQ(network().CountReplicas().replicas, 0u);
-  EXPECT_EQ(network().CountersSnapshot().replicas_stored_total, 0u);
+  EXPECT_EQ(network().metrics().Snapshot().GaugeValue("past.replicas.stored"), 0.0);
   EXPECT_EQ(network().total_stored(), 0u);
   EXPECT_EQ(sim_->stats().dropped(), 1u);
 }
@@ -74,9 +74,9 @@ TEST_F(FaultInjectionTest, ClientRetriesAfterDropAndSucceeds) {
   // Exactly k replicas network-wide: the failed attempt contributed nothing.
   EXPECT_EQ(network().CountLiveReplicas(r.file_id), 3u);
   EXPECT_EQ(network().CountReplicas().replicas, 3u);
-  PastCounters counters = network().CountersSnapshot();
-  EXPECT_EQ(counters.insert_attempts, 2u);
-  EXPECT_EQ(counters.insert_attempts_failed, 1u);
+  obs::MetricsSnapshot m = network().metrics().Snapshot();
+  EXPECT_EQ(m.CounterValue("past.insert.attempts"), 2u);
+  EXPECT_EQ(m.CounterValue("past.insert.failures"), 1u);
   EXPECT_EQ(network().CountStorageInvariantViolations({r.file_id}), 0u);
 }
 
@@ -94,7 +94,7 @@ TEST_F(FaultInjectionTest, DuplicatedDeliveriesAreIdempotent) {
   EXPECT_EQ(r.attempts, 1);
   EXPECT_EQ(network().CountLiveReplicas(r.file_id), 3u);
   EXPECT_EQ(network().CountReplicas().replicas, 3u);
-  EXPECT_EQ(network().CountersSnapshot().replicas_stored_total, 3u);
+  EXPECT_EQ(network().metrics().Snapshot().GaugeValue("past.replicas.stored"), 3.0);
   EXPECT_GT(sim_->stats().duplicated(), 0u);
 
   LookupResult looked_up = client.Lookup(r.file_id);
@@ -215,8 +215,8 @@ TEST_F(FaultInjectionTest, DuplicateDeliveryDuringPartitionStaysConsistent) {
   sim_->Heal(victim);
   network().MaintenanceSweep();
   EXPECT_EQ(network().CountStorageInvariantViolations(files), 0u);
-  EXPECT_EQ(network().CountersSnapshot().replicas_stored_total,
-            network().CountReplicas().replicas);
+  EXPECT_EQ(network().metrics().Snapshot().GaugeValue("past.replicas.stored"),
+            static_cast<double>(network().CountReplicas().replicas));
   for (const FileId& f : files) {
     EXPECT_EQ(network().CountLiveReplicas(f), 3u) << f.ToHex();
   }

@@ -26,16 +26,11 @@ namespace past {
 namespace {
 
 // Everything a repair could touch: every store's sorted contents and usage,
-// the legacy counters, the transport ledger, and the event queue.
+// the network's metrics registry, the transport ledger, and the event queue.
 std::string Observe(PastNetwork& net, const EventQueue& queue) {
   std::ostringstream out;
   out << NetworkStateFingerprint(net) << '\n';
-  PastCounters c = net.CountersSnapshot();
-  out << c.insert_attempts << ' ' << c.insert_attempts_failed << ' ' << c.replicas_stored_total
-      << ' ' << c.replicas_diverted_total << ' ' << c.lookups << ' ' << c.lookups_found << ' '
-      << c.lookups_from_cache << ' ' << c.lookup_hops_total << ' ' << c.lookup_distance_total
-      << ' ' << c.replicas_recreated << ' ' << c.maintenance_pointers_installed << ' '
-      << c.files_lost << '\n';
+  out << obs::MetricsJson(net.metrics().Snapshot()) << '\n';
   const TransportStats& s = net.transport().stats();
   out << s.hops() << ' ' << s.messages() << ' ' << s.rpcs() << ' ' << s.bytes_sent() << ' '
       << s.total_sends() << ' ' << s.total_distance() << '\n';

@@ -108,7 +108,7 @@ TEST(MultiClientDivertedReclaimTest, ReclaimRemovesDivertedReplicas) {
       stored.push_back(r.file_id);
     }
   }
-  ASSERT_GT(network.CountersSnapshot().replicas_diverted_total, 0u);
+  ASSERT_GT(network.metrics().Snapshot().GaugeValue("past.replicas.diverted"), 0.0);
   for (const FileId& f : stored) {
     client.Reclaim(f);
   }

@@ -19,17 +19,18 @@ TEST(PastDiversionTest, ReplicaDiversionKicksInWhenPrimariesFull) {
   PastClient client(network, deployment.node_ids[0], 1ull << 50, 111);
 
   // Saturate the system with files until replica diversion appears.
-  uint64_t diverted_before = network.CountersSnapshot().replicas_diverted_total;
+  auto diverted = [&] {
+    return network.metrics().Snapshot().GaugeValue("past.replicas.diverted");
+  };
+  const double diverted_before = diverted();
   int stored = 0;
-  for (int i = 0; i < 3000 && network.CountersSnapshot().replicas_diverted_total == diverted_before;
-       ++i) {
+  for (int i = 0; i < 3000 && diverted() == diverted_before; ++i) {
     ClientInsertResult r = client.Insert("fill-" + std::to_string(i), 9000);
     if (r.stored) {
       ++stored;
     }
   }
-  EXPECT_GT(network.CountersSnapshot().replicas_diverted_total, diverted_before)
-      << "after " << stored << " stored files";
+  EXPECT_GT(diverted(), diverted_before) << "after " << stored << " stored files";
 }
 
 TEST(PastDiversionTest, DivertedReplicaTrackedByPointers) {
@@ -96,7 +97,7 @@ TEST(PastDiversionTest, LookupReachesDivertedReplicaViaPointer) {
       stored.push_back(r.file_id);
     }
   }
-  ASSERT_GT(network.CountersSnapshot().replicas_diverted_total, 0u);
+  ASSERT_GT(network.metrics().Snapshot().GaugeValue("past.replicas.diverted"), 0.0);
   size_t found = 0;
   for (const FileId& f : stored) {
     if (client.Lookup(f).found()) {

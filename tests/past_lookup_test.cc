@@ -88,7 +88,7 @@ TEST(PastLookupTest, RepeatedLookupsReduceAverageHops) {
     ++count;
   }
   EXPECT_LE(total / count, static_cast<double>(first_hops) + 0.5);
-  EXPECT_GT(network.CountersSnapshot().lookups_from_cache, 0u);
+  EXPECT_GT(network.metrics().Snapshot().CounterValue("past.lookup.cache_hits"), 0u);
 }
 
 TEST(PastLookupTest, NoCacheModeNeverServesFromCache) {
@@ -105,7 +105,7 @@ TEST(PastLookupTest, NoCacheModeNeverServesFromCache) {
     ASSERT_TRUE(r.found());
     EXPECT_FALSE(r.served_from_cache);
   }
-  EXPECT_EQ(network.CountersSnapshot().lookups_from_cache, 0u);
+  EXPECT_EQ(network.metrics().Snapshot().CounterValue("past.lookup.cache_hits"), 0u);
 }
 
 TEST(PastLookupTest, LookupCountsTracked) {
@@ -118,8 +118,8 @@ TEST(PastLookupTest, LookupCountsTracked) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client.Lookup(inserted.file_id).found());
   }
-  EXPECT_EQ(network.CountersSnapshot().lookups, 10u);
-  EXPECT_EQ(network.CountersSnapshot().lookups_found, 10u);
+  EXPECT_EQ(network.metrics().Snapshot().CounterValue("past.lookup.requests"), 10u);
+  EXPECT_EQ(network.metrics().Snapshot().CounterValue("past.lookup.found"), 10u);
 }
 
 }  // namespace

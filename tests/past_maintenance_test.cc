@@ -38,7 +38,7 @@ TEST_F(PastMaintenanceTest, InvariantHoldsAfterSingleFailure) {
   for (const FileId& f : files_) {
     EXPECT_GE(network().CountLiveReplicas(f), 5u) << f.ToHex();
   }
-  EXPECT_EQ(network().CountersSnapshot().files_lost, 0u);
+  EXPECT_EQ(network().metrics().Snapshot().CounterValue("past.maintenance.files_lost"), 0u);
 }
 
 TEST_F(PastMaintenanceTest, InvariantHoldsAfterJoin) {
@@ -61,7 +61,7 @@ TEST_F(PastMaintenanceTest, InvariantHoldsUnderMixedChurn) {
     }
   }
   EXPECT_EQ(network().CountStorageInvariantViolations(files_), 0u);
-  EXPECT_EQ(network().CountersSnapshot().files_lost, 0u);
+  EXPECT_EQ(network().metrics().Snapshot().CounterValue("past.maintenance.files_lost"), 0u);
   // All files still retrievable.
   for (const FileId& f : files_) {
     EXPECT_TRUE(client_->Lookup(f).found()) << f.ToHex();
@@ -87,7 +87,7 @@ TEST_F(PastMaintenanceTest, ReplicasRecreatedAfterHolderFails) {
     network().FailStorageNode(victim);
     EXPECT_GE(network().CountLiveReplicas(target), 5u) << "round " << round;
   }
-  EXPECT_GT(network().CountersSnapshot().replicas_recreated, 0u);
+  EXPECT_GT(network().metrics().Snapshot().CounterValue("past.maintenance.replicas_recreated"), 0u);
   EXPECT_TRUE(client_->Lookup(target).found());
 }
 

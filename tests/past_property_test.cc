@@ -75,7 +75,7 @@ TEST_P(PastPropertyTest, RandomOperationSequencePreservesInvariants) {
     ids.push_back(id);
   }
   EXPECT_EQ(network.CountStorageInvariantViolations(ids), 0u);
-  EXPECT_EQ(network.CountersSnapshot().files_lost, 0u);
+  EXPECT_EQ(network.metrics().Snapshot().CounterValue("past.maintenance.files_lost"), 0u);
   for (const auto& [name, id] : live_files) {
     EXPECT_TRUE(client.Lookup(id).found()) << name;
   }

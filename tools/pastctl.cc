@@ -204,7 +204,7 @@ void HandleLine(Session& session, const std::string& line) {
     if (!RequireNetwork(session)) {
       return;
     }
-    const PastCounters& c = session.network->CountersSnapshot();
+    const obs::MetricsSnapshot m = session.network->metrics().Snapshot();
     PastNetwork::ReplicaCensus census = session.network->CountReplicas();
     std::printf("nodes=%zu utilization=%.2f%% replicas=%llu diverted=%llu lookups=%llu "
                 "cache_hits=%llu recreated=%llu lost=%llu\n",
@@ -212,10 +212,11 @@ void HandleLine(Session& session, const std::string& line) {
                 session.network->utilization() * 100.0,
                 static_cast<unsigned long long>(census.replicas),
                 static_cast<unsigned long long>(census.diverted),
-                static_cast<unsigned long long>(c.lookups),
-                static_cast<unsigned long long>(c.lookups_from_cache),
-                static_cast<unsigned long long>(c.replicas_recreated),
-                static_cast<unsigned long long>(c.files_lost));
+                static_cast<unsigned long long>(m.CounterValue("past.lookup.requests")),
+                static_cast<unsigned long long>(m.CounterValue("past.lookup.cache_hits")),
+                static_cast<unsigned long long>(
+                    m.CounterValue("past.maintenance.replicas_recreated")),
+                static_cast<unsigned long long>(m.CounterValue("past.maintenance.files_lost")));
   } else if (command == "quit" || command == "exit") {
     std::exit(0);
   } else {
