@@ -40,18 +40,6 @@ inline constexpr size_t kMessageTypeCount = 14;
 
 const char* MessageTypeName(MessageType type);
 
-// Which legacy TransportStats tally a send feeds. The pre-fabric code
-// recorded some exchanges as data messages (RecordMessage), some as RPCs,
-// and some not at all; preserving that classification keeps the exported
-// `net.messages` / `net.rpcs` / `net.bytes_sent` gauges bit-identical across
-// the refactor. Per-type send counters are recorded for every message
-// regardless of the class.
-enum class MessageCost : uint8_t {
-  kNone,     // accounted elsewhere (e.g. per-hop by Route) or reply half
-  kMessage,  // a data message: counts toward messages/bytes_sent
-  kRpc,      // a control round-trip: counts toward rpcs
-};
-
 struct Message {
   MessageType type = MessageType::kAck;
   NodeId from;
@@ -60,7 +48,6 @@ struct Message {
   uint64_t payload_bytes = 0;  // file bytes riding the message (latency input)
   int hops = 1;       // overlay hops this message takes (routed msgs > 1)
   double distance = 0.0;  // proximity distance covered over those hops
-  MessageCost cost = MessageCost::kNone;
 };
 
 inline const char* MessageTypeName(MessageType type) {

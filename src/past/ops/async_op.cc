@@ -5,7 +5,7 @@
 namespace past {
 
 Message OpCore::Direct(MessageType type, const NodeId& from, const NodeId& to,
-                       const FileId& file, uint64_t payload_bytes, MessageCost cost) {
+                       const FileId& file, uint64_t payload_bytes) {
   Message msg;
   msg.type = type;
   msg.from = from;
@@ -15,7 +15,6 @@ Message OpCore::Direct(MessageType type, const NodeId& from, const NodeId& to,
   msg.hops = 1;
   Topology& topo = net_.pastry_.topology();
   msg.distance = (topo.Contains(from) && topo.Contains(to)) ? topo.Distance(from, to) : 0.0;
-  msg.cost = cost;
   return msg;
 }
 

@@ -96,7 +96,7 @@ class OpCore {
   // the topology (failed nodes) get distance 0 — the message is normally
   // dropped or ignored anyway.
   Message Direct(MessageType type, const NodeId& from, const NodeId& to, const FileId& file,
-                 uint64_t payload_bytes, MessageCost cost);
+                 uint64_t payload_bytes);
 
   PastNetwork& net_;
   Transport& transport_;

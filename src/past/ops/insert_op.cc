@@ -39,7 +39,6 @@ void InsertOp::Start() {
   request.payload_bytes = size_;
   request.hops = result_.route_hops;
   request.distance = route.distance;
-  request.cost = MessageCost::kNone;
 
   BeginPhase(&InsertOp::AfterRequest);
   SendTracked(request_ex_, request, nullptr);
@@ -91,8 +90,7 @@ void InsertOp::AckRoot(const NodeId& from_node, bool ok) {
   // epoch-filtered before it could read a newer value.
   ack_ok_ = ok;
   SendTracked(root_ack_ex_,
-              Direct(MessageType::kAck, from_node, root_, certificate_.file_id, 0,
-                     MessageCost::kNone),
+              Direct(MessageType::kAck, from_node, root_, certificate_.file_id, 0),
               &InsertOp::OnRootAck);
 }
 
@@ -121,10 +119,8 @@ void InsertOp::StoreNext() {
   BeginPhase(&InsertOp::AfterStore);
   // kStoreReplica carries the file bytes — the same data message the
   // pre-fabric code charged with RecordMessage(size).
-  SendTracked(
-      store_ex_,
-      Direct(MessageType::kStoreReplica, root_, t, certificate_.file_id, size_, MessageCost::kMessage),
-      &InsertOp::OnStoreReplica);
+  SendTracked(store_ex_, Direct(MessageType::kStoreReplica, root_, t, certificate_.file_id, size_),
+              &InsertOp::OnStoreReplica);
   EndPhase();
 }
 
@@ -162,7 +158,7 @@ void InsertOp::OnStoreReplica(const Delivery&) {
       // legacy accounting, paper section 3.3).
       SendTracked(divert_ex_,
                   Direct(MessageType::kDivertRequest, t, *divert_target_, certificate_.file_id,
-                         size_, MessageCost::kRpc),
+                         size_),
                   &InsertOp::OnDivertReply);
       return;  // the ack to the root comes from the diversion chain
     }
@@ -185,8 +181,7 @@ void InsertOp::OnDivertReply(const Delivery&) {
   // B's answer travels back to A, which completes the exchange: pointer +
   // witness + receipt on success.
   SendTracked(divert_ack_ex_,
-              Direct(MessageType::kAck, *divert_target_, t, certificate_.file_id, 0,
-                     MessageCost::kNone),
+              Direct(MessageType::kAck, *divert_target_, t, certificate_.file_id, 0),
               &InsertOp::OnDivertAck);
 }
 
@@ -206,8 +201,7 @@ void InsertOp::OnDivertAck(const Delivery&) {
   created_.push_back({t, /*is_pointer=*/true});
   if (plan_.witness && net_.storage_node(*plan_.witness) != nullptr) {
     SendTracked(witness_ex_,
-                Direct(MessageType::kInstallPointer, t, *plan_.witness, certificate_.file_id, 0,
-                       MessageCost::kRpc),
+                Direct(MessageType::kInstallPointer, t, *plan_.witness, certificate_.file_id, 0),
                 &InsertOp::OnWitnessInstall);
   }
   result_.receipts.push_back(a->MakeStoreReceipt(certificate_.file_id));

@@ -43,8 +43,7 @@ void LookupOp::StartCoopProbe() {
   net_.ins_.coop_probes->Inc();
   probe_start_ms_ = latency_ms_;
 
-  Message probe = Direct(MessageType::kCacheProbe, origin_, broker_, file_id_,
-                         /*payload_bytes=*/0, MessageCost::kRpc);
+  Message probe = Direct(MessageType::kCacheProbe, origin_, broker_, file_id_, /*payload_bytes=*/0);
   BeginPhase(&LookupOp::AfterCoopProbe);
   SendTracked(probe_ex_, probe, &LookupOp::OnCacheProbe);
   EndPhase();
@@ -53,8 +52,7 @@ void LookupOp::StartCoopProbe() {
 void LookupOp::OnCacheProbe(const Delivery&) {
   // At the broker: its own cached copy wins, else its directory shard.
   coop_holder_ = net_.coop_tier()->ResolveProbe(broker_, file_id_);
-  Message reply = Direct(MessageType::kCacheReply, broker_, origin_, file_id_,
-                         /*payload_bytes=*/0, MessageCost::kNone);
+  Message reply = Direct(MessageType::kCacheReply, broker_, origin_, file_id_, /*payload_bytes=*/0);
   SendTracked(probe_reply_ex_, reply, nullptr);
 }
 
@@ -163,7 +161,6 @@ void LookupOp::StartFetch() {
   request.payload_bytes = 0;
   request.hops = result_.hops;
   request.distance = result_.distance;
-  request.cost = MessageCost::kNone;
 
   BeginPhase(&LookupOp::AfterFetch);
   SendTracked(request_ex_, request, &LookupOp::OnFetchRequest);
@@ -206,7 +203,6 @@ void LookupOp::OnFetchRequest(const Delivery&) {
   reply.payload_bytes = result_.file_size;
   reply.hops = 0;  // path cost charged on the request leg
   reply.distance = 0.0;
-  reply.cost = MessageCost::kNone;
   SendTracked(reply_ex_, reply, nullptr);
 }
 

@@ -34,7 +34,6 @@ void ReclaimOp::Start() {
   request.payload_bytes = 0;
   request.hops = route.hops();
   request.distance = route.distance;
-  request.cost = MessageCost::kNone;
 
   BeginPhase(&ReclaimOp::AfterRequest);
   SendTracked(request_ex_, request, nullptr);
@@ -105,8 +104,7 @@ void ReclaimOp::TargetNext() {
 
   BeginPhase(&ReclaimOp::TargetNext);
   SendTracked(target_ex_,
-              Direct(MessageType::kReclaimRequest, root_, current_target_, certificate_.file_id,
-                     0, MessageCost::kNone),
+              Direct(MessageType::kReclaimRequest, root_, current_target_, certificate_.file_id, 0),
               &ReclaimOp::OnTargetReply);
   EndPhase();
 }
@@ -127,8 +125,7 @@ void ReclaimOp::OnTargetReply(const Delivery&) {
     if (net_.pastry_.IsAlive(ptr->holder)) {
       pointer_holder_ = ptr->holder;
       SendTracked(holder_ex_,
-                  Direct(MessageType::kReclaimRequest, t, pointer_holder_, certificate_.file_id,
-                         0, MessageCost::kNone),
+                  Direct(MessageType::kReclaimRequest, t, pointer_holder_, certificate_.file_id, 0),
                   &ReclaimOp::OnHolderReply);
     }
     pn->store().RemovePointer(certificate_.file_id);
@@ -137,9 +134,7 @@ void ReclaimOp::OnTargetReply(const Delivery&) {
   // Any pointer removal above becomes durable before this target acks the
   // root (ReclaimAt already committed its own removal with the receipt).
   pn->store().Commit();
-  SendTracked(ack_ex_,
-              Direct(MessageType::kAck, t, root_, certificate_.file_id, 0, MessageCost::kNone),
-              nullptr);
+  SendTracked(ack_ex_, Direct(MessageType::kAck, t, root_, certificate_.file_id, 0), nullptr);
 }
 
 void ReclaimOp::OnHolderReply(const Delivery&) { ReclaimAt(pointer_holder_); }

@@ -149,7 +149,7 @@ void RepairOp::RepairFile(const FileId& file_id) {
   // `t` stored it (false on decline or a dropped message).
   auto push_replica = [&](const NodeId& t, ReplicaKind kind) {
     bool stored = false;
-    SendSettled(Direct(MessageType::kRepairStore, source, t, file_id, size, MessageCost::kNone),
+    SendSettled(Direct(MessageType::kRepairStore, source, t, file_id, size),
                 [&, t, kind] {
                   PastNode* pn = net_.storage_node(t);
                   bool admits = pn != nullptr && (kind == ReplicaKind::kPrimary
@@ -166,7 +166,7 @@ void RepairOp::RepairFile(const FileId& file_id) {
 
   // Instructs `t` to install a diversion pointer at `target`.
   auto install_pointer = [&](const NodeId& t, const NodeId& target, bool count_metric) {
-    SendSettled(Direct(MessageType::kRepairPointer, root, t, file_id, 0, MessageCost::kNone),
+    SendSettled(Direct(MessageType::kRepairPointer, root, t, file_id, 0),
                 [&, t, target, count_metric] {
                   PastNode* pn = net_.storage_node(t);
                   if (pn != nullptr &&

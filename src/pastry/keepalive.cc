@@ -70,7 +70,6 @@ void KeepAliveDriver::RunProbeRound() {
       probe.hops = 1;
       probe.distance =
           (topo.Contains(id) && topo.Contains(member)) ? topo.Distance(id, member) : 0.0;
-      probe.cost = MessageCost::kMessage;
       transport_->Send(probe, [this, id, member, &responded](const Delivery&) {
         if (!network_.IsAlive(member)) {
           return;  // a dead node receives nothing and answers nothing
@@ -79,7 +78,6 @@ void KeepAliveDriver::RunProbeRound() {
         ack.type = MessageType::kKeepAliveAck;
         ack.from = member;
         ack.to = id;
-        ack.cost = MessageCost::kNone;
         transport_->Send(ack, [&responded, member](const Delivery&) {
           responded[member] = true;
         });

@@ -16,8 +16,7 @@ namespace {
 
 NodeId MakeId(uint8_t tag) { return NodeId(tag, 0); }
 
-Message MakeMessage(MessageType type, uint8_t from, uint8_t to, uint64_t payload,
-                    MessageCost cost = MessageCost::kNone) {
+Message MakeMessage(MessageType type, uint8_t from, uint8_t to, uint64_t payload) {
   Message msg;
   msg.type = type;
   msg.from = MakeId(from);
@@ -25,7 +24,6 @@ Message MakeMessage(MessageType type, uint8_t from, uint8_t to, uint64_t payload
   msg.payload_bytes = payload;
   msg.hops = 1;
   msg.distance = 0.0;
-  msg.cost = cost;
   return msg;
 }
 
@@ -48,14 +46,21 @@ TEST(InlineTransportTest, DeliversSynchronouslyWithZeroLatency) {
 TEST(InlineTransportTest, CostClassesFeedLegacyTallies) {
   TransportStats stats;
   InlineTransport transport(&stats);
-  transport.Send(MakeMessage(MessageType::kStoreReplica, 1, 2, 4096, MessageCost::kMessage),
-                 nullptr);
-  transport.Send(MakeMessage(MessageType::kDivertRequest, 2, 3, 0, MessageCost::kRpc), nullptr);
-  transport.Send(MakeMessage(MessageType::kAck, 3, 1, 0, MessageCost::kNone), nullptr);
-  EXPECT_EQ(stats.messages(), 1u);
-  EXPECT_EQ(stats.bytes_sent(), 4096u);
-  EXPECT_EQ(stats.rpcs(), 1u);
-  EXPECT_EQ(stats.total_sends(), 3u);
+  // One send of every type, type i carrying 2^i payload bytes, so
+  // bytes_sent() names exactly the types charged as data messages.
+  for (size_t i = 0; i < kMessageTypeCount; ++i) {
+    transport.Send(MakeMessage(static_cast<MessageType>(i), 1, 2, uint64_t{1} << i), nullptr);
+  }
+  // Data messages: kStoreReplica (2^1) and kKeepAliveProbe (2^10).
+  EXPECT_EQ(stats.messages(), 2u);
+  EXPECT_EQ(stats.bytes_sent(), (uint64_t{1} << 1) + (uint64_t{1} << 10));
+  // RPCs: kDivertRequest, kInstallPointer, kCacheProbe.
+  EXPECT_EQ(stats.rpcs(), 3u);
+  for (size_t i = 0; i < kMessageTypeCount; ++i) {
+    EXPECT_EQ(stats.sends(static_cast<MessageType>(i)), 1u)
+        << MessageTypeName(static_cast<MessageType>(i));
+  }
+  EXPECT_EQ(stats.total_sends(), kMessageTypeCount);
 }
 
 TEST(SimTransportTest, SchedulesDeliveryAtModelLatency) {
