@@ -79,6 +79,36 @@ TEST(HarnessTest, CachingExperimentProducesHitsAndFewerHops) {
   EXPECT_LT(with_cache.avg_lookup_hops, without_cache.avg_lookup_hops);
 }
 
+// Pins the exact cache totals of a small web-trace run under each eviction
+// policy, so a change to the policies' data structures that alters a single
+// victim choice shows up here.
+TEST(HarnessTest, CacheTotalsPinnedPerPolicy) {
+  struct Pin {
+    CacheMode mode;
+    uint64_t hits, misses, insertions, evictions;
+    double hit_rate, hops;
+  };
+  const Pin pins[] = {
+      {CacheMode::kGreedyDualSize, 10831, 14766, 17049, 8226, 0.40592909077280565,
+       0.55340679109512025},
+      {CacheMode::kLru, 8624, 17085, 19369, 15564, 0.32321415186267893, 0.64031931639307393},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(static_cast<int>(pin.mode));
+    ExperimentConfig config = SmallConfig();
+    config.catalog_size = 3000;
+    config.total_references = 30000;
+    config.cache_mode = pin.mode;
+    ExperimentResult result = RunExperiment(config);
+    EXPECT_EQ(result.metrics.CounterValue("node.cache.hits"), pin.hits);
+    EXPECT_EQ(result.metrics.CounterValue("node.cache.misses"), pin.misses);
+    EXPECT_EQ(result.metrics.CounterValue("node.cache.insertions"), pin.insertions);
+    EXPECT_EQ(result.metrics.CounterValue("node.cache.evictions"), pin.evictions);
+    EXPECT_EQ(result.global_cache_hit_rate, pin.hit_rate);
+    EXPECT_EQ(result.avg_lookup_hops, pin.hops);
+  }
+}
+
 TEST(HarnessTest, FilesystemWorkloadRuns) {
   // Figure 7's workload: much heavier-tailed file sizes; the shape claims
   // (high utilization, failures biased to large files) must hold here too.
