@@ -7,6 +7,7 @@
 #ifndef SRC_CACHE_EVICTION_POLICY_H_
 #define SRC_CACHE_EVICTION_POLICY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -32,6 +33,9 @@ class EvictionPolicy {
   // Selects, removes from policy state, and returns the eviction victim.
   // nullopt when the policy tracks nothing.
   virtual std::optional<FileId> EvictVictim() = 0;
+
+  // Number of files the policy tracks; equals the owning cache's count().
+  virtual size_t size() const = 0;
 
   virtual std::string name() const = 0;
 };

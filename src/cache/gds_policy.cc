@@ -6,39 +6,22 @@ namespace past {
 
 void GdsPolicy::Enqueue(const FileId& id, uint64_t size) {
   double h = inflation_ + cost_ / std::max<double>(1.0, static_cast<double>(size));
-  auto it = weight_.find(id);
-  if (it != weight_.end()) {
-    queue_.erase({it->second, id});
-    it->second = h;
-  } else {
-    weight_[id] = h;
-  }
-  queue_.insert({h, id});
+  queue_.Upsert(id, h);
 }
 
 void GdsPolicy::OnInsert(const FileId& id, uint64_t size) { Enqueue(id, size); }
 
 void GdsPolicy::OnHit(const FileId& id, uint64_t size) { Enqueue(id, size); }
 
-void GdsPolicy::OnRemove(const FileId& id) {
-  auto it = weight_.find(id);
-  if (it == weight_.end()) {
-    return;
-  }
-  queue_.erase({it->second, id});
-  weight_.erase(it);
-}
+void GdsPolicy::OnRemove(const FileId& id) { queue_.Erase(id); }
 
 std::optional<FileId> GdsPolicy::EvictVictim() {
   if (queue_.empty()) {
     return std::nullopt;
   }
-  auto it = queue_.begin();
-  FileId victim = it->second;
-  inflation_ = it->first;  // L := H_victim
-  queue_.erase(it);
-  weight_.erase(victim);
-  return victim;
+  auto victim = queue_.Pop();
+  inflation_ = victim.key;  // L := H_victim
+  return victim.id;
 }
 
 }  // namespace past

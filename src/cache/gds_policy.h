@@ -6,14 +6,15 @@
 // rises to the victim's H. This "inflation" formulation is arithmetically
 // identical to the paper's description (subtracting H_victim from all
 // remaining weights) but runs in O(log n) per operation.
+//
+// The weights live in an IndexedHeap ordered by (H, fileId): a hit re-keys
+// the file in place, a removal swaps the last heap item into its slot, and
+// eviction pops the root. Ties on H go to the smaller fileId.
 #ifndef SRC_CACHE_GDS_POLICY_H_
 #define SRC_CACHE_GDS_POLICY_H_
 
-#include <map>
-#include <set>
-#include <unordered_map>
-
 #include "src/cache/eviction_policy.h"
+#include "src/cache/indexed_heap.h"
 
 namespace past {
 
@@ -26,6 +27,7 @@ class GdsPolicy : public EvictionPolicy {
   void OnHit(const FileId& id, uint64_t size) override;
   void OnRemove(const FileId& id) override;
   std::optional<FileId> EvictVictim() override;
+  size_t size() const override { return queue_.size(); }
   std::string name() const override { return "GD-S"; }
 
   double inflation() const { return inflation_; }
@@ -35,8 +37,7 @@ class GdsPolicy : public EvictionPolicy {
 
   double cost_;
   double inflation_ = 0.0;  // L
-  std::unordered_map<FileId, double, FileIdHash> weight_;
-  std::set<std::pair<double, FileId>> queue_;  // ordered by (H, id)
+  IndexedHeap<double> queue_;  // keyed by H
 };
 
 }  // namespace past

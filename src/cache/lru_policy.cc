@@ -2,42 +2,23 @@
 
 namespace past {
 
-void LruPolicy::Touch(const FileId& id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    order_.erase(it->second);
-  }
-  order_.push_front(id);
-  index_[id] = order_.begin();
-}
-
 void LruPolicy::OnInsert(const FileId& id, uint64_t size) {
   (void)size;
-  Touch(id);
+  order_.Upsert(id, ++touches_);
 }
 
 void LruPolicy::OnHit(const FileId& id, uint64_t size) {
   (void)size;
-  Touch(id);
+  order_.Upsert(id, ++touches_);
 }
 
-void LruPolicy::OnRemove(const FileId& id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
-    return;
-  }
-  order_.erase(it->second);
-  index_.erase(it);
-}
+void LruPolicy::OnRemove(const FileId& id) { order_.Erase(id); }
 
 std::optional<FileId> LruPolicy::EvictVictim() {
   if (order_.empty()) {
     return std::nullopt;
   }
-  FileId victim = order_.back();
-  order_.pop_back();
-  index_.erase(victim);
-  return victim;
+  return order_.Pop().id;
 }
 
 }  // namespace past

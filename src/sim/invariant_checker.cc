@@ -96,6 +96,12 @@ InvariantReport InvariantChecker::Check(const PastNetwork& net, const EventQueue
             << " but entries sum to " << cache_bytes;
         return out.str();
       });
+      check(cache->policy().size() == cache->count(), [&] {
+        std::ostringstream out;
+        out << "cache: node " << Short(id.ToHex()) << " policy tracks " << cache->policy().size()
+            << " files but the cache holds " << cache->count();
+        return out.str();
+      });
     }
   }
 

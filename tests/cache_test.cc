@@ -2,6 +2,11 @@
 // container's budget handling (paper section 4).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <list>
+#include <set>
+#include <unordered_map>
+
 #include "src/cache/file_cache.h"
 #include "src/cache/gds_policy.h"
 #include "src/cache/lru_policy.h"
@@ -232,6 +237,192 @@ TEST(FileCacheTest, EntriesSnapshotMatchesAccounting) {
     sum += size;
   }
   EXPECT_EQ(sum, cache.used());
+}
+
+TEST(FileCacheTest, PolicyTracksEveryCachedFile) {
+  for (bool gds : {true, false}) {
+    std::unique_ptr<EvictionPolicy> policy;
+    if (gds) {
+      policy = std::make_unique<GdsPolicy>();
+    } else {
+      policy = std::make_unique<LruPolicy>();
+    }
+    FileCache cache(std::move(policy), 1.0);
+    Rng rng(7);
+    for (uint32_t i = 0; i < 2000; ++i) {
+      uint32_t f = static_cast<uint32_t>(rng.NextBelow(300));
+      if (!cache.Lookup(MakeFileId(f))) {
+        cache.Insert(MakeFileId(f), 1 + rng.NextBelow(400), 5000);
+      }
+      if (i % 7 == 0) {
+        cache.Remove(MakeFileId(static_cast<uint32_t>(rng.NextBelow(300))));
+      }
+      if (i % 97 == 0) {
+        cache.ShrinkToBudget(rng.NextBelow(5000));
+      }
+      ASSERT_EQ(cache.policy().size(), cache.count()) << cache.policy().name() << " op " << i;
+    }
+    EXPECT_GT(cache.evictions(), 0u);
+  }
+}
+
+// Reference models: GD-S on a std::set of (H, id) beside a hash map of
+// weights, and LRU on a std::list with a hash index of list positions. The
+// differential tests below require the policies to pick the same victim, and
+// GD-S the bit-identical inflation value, after every operation of a random
+// stream.
+class ReferenceGds {
+ public:
+  void OnInsert(const FileId& id, uint64_t size) { Enqueue(id, size); }
+  void OnHit(const FileId& id, uint64_t size) { Enqueue(id, size); }
+  void OnRemove(const FileId& id) {
+    auto it = weight_.find(id);
+    if (it != weight_.end()) {
+      queue_.erase({it->second, id});
+      weight_.erase(it);
+    }
+  }
+  std::optional<FileId> EvictVictim() {
+    if (queue_.empty()) {
+      return std::nullopt;
+    }
+    auto it = queue_.begin();
+    FileId victim = it->second;
+    inflation_ = it->first;
+    queue_.erase(it);
+    weight_.erase(victim);
+    return victim;
+  }
+  size_t size() const { return weight_.size(); }
+  double inflation() const { return inflation_; }
+
+ private:
+  void Enqueue(const FileId& id, uint64_t size) {
+    double h = inflation_ + 1.0 / std::max<double>(1.0, static_cast<double>(size));
+    auto it = weight_.find(id);
+    if (it != weight_.end()) {
+      queue_.erase({it->second, id});
+      it->second = h;
+    } else {
+      weight_[id] = h;
+    }
+    queue_.insert({h, id});
+  }
+
+  double inflation_ = 0.0;
+  std::unordered_map<FileId, double, FileIdHash> weight_;
+  std::set<std::pair<double, FileId>> queue_;
+};
+
+class ReferenceLru {
+ public:
+  void OnInsert(const FileId& id, uint64_t) { Touch(id); }
+  void OnHit(const FileId& id, uint64_t) { Touch(id); }
+  void OnRemove(const FileId& id) {
+    auto it = index_.find(id);
+    if (it != index_.end()) {
+      order_.erase(it->second);
+      index_.erase(it);
+    }
+  }
+  std::optional<FileId> EvictVictim() {
+    if (order_.empty()) {
+      return std::nullopt;
+    }
+    FileId victim = order_.back();
+    order_.pop_back();
+    index_.erase(victim);
+    return victim;
+  }
+  size_t size() const { return index_.size(); }
+
+ private:
+  void Touch(const FileId& id) {
+    auto it = index_.find(id);
+    if (it != index_.end()) {
+      order_.erase(it->second);
+    }
+    order_.push_front(id);
+    index_[id] = order_.begin();
+  }
+
+  std::list<FileId> order_;
+  std::unordered_map<FileId, std::list<FileId>::iterator, FileIdHash> index_;
+};
+
+// Drives `policy` and `reference` with the same 20k random ops per seed:
+// inserts (of new and already tracked files), hits, removes of tracked and
+// unknown files, and evictions. Sizes come from a short list with repeats and
+// 0, so equal weights (ties broken by fileId) are common. `after_step` runs
+// extra per-step checks.
+template <typename Policy, typename Reference, typename Check>
+void RunDifferential(Check after_step) {
+  const uint64_t kSizes[] = {0, 1, 2, 7, 7, 100, 100, 1000, 4096, 4096};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Policy policy;
+    Reference reference;
+    Rng rng(seed);
+    std::vector<std::pair<FileId, uint64_t>> tracked;  // mirrors the reference
+    auto forget = [&tracked](const FileId& id) {
+      for (size_t i = 0; i < tracked.size(); ++i) {
+        if (tracked[i].first == id) {
+          tracked[i] = tracked.back();
+          tracked.pop_back();
+          return;
+        }
+      }
+    };
+    for (int step = 0; step < 20000; ++step) {
+      uint64_t op = rng.NextBelow(10);
+      if (op < 4) {
+        FileId id = MakeFileId(static_cast<uint32_t>(rng.NextBelow(200)));
+        uint64_t size = kSizes[rng.NextBelow(std::size(kSizes))];
+        forget(id);
+        tracked.emplace_back(id, size);
+        policy.OnInsert(id, size);
+        reference.OnInsert(id, size);
+      } else if (op < 7 && !tracked.empty()) {
+        const auto& [id, size] = tracked[rng.NextBelow(tracked.size())];
+        policy.OnHit(id, size);
+        reference.OnHit(id, size);
+      } else if (op < 8) {
+        FileId id = rng.NextBool(0.5) && !tracked.empty()
+                        ? tracked[rng.NextBelow(tracked.size())].first
+                        : MakeFileId(static_cast<uint32_t>(rng.NextBelow(400)));
+        forget(id);
+        policy.OnRemove(id);
+        reference.OnRemove(id);
+      } else {
+        std::optional<FileId> got = policy.EvictVictim();
+        std::optional<FileId> want = reference.EvictVictim();
+        ASSERT_EQ(got, want) << "step " << step;
+        if (want) {
+          forget(*want);
+        }
+      }
+      ASSERT_EQ(policy.size(), reference.size()) << "step " << step;
+      after_step(policy, reference, step);
+    }
+    // Drain: the remaining eviction order matches too.
+    while (auto want = reference.EvictVictim()) {
+      ASSERT_EQ(policy.EvictVictim(), want);
+    }
+    EXPECT_FALSE(policy.EvictVictim().has_value());
+  }
+}
+
+TEST(GdsPolicyTest, MatchesReferenceModelOnRandomOps) {
+  RunDifferential<GdsPolicy, ReferenceGds>(
+      [](const GdsPolicy& policy, const ReferenceGds& reference, int step) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(policy.inflation()),
+                  std::bit_cast<uint64_t>(reference.inflation()))
+            << "step " << step;
+      });
+}
+
+TEST(LruPolicyTest, MatchesReferenceModelOnRandomOps) {
+  RunDifferential<LruPolicy, ReferenceLru>([](const LruPolicy&, const ReferenceLru&, int) {});
 }
 
 // Comparative property: on a Zipf-like trace with varied sizes, GD-S should
