@@ -109,6 +109,49 @@ TEST(HarnessTest, CacheTotalsPinnedPerPolicy) {
   }
 }
 
+// Pins the exact placement outcome of one saturating web-trace run (demand
+// factor 1.53) per placement configuration, so a change to how diversion
+// targets are chosen that alters a single choice or draw shows up here.
+TEST(HarnessTest, PlacementTotalsPinnedPerPolicy) {
+  struct Pin {
+    const char* name;
+    PlacementKind placement;
+    DiversionSelection selection;
+    uint64_t shed_load;
+    uint64_t inserted, failed;
+    double replica_diversion, file_diversion, utilization;
+  };
+  // Recorded before the diversion-target choice moved into rank order.
+  const Pin pins[] = {
+      {"kclosest/max-free", PlacementKind::kKClosestDiversion,
+       DiversionSelection::kMaxFreeSpace, 0, 44741, 3259, 0.1496926756219128,
+       0.0016763147895666167, 0.9999590572935011},
+      {"kclosest/random", PlacementKind::kKClosestDiversion, DiversionSelection::kRandom, 0,
+       42306, 5694, 0.13330496856237886, 0.16860492601522242, 0.91488284642124595},
+      {"kclosest/first-fit", PlacementKind::kKClosestDiversion, DiversionSelection::kFirstFit, 0,
+       41387, 6613, 0.18017735037572186, 0.025539420591006837, 0.98772394365888161},
+      {"residual/shed-64", PlacementKind::kResidualPerformance,
+       DiversionSelection::kMaxFreeSpace, 64, 47758, 242, 0.98546840319946394,
+       0.0017588676242723733, 0.97548093711830908},
+      {"random", PlacementKind::kRandomizedCacheSize, DiversionSelection::kMaxFreeSpace, 0,
+       42835, 5165, 0.14253297537060813, 0.12620520602311194, 0.94623728051775435},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    ExperimentConfig config = SmallConfig();
+    config.placement = pin.placement;
+    config.diversion_selection = pin.selection;
+    config.residual_shed_load = pin.shed_load;
+    ASSERT_EQ(config.demand_factor, 1.53);
+    ExperimentResult result = RunExperiment(config);
+    EXPECT_EQ(result.files_inserted, pin.inserted);
+    EXPECT_EQ(result.files_failed, pin.failed);
+    EXPECT_EQ(result.replica_diversion_ratio, pin.replica_diversion);
+    EXPECT_EQ(result.file_diversion_ratio, pin.file_diversion);
+    EXPECT_EQ(result.final_utilization, pin.utilization);
+  }
+}
+
 TEST(HarnessTest, FilesystemWorkloadRuns) {
   // Figure 7's workload: much heavier-tailed file sizes; the shape claims
   // (high utilization, failures biased to large files) must hold here too.
