@@ -1,17 +1,63 @@
-#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "src/storage/policies.h"
 
 namespace past {
 namespace {
 
+// The first eligible candidate in rank order: `score` descending, then
+// position ascending. Each round selects the best candidate ranked after the
+// last one probed, so it probes exactly 1 + (holders ranked above the pick)
+// candidates, or all of them when none is eligible. This is the first
+// maximum among the eligible — what a filter-then-scan picks — without
+// probing the candidates that rank below it.
+template <typename ScoreFn>
+std::optional<size_t> FirstEligibleByRank(std::span<const PlacementCandidate> candidates,
+                                          DiversionEligibility& eligibility, ScoreFn score) {
+  using Score = decltype(score(candidates[0]));
+  std::optional<size_t> last;
+  Score last_score{};
+  for (size_t round = 0; round < candidates.size(); ++round) {
+    std::optional<size_t> best;
+    Score best_score{};
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      Score s = score(candidates[i]);
+      bool after_last = !last || s < last_score || (s == last_score && i > *last);
+      if (after_last && (!best || s > best_score)) {
+        best = i;
+        best_score = s;
+      }
+    }
+    if (eligibility.Eligible(*best)) {
+      return best;
+    }
+    last = best;
+    last_score = best_score;
+  }
+  return std::nullopt;
+}
+
+// Indices of the eligible candidates, in caller order: probes every
+// candidate once. The random policies draw over this list.
+std::vector<size_t> EligibleIndices(std::span<const PlacementCandidate> candidates,
+                                    DiversionEligibility& eligibility) {
+  std::vector<size_t> eligible;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (eligibility.Eligible(i)) {
+      eligible.push_back(i);
+    }
+  }
+  return eligible;
+}
+
 // The paper's scheme, factored out of the formerly inlined decision sites in
 // past_network.cc / insert_op.cc. Given the same candidate order and entropy
 // source it reproduces the pre-refactor behavior draw-for-draw: the
-// kMaxFreeSpace branch keeps the *first* maximum (std::max_element
-// semantics), kRandom consumes exactly one NextBelow(eligible.size()) draw,
-// and kFirstFit scans in order.
+// kMaxFreeSpace branch keeps the *first* maximum among the eligible
+// (std::max_element semantics), kRandom consumes exactly one
+// NextBelow(eligible count) draw, and kFirstFit takes the first eligible node
+// that would accept, else the first eligible node.
 class KClosestDiversion : public PlacementPolicy {
  public:
   explicit KClosestDiversion(DiversionSelection selection) : selection_(selection) {}
@@ -23,29 +69,25 @@ class KClosestDiversion : public PlacementPolicy {
     return policy_accepts;
   }
 
-  std::optional<size_t> ChooseDiversionTarget(const std::vector<PlacementCandidate>& eligible,
-                                              uint64_t, PlacementEntropy& entropy) const override {
+  std::optional<size_t> ChooseDiversionTarget(std::span<const PlacementCandidate> candidates,
+                                              DiversionEligibility& eligibility, uint64_t,
+                                              PlacementEntropy& entropy) const override {
     switch (selection_) {
-      case DiversionSelection::kMaxFreeSpace: {
+      case DiversionSelection::kMaxFreeSpace:
         // Paper policy: the eligible node with maximal remaining free space.
-        size_t best = 0;
-        for (size_t i = 1; i < eligible.size(); ++i) {
-          if (eligible[best].free_bytes < eligible[i].free_bytes) {
-            best = i;
-          }
+        return FirstEligibleByRank(candidates, eligibility,
+                                   [](const PlacementCandidate& c) { return c.free_bytes; });
+      case DiversionSelection::kRandom: {
+        std::vector<size_t> eligible = EligibleIndices(candidates, eligibility);
+        if (eligible.empty()) {
+          return std::nullopt;
         }
-        return best;
+        return eligible[entropy.NextBelow(eligible.size())];
       }
-      case DiversionSelection::kRandom:
-        return static_cast<size_t>(entropy.NextBelow(eligible.size()));
-      case DiversionSelection::kFirstFit: {
-        for (size_t i = 0; i < eligible.size(); ++i) {
-          if (eligible[i].accepts_diverted) {
-            return i;
-          }
-        }
-        return 0;
-      }
+      case DiversionSelection::kFirstFit:
+        return FirstEligibleByRank(candidates, eligibility, [](const PlacementCandidate& c) {
+          return c.accepts_diverted ? 1 : 0;
+        });
     }
     return std::nullopt;
   }
@@ -73,20 +115,12 @@ class ResidualPerformance : public PlacementPolicy {
     return shed_load_ == 0 || self.recent_load < shed_load_;
   }
 
-  std::optional<size_t> ChooseDiversionTarget(const std::vector<PlacementCandidate>& eligible,
-                                              uint64_t, PlacementEntropy&) const override {
+  std::optional<size_t> ChooseDiversionTarget(std::span<const PlacementCandidate> candidates,
+                                              DiversionEligibility& eligibility, uint64_t,
+                                              PlacementEntropy&) const override {
     // Residual score: free bytes per unit of recent load. Ties keep the
     // earliest candidate so replays are order-stable.
-    size_t best = 0;
-    double best_score = Score(eligible[0]);
-    for (size_t i = 1; i < eligible.size(); ++i) {
-      double score = Score(eligible[i]);
-      if (score > best_score) {
-        best = i;
-        best_score = score;
-      }
-    }
-    return best;
+    return FirstEligibleByRank(candidates, eligibility, Score);
   }
 
  private:
@@ -111,24 +145,29 @@ class RandomizedCacheSize : public PlacementPolicy {
     return policy_accepts;
   }
 
-  std::optional<size_t> ChooseDiversionTarget(const std::vector<PlacementCandidate>& eligible,
-                                              uint64_t, PlacementEntropy& entropy) const override {
+  std::optional<size_t> ChooseDiversionTarget(std::span<const PlacementCandidate> candidates,
+                                              DiversionEligibility& eligibility, uint64_t,
+                                              PlacementEntropy& entropy) const override {
+    std::vector<size_t> eligible = EligibleIndices(candidates, eligibility);
+    if (eligible.empty()) {
+      return std::nullopt;
+    }
     uint64_t total = 0;
-    for (const PlacementCandidate& c : eligible) {
-      total += c.capacity_bytes;
+    for (size_t i : eligible) {
+      total += candidates[i].capacity_bytes;
     }
     if (total == 0) {
-      return static_cast<size_t>(entropy.NextBelow(eligible.size()));
+      return eligible[entropy.NextBelow(eligible.size())];
     }
     uint64_t draw = entropy.NextBelow(total);
     uint64_t prefix = 0;
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      prefix += eligible[i].capacity_bytes;
+    for (size_t i : eligible) {
+      prefix += candidates[i].capacity_bytes;
       if (draw < prefix) {
         return i;
       }
     }
-    return eligible.size() - 1;
+    return eligible.back();
   }
 };
 

@@ -19,10 +19,11 @@
 //    implementation; alternatives are ablated by bench_policies.
 //
 // Determinism rules for PlacementPolicy implementations:
-//  * Decisions must be pure functions of the candidate lists handed in plus
-//    draws taken through the provided PlacementEntropy — never from any
-//    other source of randomness — so a run is exactly reproducible from its
-//    seed and the scale engine's --jobs N replay stays bit-identical.
+//  * Decisions must be pure functions of the candidate lists handed in, the
+//    answers of the provided DiversionEligibility probe, and draws taken
+//    through the provided PlacementEntropy — never from any other source of
+//    randomness — so a run is exactly reproducible from its seed and the
+//    scale engine's --jobs N replay stays bit-identical.
 //  * Candidates arrive in the caller's deterministic order (leaf-set
 //    iteration order); a policy that ranks must break ties by position so
 //    two nodes with equal scores resolve identically on every replay.
@@ -31,10 +32,11 @@
 #ifndef SRC_STORAGE_POLICIES_H_
 #define SRC_STORAGE_POLICIES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "src/common/node_id.h"
 
@@ -101,6 +103,16 @@ class PlacementEntropy {
   virtual uint64_t NextBelow(uint64_t bound) = 0;
 };
 
+// Answers whether diversion candidate i may take the diverted replica, i.e.
+// does not already hold a replica of the file. An answer costs a replica
+// table probe on the candidate's node, so a policy asks only about the
+// candidates its choice depends on, and at most once each.
+class DiversionEligibility {
+ public:
+  virtual ~DiversionEligibility() = default;
+  virtual bool Eligible(size_t i) = 0;
+};
+
 // Strategy interface for replica placement. Both entry points mirror the
 // two decision sites in the insert protocol (and its scale-engine replay):
 // should the k-closest node `self` hold the primary, and — when it does not
@@ -118,12 +130,14 @@ class PlacementPolicy {
   virtual bool ShouldStorePrimary(const PlacementCandidate& self, bool policy_accepts,
                                   uint64_t size, PlacementEntropy& entropy) const = 0;
 
-  // Picks the diverted-replica target from `eligible` (non-empty, in the
-  // caller's deterministic order). Returns an index into `eligible`, or
-  // nullopt to decline diversion entirely.
+  // Picks the diverted-replica target among `candidates`: every live
+  // leaf-set member of the diverting node outside the k closest, in the
+  // caller's deterministic order. Only candidates for which `eligibility`
+  // answers true may be picked. Returns an index into `candidates`, or
+  // nullopt when none is eligible or the policy declines diversion.
   virtual std::optional<size_t> ChooseDiversionTarget(
-      const std::vector<PlacementCandidate>& eligible, uint64_t size,
-      PlacementEntropy& entropy) const = 0;
+      std::span<const PlacementCandidate> candidates, DiversionEligibility& eligibility,
+      uint64_t size, PlacementEntropy& entropy) const = 0;
 };
 
 enum class PlacementKind {
