@@ -48,19 +48,19 @@ void Sha1::Update(const void* data, size_t len) {
 
 Sha1Digest Sha1::Final() {
   uint64_t bit_len = total_bytes_ * 8;
-  // Append 0x80 then zeros until 8 bytes remain in the block, then the length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  // Pad in place: 0x80, zeros up to the last 8 bytes of a block, then the
+  // big-endian bit length. With fewer than 9 bytes left in the current
+  // block the padding spills into a second one.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total_bytes_ accounting for the trailer (it no longer matters).
-  std::memcpy(buffer_ + buffer_len_, len_bytes, 8);
   ProcessBlock(buffer_);
   buffer_len_ = 0;
 

@@ -1,6 +1,9 @@
 // SHA-1 against the FIPS 180-1 reference vectors.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/crypto/sha1.h"
 
 namespace past {
@@ -22,6 +25,24 @@ TEST(Sha1Test, LongerVector) {
 TEST(Sha1Test, MillionAs) {
   std::string input(1000000, 'a');
   EXPECT_EQ(DigestToHex(Sha1::Hash(input)), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+TEST(Sha1Test, PaddingAroundBlockBoundaries) {
+  // 55 and 119 (64 + 55) bytes leave exactly room in the last block for
+  // 0x80 and the 8-byte length; 56 and 63 spill the padding into a second
+  // block; 64 pads a block of its own. Expected digests computed with
+  // Python's hashlib: hashlib.sha1(b"a" * n).hexdigest().
+  struct Case {
+    size_t n;
+    const char* hex;
+  };
+  for (const Case& c : std::vector<Case>{{55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+                                         {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+                                         {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+                                         {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+                                         {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"}}) {
+    EXPECT_EQ(DigestToHex(Sha1::Hash(std::string(c.n, 'a'))), c.hex) << "n=" << c.n;
+  }
 }
 
 TEST(Sha1Test, IncrementalMatchesOneShot) {
