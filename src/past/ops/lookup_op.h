@@ -7,12 +7,13 @@
 // kLookupRequest riding the located route, and a kFetchReply carrying the
 // file bytes straight back to the origin.
 //
-// With the cooperative cache tier enabled (PastConfig::enable_coop_cache),
-// a lookup the origin cannot serve locally first asks its leaf-set broker
-// (kCacheProbe / kCacheReply, one cheap round trip) whether a neighbor
-// holds a cached copy. A brokered hit fetches from the holder directly; a
-// miss, a stale pointer, or a lost probe falls back to the normal route —
-// cooperation can only add one control round trip, never a wrong answer.
+// With the cooperative cache enabled (PastConfig::enable_coop_cache), a
+// lookup the origin cannot serve locally first asks its leaf-set broker
+// (PastNetwork::CoopBroker; kCacheProbe / kCacheReply, one cheap round
+// trip) whether a neighbor holds a cached copy. A brokered hit fetches from
+// the holder directly; a miss, a stale pointer, or a lost probe falls back
+// to the normal route — cooperation can only add one control round trip,
+// never a wrong answer.
 //
 // State machine:
 //
@@ -69,7 +70,7 @@ class LookupOp : public AsyncOp {
   Exchange request_ex_;  // kLookupRequest at the serving node
   Exchange reply_ex_;    // kFetchReply back at the origin
 
-  // Cooperative-probe state (untouched unless the coop tier is configured).
+  // Cooperative-probe state (untouched unless the cooperative cache is on).
   NodeId broker_;
   std::optional<NodeId> coop_holder_;  // broker's answer, set in OnCacheProbe
   bool coop_attempt_ = false;          // fetching a brokered cached copy
