@@ -4,13 +4,13 @@
 
 namespace past {
 
-bool CoopDirectory::Advertise(const NodeId& owner, const FileId& file, const NodeId& holder) {
-  FileMap& shard = dir_[owner];
-  auto it = shard.find(file);
-  if (it != shard.end()) {
-    if (it->second == holder) {
-      return true;  // already advertised
-    }
+void CoopDirectory::Advertise(const NodeId& owner, const FileId& file, const NodeId& holder) {
+  auto [it, added] = dir_[owner].try_emplace(file, holder);
+  if (added) {
+    ++size_;
+  } else if (it->second == holder) {
+    return;  // already advertised
+  } else {
     // Displace the previous holder's pointer (its copy may still exist, but
     // one broker tracks one holder per file).
     auto ad = ads_.find(it->second);
@@ -21,19 +21,9 @@ bool CoopDirectory::Advertise(const NodeId& owner, const FileId& file, const Nod
       }
     }
     it->second = holder;
-    ads_[holder][file] = owner;
-    ++advertised_;
-    return true;
   }
-  if (per_owner_limit_ != 0 && shard.size() >= per_owner_limit_) {
-    ++overflowed_;
-    return false;
-  }
-  shard.emplace(file, holder);
   ads_[holder][file] = owner;
-  ++size_;
   ++advertised_;
-  return true;
 }
 
 void CoopDirectory::EraseDirEntry(const NodeId& owner, const FileId& file) {

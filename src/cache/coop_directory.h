@@ -1,5 +1,5 @@
 // CoopDirectory: the brokered-pointer state behind the cooperative cache
-// tier (modeled on fs123's distrib_cache_backend).
+// (modeled on fs123's distrib_cache_backend).
 //
 // Every cached copy a node holds may be *advertised* to one broker (its
 // directory "owner" — chosen by the caller, typically via rendezvous hashing
@@ -45,13 +45,8 @@ struct CoopAuditEntry {
 
 class CoopDirectory {
  public:
-  // Per-broker entry cap; advertisements past it are dropped (counted in
-  // overflowed()), not evicted. 0 = unlimited.
-  explicit CoopDirectory(size_t per_owner_limit = 0) : per_owner_limit_(per_owner_limit) {}
-
-  // Records holder's cached copy of `file` with broker `owner`. Returns
-  // false when the broker shard is full.
-  bool Advertise(const NodeId& owner, const FileId& file, const NodeId& holder);
+  // Records holder's cached copy of `file` with broker `owner`.
+  void Advertise(const NodeId& owner, const FileId& file, const NodeId& holder);
 
   // Drops the pointer for (holder, file), wherever it was advertised. Safe
   // to call when no ad exists (eviction of a never-advertised entry).
@@ -67,7 +62,6 @@ class CoopDirectory {
   size_t size() const { return size_; }
   uint64_t advertised() const { return advertised_; }
   uint64_t retracted() const { return retracted_; }
-  uint64_t overflowed() const { return overflowed_; }
 
   // Every (owner, file, holder) entry, sorted, for invariant audits.
   std::vector<CoopAuditEntry> Snapshot() const;
@@ -77,7 +71,6 @@ class CoopDirectory {
 
   void EraseDirEntry(const NodeId& owner, const FileId& file);
 
-  size_t per_owner_limit_;
   // Broker view: owner -> file -> holder.
   std::unordered_map<NodeId, FileMap, NodeIdHash> dir_;
   // Reverse index: holder -> file -> owner (for O(1) retraction).
@@ -85,7 +78,6 @@ class CoopDirectory {
   size_t size_ = 0;
   uint64_t advertised_ = 0;
   uint64_t retracted_ = 0;
-  uint64_t overflowed_ = 0;
 };
 
 }  // namespace past

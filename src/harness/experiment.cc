@@ -160,7 +160,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   past_config.cache_mode = config.cache_mode;
   past_config.cache_fraction_c = config.cache_fraction_c;
   past_config.enable_coop_cache = config.coop_cache;
-  past_config.coop_directory_limit = config.coop_directory_limit;
   past_config.cache_insertion_cost_cap = config.cache_insertion_cost_cap;
   past_config.enable_maintenance = false;  // no churn during trace replay
 

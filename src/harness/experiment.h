@@ -51,7 +51,6 @@ struct ExperimentConfig {
   // other (kCacheProbe/kCacheReply round trip before falling back to the
   // route).
   bool coop_cache = false;
-  size_t coop_directory_limit = 0;
   // Flash-crowd eviction guard: cap on the fraction of the cache budget one
   // insertion may evict (0 = unlimited; see FileCache).
   double cache_insertion_cost_cap = 0.0;

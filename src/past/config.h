@@ -61,10 +61,6 @@ struct PastConfig {
   // replica holders. Requires cache_mode != kNone to have any effect.
   bool enable_coop_cache = false;
 
-  // Per-broker cap on cooperative directory entries (0 = unlimited).
-  // Advertisements beyond the cap are dropped, not evicted.
-  size_t coop_directory_limit = 0;
-
   // Flash-crowd guard: a file is admitted to a node's cache only if making
   // room for it would evict at most this fraction of the cache budget
   // (insertion-cost cap). 0 disables the cap (pre-refactor behavior).

@@ -42,11 +42,11 @@ REQUIRED_COUNTERS = [
     # Cache layer (per-node scopes merged into the global snapshot).
     "node.cache.hits",
     "node.cache.misses",
-    # Cache tier chain: local route-side hits vs misses past every tier.
+    # Cache accounting: route-side local hits vs lookups no cache served.
     "past.cache.local_hits",
     "past.cache.tier_misses",
-    # Cooperative cache tier (counters exist from network construction; all
-    # zero unless enable_coop_cache was set).
+    # Cooperative cache (counters exist from network construction; all zero
+    # unless enable_coop_cache was set).
     "past.cache.coop.probes",
     "past.cache.coop.broker_forwards",
     "past.cache.coop.hits",
@@ -54,7 +54,6 @@ REQUIRED_COUNTERS = [
     "past.cache.coop.probe_timeouts",
     "past.cache.coop.advertised",
     "past.cache.coop.retracted",
-    "past.cache.coop.overflowed",
 ]
 
 REQUIRED_GAUGES = [
@@ -148,7 +147,7 @@ def validate(doc):
             )
         if gauges["engine.ops_in_flight"] > gauges["engine.ops_in_flight_peak"]:
             errors.append("engine.ops_in_flight exceeds its recorded peak")
-        # Cooperative cache tier: a hit is a subset of broker forwards, which
+        # Cooperative cache: a hit is a subset of broker forwards, which
         # is a subset of probes issued; stale resolutions and probe timeouts
         # are disjoint failure modes of those same probes.
         probes = counters["past.cache.coop.probes"]
@@ -164,7 +163,7 @@ def validate(doc):
         if counters["past.cache.coop.retracted"] > counters["past.cache.coop.advertised"]:
             errors.append("coop retractions exceed advertisements")
         # Every cache-served lookup is either a route-side local hit or a
-        # brokered coop hit — the tier split must tile the total exactly.
+        # brokered coop hit — the split must tile the total exactly.
         tier_hits = counters["past.cache.local_hits"] + coop_hits
         if tier_hits != counters["past.lookup.cache_hits"]:
             errors.append(
