@@ -128,25 +128,15 @@ class PastClient::InsertDriver : public ClientOp,
 };
 
 // Lookups and reclaims are single-shot: the driver is a thin ClientOp shim
-// over the engine op (plus receipt crediting for reclaim).
-class PastClient::LookupDriver : public ClientOp {
+// over the engine op (reclaim's receipt crediting rides its callback).
+class PastClient::SingleShotDriver : public ClientOp {
  public:
-  explicit LookupDriver(std::shared_ptr<LookupOp> op) : op_(std::move(op)) {}
+  explicit SingleShotDriver(std::shared_ptr<AsyncOp> op) : op_(std::move(op)) {}
   bool done() const override { return op_->done(); }
   void Cancel() override { op_->Cancel(); }
 
  private:
-  std::shared_ptr<LookupOp> op_;
-};
-
-class PastClient::ReclaimDriver : public ClientOp {
- public:
-  explicit ReclaimDriver(std::shared_ptr<ReclaimOp> op) : op_(std::move(op)) {}
-  bool done() const override { return op_->done(); }
-  void Cancel() override { op_->Cancel(); }
-
- private:
-  std::shared_ptr<ReclaimOp> op_;
+  std::shared_ptr<AsyncOp> op_;
 };
 
 PastClient::PastClient(PastNetwork& network, const NodeId& access_node, uint64_t quota_bytes,
@@ -176,7 +166,7 @@ OpHandle PastClient::BeginInsertContent(const std::string& name, const std::stri
 
 OpHandle PastClient::BeginLookup(const FileId& file_id, LookupCallback callback) {
   auto op = network_.engine().StartLookup(access_node_, file_id, std::move(callback));
-  return OpHandle(std::make_shared<LookupDriver>(std::move(op)));
+  return OpHandle(std::make_shared<SingleShotDriver>(std::move(op)));
 }
 
 OpHandle PastClient::BeginReclaim(const FileId& file_id, ReclaimCallback callback) {
@@ -191,7 +181,7 @@ OpHandle PastClient::BeginReclaim(const FileId& file_id, ReclaimCallback callbac
           callback(result);
         }
       });
-  return OpHandle(std::make_shared<ReclaimDriver>(std::move(op)));
+  return OpHandle(std::make_shared<SingleShotDriver>(std::move(op)));
 }
 
 bool PastClient::Poll() { return network_.engine().Poll(); }

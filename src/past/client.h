@@ -143,8 +143,7 @@ class PastClient {
 
  private:
   class InsertDriver;
-  class LookupDriver;
-  class ReclaimDriver;
+  class SingleShotDriver;
 
   PastNetwork& network_;
   NodeId access_node_;
