@@ -1,15 +1,14 @@
-// Placement-policy x cooperative-cache ablation under adversarial workloads.
+// Placement-policy ablation under adversarial workloads.
 //
-// Sweeps every (placement, coop-cache, workload) cell over the generators in
+// Sweeps every (workload, placement) cell over the generators in
 // src/workload/adversarial.h and reports, per cell: insert failure ratio,
-// global cache hit ratio, modeled p50/p95 fetch latency, and the coop tier's
-// probe/hit counters. The final summary lines compare coop-on vs coop-off
-// hit ratios per workload — the flash-crowd row is where brokered hits pay.
+// global cache hit ratio and modeled p50/p95 fetch latency.
 //
 // Flags (besides the common --nodes/--files/--refs/--seed/--jobs):
 //   --placement kclosest|residual|random|all   (default all)
-//   --coop-cache 0|1|all                        (default all)
 //   --workload flash|diurnal|drift|regional|all (default all)
+//   --insertion-cap X                           cache insertion-cost cap in
+//                                               [0, 1] (default 0.5)
 //   --smoke                                     tiny scale for CI
 #include <cstring>
 
@@ -36,7 +35,8 @@ int main(int argc, char** argv) {
   base.cache_mode = CacheMode::kGreedyDualSize;
   base.cache_insertion_cost_cap = cli.GetDouble("--insertion-cap", 0.5);
   base.adversarial = true;
-  PrintHeader("Policy ablation: placement x coop-cache x adversarial workload", base);
+  ValidateOrDie(base);
+  PrintHeader("Policy ablation: placement x adversarial workload", base);
 
   std::vector<PlacementKind> placements;
   {
@@ -51,15 +51,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       placements = {*kind};
-    }
-  }
-  std::vector<bool> coop_modes;
-  {
-    std::string flag = cli.GetString("--coop-cache", "all");
-    if (flag == "all") {
-      coop_modes = {false, true};
-    } else {
-      coop_modes = {flag != "0"};
     }
   }
   std::vector<AdversarialKind> workloads;
@@ -78,57 +69,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Coop iterates innermost (off before on) so (a) each coop pair shares a
-  // workload/placement prefix for the summary diff and (b) with
-  // --metrics-json the surviving dump comes from a coop-enabled cell, which
-  // is the schema the validator exercises.
+  // Cell i runs with seed base + 2*i: the seeds the EXPERIMENTS.md rows
+  // were recorded with.
   struct Cell {
     AdversarialKind workload;
     PlacementKind placement;
-    bool coop;
   };
   std::vector<Cell> cells;
   std::vector<ExperimentConfig> configs;
   for (AdversarialKind w : workloads) {
     for (PlacementKind p : placements) {
-      for (bool coop : coop_modes) {
-        ExperimentConfig config = base;
-        config.adversarial_kind = w;
-        config.placement = p;
-        config.residual_shed_load =
-            static_cast<uint64_t>(cli.GetInt("--residual-shed-load", 64));
-        config.coop_cache = coop;
-        cells.push_back({w, p, coop});
-        configs.push_back(config);
-      }
+      ExperimentConfig config = base;
+      config.seed = base.seed + 2 * cells.size();
+      config.adversarial_kind = w;
+      config.placement = p;
+      config.residual_shed_load = static_cast<uint64_t>(cli.GetInt("--residual-shed-load", 64));
+      cells.push_back({w, p});
+      configs.push_back(config);
     }
   }
 
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  SuiteOptions suite = BenchSuiteOptions(cli);
+  suite.derive_seeds = false;
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
-  std::printf(
-      "workload,placement,coop,failure_ratio,hit_ratio,p50_ms,p95_ms,coop_probes,coop_hits\n");
+  std::printf("workload,placement,failure_ratio,hit_ratio,p50_ms,p95_ms\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const ExperimentResult& r = results[i];
-    std::printf("%s,%s,%d,%.4f,%.4f,%.2f,%.2f,%llu,%llu\n",
-                AdversarialKindName(cells[i].workload), PlacementKindName(cells[i].placement),
-                cells[i].coop ? 1 : 0, r.failure_ratio, r.global_cache_hit_rate,
-                r.lookup_latency_p50_ms, r.lookup_latency_p95_ms,
-                static_cast<unsigned long long>(
-                    r.metrics.CounterValue("past.cache.coop.probes")),
-                static_cast<unsigned long long>(
-                    r.metrics.CounterValue("past.cache.coop.hits")));
-  }
-
-  // Coop-on vs coop-off deltas, per (workload, placement) pair.
-  if (coop_modes.size() == 2) {
-    for (size_t i = 0; i + 1 < results.size(); i += 2) {
-      double off = results[i].global_cache_hit_rate;
-      double on = results[i + 1].global_cache_hit_rate;
-      std::printf("# %s/%s: coop hit ratio %.4f vs local-only %.4f (%+.4f)\n",
-                  AdversarialKindName(cells[i].workload),
-                  PlacementKindName(cells[i].placement), on, off, on - off);
-    }
+    std::printf("%s,%s,%.4f,%.4f,%.2f,%.2f\n", AdversarialKindName(cells[i].workload),
+                PlacementKindName(cells[i].placement), r.failure_ratio,
+                r.global_cache_hit_rate, r.lookup_latency_p50_ms, r.lookup_latency_p95_ms);
   }
   PrintBenchFooter(stopwatch);
   return 0;

@@ -41,9 +41,6 @@ void FileCache::EvictEntry(const FileId& id) {
     used_ -= entry->size;
     entries_.Erase(id);
     ++evictions_;
-    if (removal_listener_) {
-      removal_listener_(id);
-    }
   }
 }
 
@@ -103,9 +100,6 @@ bool FileCache::Remove(const FileId& id) {
   used_ -= entry->size;
   entries_.Erase(id);
   policy_->OnRemove(id);
-  if (removal_listener_) {
-    removal_listener_(id);
-  }
   return true;
 }
 

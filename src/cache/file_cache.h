@@ -15,8 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include <functional>
-
 #include "src/cache/eviction_policy.h"
 #include "src/common/flat_table.h"
 #include "src/common/file_id.h"
@@ -33,14 +31,6 @@ class FileCache {
   // evict (flash-crowd guard); 0 disables the cap.
   FileCache(std::unique_ptr<EvictionPolicy> policy, double c_fraction,
             double insertion_cost_cap = 0.0);
-
-  // Called with the fileId of every entry that leaves the cache — eviction,
-  // Remove (reclaim purge / replica displacement), or ShrinkToBudget. The
-  // cooperative tier hooks this to retract brokered pointers so they never
-  // outlive the cached copy. Null disables (default).
-  void SetRemovalListener(std::function<void(const FileId&)> listener) {
-    removal_listener_ = std::move(listener);
-  }
 
   // Tries to admit a file given the current budget (capacity - replica
   // bytes). Evicts victims as needed. Returns true if cached. `content` is
@@ -101,7 +91,6 @@ class FileCache {
   std::unique_ptr<EvictionPolicy> policy_;
   double c_fraction_;
   double insertion_cost_cap_;
-  std::function<void(const FileId&)> removal_listener_;
   FlatTable<FileId, Entry, FileIdHash> entries_;
   uint64_t used_ = 0;
   uint64_t hits_ = 0;

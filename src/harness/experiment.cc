@@ -94,6 +94,12 @@ std::vector<std::string> ExperimentConfig::Validate() const {
   if (cache_mode != CacheMode::kNone && (cache_fraction_c <= 0.0 || cache_fraction_c > 1.0)) {
     fail("cache_fraction_c must be in (0, 1]");
   }
+  if (!(cache_insertion_cost_cap >= 0.0 && cache_insertion_cost_cap <= 1.0)) {
+    // FileCache reads any cap <= 0 as "no cap": a negative value would turn
+    // the flash-crowd guard off without a word.
+    fail("cache_insertion_cost_cap must be in [0, 1] (got " +
+         std::to_string(cache_insertion_cost_cap) + ")");
+  }
   if (demand_factor <= 0.0) {
     fail("demand_factor must be positive");
   }
@@ -159,7 +165,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   past_config.residual_shed_load = config.residual_shed_load;
   past_config.cache_mode = config.cache_mode;
   past_config.cache_fraction_c = config.cache_fraction_c;
-  past_config.enable_coop_cache = config.coop_cache;
   past_config.cache_insertion_cost_cap = config.cache_insertion_cost_cap;
   past_config.enable_maintenance = false;  // no churn during trace replay
 
@@ -252,9 +257,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     const TraceEvent& event = trace.events[event_index];
     if (event_index == bundle.failure_event_index) {
       // Correlated regional failure: half of the doomed cluster's nodes die
-      // at once (cached copies and coop pointers in the region die with
-      // them). Clients keep their access nodes — the generator guarantees
-      // no post-failure requests originate in the failed cluster.
+      // at once (cached copies in the region die with them). Clients keep
+      // their access nodes — the generator guarantees no post-failure
+      // requests originate in the failed cluster.
       const auto& doomed = nodes_by_cluster[bundle.failed_cluster % num_clusters];
       for (size_t i = 0; i < doomed.size() / 2; ++i) {
         network.FailStorageNode(doomed[i]);

@@ -47,10 +47,6 @@ struct ExperimentConfig {
   // Caching.
   CacheMode cache_mode = CacheMode::kNone;
   double cache_fraction_c = 1.0;
-  // Cooperative cache tier: leaf-set neighbors broker cache hits for each
-  // other (kCacheProbe/kCacheReply round trip before falling back to the
-  // route).
-  bool coop_cache = false;
   // Flash-crowd eviction guard: cap on the fraction of the cache budget one
   // insertion may evict (0 = unlimited; see FileCache).
   double cache_insertion_cost_cap = 0.0;

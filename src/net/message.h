@@ -32,11 +32,9 @@ enum class MessageType : uint8_t {
   kRepairPointer,   // maintenance: install a replacement diversion pointer
   kKeepAliveProbe,  // leaf-set neighbor liveness probe (section 2.1)
   kKeepAliveAck,    // probe response
-  kCacheProbe,      // origin -> leaf-set broker: who holds a cached copy?
-  kCacheReply,      // broker -> origin: holder (or miss) for the probed file
 };
 
-inline constexpr size_t kMessageTypeCount = 14;
+inline constexpr size_t kMessageTypeCount = 12;
 
 const char* MessageTypeName(MessageType type);
 
@@ -76,10 +74,6 @@ inline const char* MessageTypeName(MessageType type) {
       return "keepalive_probe";
     case MessageType::kKeepAliveAck:
       return "keepalive_ack";
-    case MessageType::kCacheProbe:
-      return "cache_probe";
-    case MessageType::kCacheReply:
-      return "cache_reply";
   }
   return "unknown";
 }

@@ -128,7 +128,6 @@ class Transport {
         break;
       case MessageType::kDivertRequest:
       case MessageType::kInstallPointer:
-      case MessageType::kCacheProbe:
         stats_->RecordRpc();
         break;
       default:

@@ -4,6 +4,13 @@
 #include "src/past/ops/op_engine.h"
 
 namespace past {
+namespace {
+
+// Insert attempts per file under file diversion: the original fileId and
+// three re-salted retries (paper section 3.4).
+constexpr int kMaxInsertAttempts = 4;
+
+}  // namespace
 
 // Drives the file-diversion retry loop (paper section 3.4) as a chain of
 // engine inserts: each attempt issues a fresh-salted certificate and submits
@@ -20,9 +27,7 @@ class PastClient::InsertDriver : public ClientOp,
 
   void Start() {
     client_.network_.metrics().GetCounter("client.files_attempted").Inc();
-    max_attempts_ = client_.network_.config().enable_file_diversion
-                        ? client_.network_.config().max_insert_attempts
-                        : 1;
+    max_attempts_ = client_.network_.config().enable_file_diversion ? kMaxInsertAttempts : 1;
     StartAttempt();
   }
 

@@ -33,9 +33,6 @@ struct PastConfig {
   // and retries elsewhere in the nodeId space (section 3.4).
   bool enable_file_diversion = true;
 
-  // Total insert attempts per file (1 original + 3 re-salted retries).
-  int max_insert_attempts = 4;
-
   // Caching (section 4): eviction policy and the admission fraction c — a
   // routed-through file is cached only if its size is below c times the
   // node's current cache capacity.
@@ -54,12 +51,6 @@ struct PastConfig {
   // ResidualPerformance placement: recent-load level at which a primary
   // sheds the replica into the leaf set. 0 disables shedding.
   uint64_t residual_shed_load = 0;
-
-  // Cooperative cache tier (modeled on fs123's distrib_cache_backend): on a
-  // lookup the origin first probes a leaf-set broker for a cached copy held
-  // anywhere in the neighborhood before falling back to routing toward the
-  // replica holders. Requires cache_mode != kNone to have any effect.
-  bool enable_coop_cache = false;
 
   // Flash-crowd guard: a file is admitted to a node's cache only if making
   // room for it would evict at most this fraction of the cache budget

@@ -66,13 +66,10 @@ void OpEngine::ReapRetired() {
   retired_.clear();
 }
 
-std::shared_ptr<InsertOp> OpEngine::StartInsert(const NodeId& origin,
-                                                const FileCertificate& certificate,
-                                                uint64_t size, FileContentRef content,
-                                                InsertOp::Callback callback) {
+template <typename Op, typename... Args>
+std::shared_ptr<Op> OpEngine::Launch(Args&&... args) {
   ReapRetired();
-  auto op = std::make_shared<InsertOp>(net_, origin, certificate, size, std::move(content),
-                                       std::move(callback));
+  auto op = std::make_shared<Op>(net_, std::forward<Args>(args)...);
   live_.push_back(op);
   OnOpStarted(*op);
   {
@@ -82,31 +79,22 @@ std::shared_ptr<InsertOp> OpEngine::StartInsert(const NodeId& origin,
   return op;
 }
 
+std::shared_ptr<InsertOp> OpEngine::StartInsert(const NodeId& origin,
+                                                const FileCertificate& certificate,
+                                                uint64_t size, FileContentRef content,
+                                                InsertOp::Callback callback) {
+  return Launch<InsertOp>(origin, certificate, size, std::move(content), std::move(callback));
+}
+
 std::shared_ptr<LookupOp> OpEngine::StartLookup(const NodeId& origin, const FileId& file_id,
                                                 LookupOp::Callback callback) {
-  ReapRetired();
-  auto op = std::make_shared<LookupOp>(net_, origin, file_id, std::move(callback));
-  live_.push_back(op);
-  OnOpStarted(*op);
-  {
-    DispatchGuard guard(*this);
-    op->Start();
-  }
-  return op;
+  return Launch<LookupOp>(origin, file_id, std::move(callback));
 }
 
 std::shared_ptr<ReclaimOp> OpEngine::StartReclaim(const NodeId& origin,
                                                   const ReclaimCertificate& certificate,
                                                   ReclaimOp::Callback callback) {
-  ReapRetired();
-  auto op = std::make_shared<ReclaimOp>(net_, origin, certificate, std::move(callback));
-  live_.push_back(op);
-  OnOpStarted(*op);
-  {
-    DispatchGuard guard(*this);
-    op->Start();
-  }
-  return op;
+  return Launch<ReclaimOp>(origin, certificate, std::move(callback));
 }
 
 bool OpEngine::Poll() {

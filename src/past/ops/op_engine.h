@@ -87,7 +87,12 @@ class OpEngine {
  private:
   friend class AsyncOp;
 
-  // Engine bookkeeping around an op's lifetime (called by AsyncOp/Start*).
+  // Reaps, takes ownership of a new Op(net_, args...), counts it in flight
+  // and starts it: the shared body of the Start* submitters.
+  template <typename Op, typename... Args>
+  std::shared_ptr<Op> Launch(Args&&... args);
+
+  // Engine bookkeeping around an op's lifetime (called by AsyncOp/Launch).
   void OnOpStarted(AsyncOp& op);
   void OnOpFinished(AsyncOp& op);
 

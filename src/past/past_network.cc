@@ -49,21 +49,6 @@ PlacementOptions PlacementOptionsFrom(const PastConfig& config) {
   return options;
 }
 
-// Deterministic rendezvous weight for (node, file): both sides of an
-// advertise/probe pair must agree on the broker given the same candidate
-// set, so the weight depends only on the two ids (splitmix64 finalizer over
-// the combined hashes).
-uint64_t RendezvousWeight(const NodeId& node, const FileId& file) {
-  uint64_t x = static_cast<uint64_t>(NodeIdHash{}(node)) * 0x9e3779b97f4a7c15ULL;
-  x ^= static_cast<uint64_t>(FileIdHash{}(file));
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 }  // namespace
 
 PastNetwork::PastNetwork(const PastConfig& config, const PastryConfig& pastry_config,
@@ -71,8 +56,7 @@ PastNetwork::PastNetwork(const PastConfig& config, const PastryConfig& pastry_co
     : config_(config), pastry_config_(pastry_config), pastry_(pastry_config, seed),
       rng_(seed ^ 0x9e3779b97f4a7c15ULL),
       placement_(MakePlacementPolicy(config.placement, PlacementOptionsFrom(config))),
-      transport_(std::make_unique<InlineTransport>(&pastry_.stats())),
-      coop_active_(config.enable_coop_cache && config.cache_mode != CacheMode::kNone) {
+      transport_(std::make_unique<InlineTransport>(&pastry_.stats())) {
   pastry_.AddObserver(this);
   ins_.insert_attempts = &metrics_.GetCounter("past.insert.attempts");
   ins_.insert_failures = &metrics_.GetCounter("past.insert.failures");
@@ -91,15 +75,7 @@ PastNetwork::PastNetwork(const PastConfig& config, const PastryConfig& pastry_co
   ins_.lookup_hops = &metrics_.GetHistogram("past.lookup.hops", obs::HopBuckets());
   ins_.lookup_distance =
       &metrics_.GetHistogram("past.lookup.distance", obs::DistanceBuckets());
-  ins_.cache_local_hits = &metrics_.GetCounter("past.cache.local_hits");
   ins_.cache_tier_misses = &metrics_.GetCounter("past.cache.tier_misses");
-  ins_.coop_probes = &metrics_.GetCounter("past.cache.coop.probes");
-  ins_.coop_forwards = &metrics_.GetCounter("past.cache.coop.broker_forwards");
-  ins_.coop_hits = &metrics_.GetCounter("past.cache.coop.hits");
-  ins_.coop_stale = &metrics_.GetCounter("past.cache.coop.stale");
-  ins_.coop_timeouts = &metrics_.GetCounter("past.cache.coop.probe_timeouts");
-  ins_.coop_probe_latency = &metrics_.GetHistogram("past.cache.coop.probe_latency_ms",
-                                                   obs::ExponentialBuckets(1.0, 2.0, 14));
   engine_ = std::make_unique<OpEngine>(*this);
 }
 
@@ -133,9 +109,6 @@ obs::MetricsSnapshot PastNetwork::SnapshotMetrics() const {
   snapshot.gauges["past.capacity_bytes"] = static_cast<double>(total_capacity_);
   snapshot.gauges["past.stored_bytes"] = static_cast<double>(total_stored_);
   snapshot.gauges["past.nodes_live"] = static_cast<double>(pastry_.live_count());
-  snapshot.gauges["past.cache.coop.directory_entries"] = static_cast<double>(coop_dir_.size());
-  snapshot.counters["past.cache.coop.advertised"] = coop_dir_.advertised();
-  snapshot.counters["past.cache.coop.retracted"] = coop_dir_.retracted();
   pastry_.stats().ExportTo(snapshot, "net.");
   for (const auto& [id, node] : nodes_) {
     if (!pastry_.IsAlive(id)) {
@@ -178,7 +151,6 @@ NodeId PastNetwork::AddStorageNodeNear(uint64_t capacity_bytes, const Coordinate
     storage_node(id)->store().EnableDurability(*durable_env_, id.ToHex(), durable_opts_);
   }
   total_capacity_ += capacity_bytes;
-  ListenForCacheRemovals(*storage_node(id));
 
   Coordinate location = center;
   if (spread > 0.0) {
@@ -311,7 +283,6 @@ PastNetwork::RejoinOutcome PastNetwork::RejoinStorageNode(const NodeId& id,
   ins_.replicas_diverted->Add(static_cast<double>(pn->store().diverted_count()));
 
   nodes_.InsertOrAssign(id, std::move(node));
-  ListenForCacheRemovals(*pn);
 
   Coordinate location{rng_.NextDouble(), rng_.NextDouble()};
   outcome.ok = pastry_.Join(id, location);  // fires OnNodeJoined -> repair
@@ -592,7 +563,6 @@ void PastNetwork::RecordLookup(const LookupResult& result) {
     ins_.lookup_distance->Observe(result.distance);
     if (result.served_from_cache) {
       ins_.lookups_from_cache->Inc();
-      (result.via_coop ? ins_.coop_hits : ins_.cache_local_hits)->Inc();
     }
   }
   // Timeouts are not misses: the file may well have been cached, the bytes
@@ -609,68 +579,9 @@ void PastNetwork::CacheAlongPath(const std::vector<NodeId>& path, const FileId& 
   }
   for (const NodeId& id : path) {
     PastNode* pn = storage_node(id);
-    if (pn != nullptr && pn->CacheFile(file_id, size, content)) {
-      AdvertiseCachedCopy(id, file_id);
+    if (pn != nullptr) {
+      pn->CacheFile(file_id, size, content);
     }
-  }
-}
-
-void PastNetwork::ListenForCacheRemovals(PastNode& node) {
-  if (coop_active_ && node.cache() != nullptr) {
-    node.cache()->SetRemovalListener(
-        [this, id = node.id()](const FileId& file) { coop_dir_.RetractHolder(id, file); });
-  }
-}
-
-std::optional<NodeId> PastNetwork::CoopBroker(const NodeId& node, const FileId& file) const {
-  const PastryNode* pastry_node = pastry_.node(node);
-  if (pastry_node == nullptr) {
-    return std::nullopt;
-  }
-  std::optional<NodeId> best;
-  uint64_t best_weight = 0;
-  for (const NodeId& candidate : pastry_node->leaf_set().All()) {
-    if (candidate == node || !pastry_.IsAlive(candidate)) {
-      continue;
-    }
-    uint64_t weight = RendezvousWeight(candidate, file);
-    // Strict > with the candidate order fixed by the leaf set keeps the
-    // winner deterministic even on (astronomically unlikely) weight ties.
-    if (!best || weight > best_weight) {
-      best = candidate;
-      best_weight = weight;
-    }
-  }
-  return best;
-}
-
-std::optional<NodeId> PastNetwork::ResolveCoopProbe(const NodeId& broker, const FileId& file) {
-  PastNode* pn = storage_node(broker);
-  if (pn != nullptr && pn->cache() != nullptr && pn->cache()->SizeOf(file).has_value()) {
-    return broker;  // the broker itself holds a cached copy
-  }
-  std::optional<NodeId> holder = coop_dir_.Resolve(broker, file);
-  if (!holder) {
-    return std::nullopt;
-  }
-  if (!pastry_.IsAlive(*holder)) {
-    // Holder silently gone (failure detection has not reaped it yet): drop
-    // the stale pointer and report a miss.
-    coop_dir_.RetractHolder(*holder, file);
-    return std::nullopt;
-  }
-  return holder;
-}
-
-void PastNetwork::AdvertiseCachedCopy(const NodeId& holder, const FileId& file) {
-  if (!coop_active_) {
-    return;
-  }
-  // Advertisement is metadata gossip riding the existing cache fill; it is
-  // modeled as zero-cost (fs123 batches these off the request path).
-  std::optional<NodeId> broker = CoopBroker(holder, file);
-  if (broker) {
-    coop_dir_.Advertise(*broker, file, holder);
   }
 }
 
@@ -763,8 +674,6 @@ void PastNetwork::OnNodeFailed(const NodeId& id) {
     ins_.replicas_diverted->Sub(static_cast<double>((*slot)->store().diverted_count()));
     nodes_.Erase(id);
   }
-  // Cooperative pointers brokered by or naming the failed node die with it.
-  coop_dir_.OnNodeFailed(id);
   if (!config_.enable_maintenance || !any_file_inserted_) {
     return;
   }

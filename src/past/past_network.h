@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/cache/coop_directory.h"
 #include "src/common/file_id.h"
 #include "src/common/flat_table.h"
 #include "src/common/node_id.h"
@@ -135,20 +134,6 @@ class PastNetwork : public MembershipObserver {
   PastNode* storage_node(const NodeId& id);
   const PastNode* storage_node(const NodeId& id) const;
   size_t node_count() const { return nodes_.size(); }
-
-  // --- cooperative cache ---
-
-  // Brokered-pointer state behind the cooperative cache. Exposed for
-  // invariant audits and tests; empty unless config().enable_coop_cache.
-  CoopDirectory& coop_directory() { return coop_dir_; }
-  const CoopDirectory& coop_directory() const { return coop_dir_; }
-
-  // The cooperative broker for `file` in `node`'s view: the rendezvous-hash
-  // winner over node's live leaf-set members (node excluded), nullopt when
-  // none is live. An origin probes this broker; a holder advertises to it.
-  // The two views usually coincide inside one neighborhood; when they
-  // disagree the probe is a clean miss and the lookup routes.
-  std::optional<NodeId> CoopBroker(const NodeId& node, const FileId& file) const;
 
   // --- client-visible operations ---
 
@@ -345,25 +330,9 @@ class PastNetwork : public MembershipObserver {
   // did not time out and that no cache served.
   void RecordLookup(const LookupResult& result);
 
-  // Caches the file along a route (section 4). With the cooperative cache
-  // active, every successful admission is advertised to the holder's broker.
+  // Caches the file along a route (section 4).
   void CacheAlongPath(const std::vector<NodeId>& path, const FileId& file_id, uint64_t size,
                       const FileContentRef& content);
-
-  // Records holder's cached copy with its CoopBroker (no-op without the
-  // cooperative cache).
-  void AdvertiseCachedCopy(const NodeId& holder, const FileId& file);
-
-  // At `broker`: resolves a cache probe to a holder, or nullopt for a miss.
-  // The broker's own cached copy wins, else its directory shard; an entry
-  // whose holder has silently died is retracted and reported as a miss.
-  std::optional<NodeId> ResolveCoopProbe(const NodeId& broker, const FileId& file);
-
-  // With the cooperative cache active, makes every departure from the new
-  // node's cache (eviction, reclaim purge, replica displacement) retract its
-  // brokered pointer at once, so a pointer never outlives the cached copy
-  // it names.
-  void ListenForCacheRemovals(PastNode& node);
 
   // Replica maintenance (section 3.5) over a set of nodes' file tables
   // (see RepairOp::RestoreInvariants for what `pool` changes).
@@ -408,24 +377,10 @@ class PastNetwork : public MembershipObserver {
     obs::HistogramMetric* insert_hops = nullptr;
     obs::HistogramMetric* lookup_hops = nullptr;
     obs::HistogramMetric* lookup_distance = nullptr;
-    // Cache accounting: local route-side hits vs brokered cooperative hits
-    // vs lookups no cache served.
-    obs::Counter* cache_local_hits = nullptr;
+    // Lookups no cache served.
     obs::Counter* cache_tier_misses = nullptr;
-    obs::Counter* coop_probes = nullptr;
-    obs::Counter* coop_forwards = nullptr;
-    obs::Counter* coop_hits = nullptr;
-    obs::Counter* coop_stale = nullptr;
-    obs::Counter* coop_timeouts = nullptr;
-    obs::HistogramMetric* coop_probe_latency = nullptr;
   };
   Instruments ins_;
-
-  // True when the cooperative cache is active (enable_coop_cache with a
-  // cache mode configured): lookups probe a broker first, cache fills are
-  // advertised, and cache removals retract their pointers.
-  bool coop_active_ = false;
-  CoopDirectory coop_dir_;
 
   // Durable-store wiring (null => in-memory stores, the default).
   StorageEnv* durable_env_ = nullptr;

@@ -96,11 +96,10 @@ std::optional<uint64_t> PastNode::RemoveReplica(const FileId& id) {
   return store_.RemoveReplica(id);
 }
 
-bool PastNode::CacheFile(const FileId& id, uint64_t size, FileContentRef content) {
-  if (cache_ == nullptr || store_.HasReplica(id)) {
-    return false;
+void PastNode::CacheFile(const FileId& id, uint64_t size, FileContentRef content) {
+  if (cache_ != nullptr && !store_.HasReplica(id)) {
+    cache_->Insert(id, size, store_.free_bytes(), std::move(content));
   }
-  return cache_->Insert(id, size, store_.free_bytes(), std::move(content));
 }
 
 StoreReceipt PastNode::MakeStoreReceipt(const FileId& id) {

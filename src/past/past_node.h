@@ -70,7 +70,7 @@ class PastNode {
 
   // Tries to cache a file (route-side caching, section 4). Never caches a
   // file this node holds as a replica.
-  bool CacheFile(const FileId& id, uint64_t size, FileContentRef content = nullptr);
+  void CacheFile(const FileId& id, uint64_t size, FileContentRef content = nullptr);
 
   // Issues a signed store receipt for a file this node is responsible for.
   StoreReceipt MakeStoreReceipt(const FileId& id);

@@ -71,9 +71,6 @@ struct LookupResult {
 
   // True when a cached copy (not one of the k replicas) served the request.
   bool served_from_cache = false;
-  // True when the cached copy was located through a cooperative-cache probe
-  // to a leaf-set broker rather than met on the route path.
-  bool via_coop = false;
   // True when the serving replica was a diverted one reached via pointer
   // (costs one extra hop, paper section 3.3).
   bool via_diversion_pointer = false;

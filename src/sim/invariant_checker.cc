@@ -105,42 +105,6 @@ InvariantReport InvariantChecker::Check(const PastNetwork& net, const EventQueue
     }
   }
 
-  // --- cooperative-cache directory: a coop pointer never outlives the
-  // cached replica it brokers. At a quiescent point every (owner, file,
-  // holder) entry must name a live broker and a live holder that actually
-  // has the file cached, and no reclaimed file may still be advertised.
-  // (Mid-run stale entries are legal — they degrade to clean misses — but
-  // eviction/reclaim/failure retraction must have converged by now.) ---
-  for (const CoopAuditEntry& entry : net.coop_directory().Snapshot()) {
-    check(net.overlay().IsAlive(entry.owner), [&] {
-      std::ostringstream out;
-      out << "coop: dead broker " << Short(entry.owner.ToHex()) << " still owns an entry for "
-          << Short(entry.file.ToHex());
-      return out.str();
-    });
-    check(net.overlay().IsAlive(entry.holder), [&] {
-      std::ostringstream out;
-      out << "coop: entry for " << Short(entry.file.ToHex()) << " names dead holder "
-          << Short(entry.holder.ToHex());
-      return out.str();
-    });
-    const PastNode* holder = net.storage_node(entry.holder);
-    check(holder != nullptr && holder->cache() != nullptr &&
-              holder->cache()->SizeOf(entry.file).has_value(),
-          [&] {
-            std::ostringstream out;
-            out << "coop: pointer outlived cached copy: holder " << Short(entry.holder.ToHex())
-                << " no longer caches " << Short(entry.file.ToHex());
-            return out.str();
-          });
-    check(reclaimed_ids.count(entry.file) == 0, [&] {
-      std::ostringstream out;
-      out << "coop: reclaimed file " << Short(entry.file.ToHex())
-          << " still advertised by holder " << Short(entry.holder.ToHex());
-      return out.str();
-    });
-  }
-
   // --- diverted replicas are referenced by a pointer somewhere ---
   for (const NodeId& id : node_ids) {
     const PastNode* pn = net.storage_node(id);

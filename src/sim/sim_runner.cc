@@ -49,7 +49,6 @@ class Execution {
     PastConfig pconfig;
     pconfig.k = config_.k;
     pconfig.cache_mode = CacheMode::kGreedyDualSize;
-    pconfig.enable_coop_cache = config_.coop_cache;
     pconfig.enable_maintenance = true;
     if (config_.durable_store) {
       // Small thresholds so soak-length runs actually roll and compact
@@ -643,7 +642,6 @@ std::string SerializeSimConfig(const SimConfig& config, std::string_view failure
   out << "shape_start=" << config.schedule.shape_start << '\n';
   out << "shape_end=" << config.schedule.shape_end << '\n';
   out << "shape_hot_files=" << config.schedule.shape_hot_files << '\n';
-  out << "coop_cache=" << (config.coop_cache ? 1 : 0) << '\n';
   out << "durable_store=" << (config.durable_store ? 1 : 0) << '\n';
   out << "checkpoint_every=" << config.checkpoint_every << '\n';
   out << "max_in_flight=" << config.max_in_flight << '\n';
@@ -736,8 +734,6 @@ std::optional<SimConfig> ParseSimConfig(const std::string& text) {
       config.schedule.shape_end = as_double();
     } else if (key == "shape_hot_files") {
       config.schedule.shape_hot_files = as_u64();
-    } else if (key == "coop_cache") {
-      config.coop_cache = as_u64() != 0;
     } else if (key == "durable_store") {
       config.durable_store = as_u64() != 0;
     } else if (key == "checkpoint_every") {

@@ -45,10 +45,6 @@ struct SimConfig {
   size_t num_clients = 3;
   uint64_t quota_per_client = 48'000'000;
 
-  // Cooperative cache tier (PastConfig::enable_coop_cache) on every node.
-  // Default off: the soak's baseline fingerprints predate the coop tier.
-  bool coop_cache = false;
-
   // Durable stores: every node journals into a shared in-memory FaultEnv
   // (write-ahead log + replay; src/storage/wal.h). With no injected storage
   // faults the run is bit-identical to the in-memory default — the journal

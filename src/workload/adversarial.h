@@ -5,8 +5,7 @@
 //
 //  * Flash crowd — a tiny hot set absorbs most references inside a burst
 //    window. Stresses cache admission (a single hot file must not evict the
-//    whole cache) and rewards cooperative caching (neighbors share the one
-//    copy instead of each fetching it).
+//    whole cache).
 //  * Diurnal swing — the active client region rotates sinusoidally, so the
 //    request mix a node's cache was tuned to keeps moving away from it.
 //  * Zipf drift — the popularity ranking rotates in phases; yesterday's hot

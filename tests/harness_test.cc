@@ -109,30 +109,6 @@ TEST(HarnessTest, CacheTotalsPinnedPerPolicy) {
   }
 }
 
-// Pins the exact cooperative-cache totals of a small GD-S web-trace run, so a
-// change to the broker choice, the probe/fetch path or advertisement that
-// alters a single brokered hit shows up here.
-TEST(HarnessTest, CoopCacheTotalsPinned) {
-  ExperimentConfig config = SmallConfig();
-  config.catalog_size = 3000;
-  config.total_references = 30000;
-  config.cache_mode = CacheMode::kGreedyDualSize;
-  config.coop_cache = true;
-  ExperimentResult result = RunExperiment(config);
-  // Recorded before the cache-tier chain was folded into PastNetwork.
-  const obs::MetricsSnapshot& m = result.metrics;
-  EXPECT_EQ(m.CounterValue("past.cache.coop.probes"), 13871u);
-  EXPECT_EQ(m.CounterValue("past.cache.coop.broker_forwards"), 7975u);
-  EXPECT_EQ(m.CounterValue("past.cache.coop.hits"), 7975u);
-  EXPECT_EQ(m.CounterValue("past.cache.coop.stale"), 0u);
-  EXPECT_EQ(m.CounterValue("past.cache.coop.probe_timeouts"), 0u);
-  EXPECT_EQ(m.CounterValue("past.cache.coop.advertised"), 16774u);
-  EXPECT_EQ(m.CounterValue("past.cache.coop.retracted"), 5482u);
-  EXPECT_EQ(m.CounterValue("past.cache.local_hits"), 10569u);
-  EXPECT_EQ(m.CounterValue("past.cache.tier_misses"), 8138u);
-  EXPECT_EQ(result.global_cache_hit_rate, 0.6950003747844989);
-}
-
 // Pins the exact placement outcome of one saturating web-trace run (demand
 // factor 1.53) per placement configuration, so a change to how diversion
 // targets are chosen that alters a single choice or draw shows up here.

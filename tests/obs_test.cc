@@ -263,15 +263,25 @@ TEST(ObsHarnessTest, ConfigValidateReportsHumanReadableErrors) {
   bad.t_div = 0.5;      // t_div must not exceed t_pri
   bad.cache_mode = CacheMode::kGreedyDualSize;
   bad.cache_fraction_c = 0.0;
+  bad.cache_insertion_cost_cap = -1.0;  // would silently disable the guard
   std::vector<std::string> errors = bad.Validate();
-  EXPECT_GE(errors.size(), 4u);
+  EXPECT_GE(errors.size(), 5u);
   bool mentions_k = false;
+  bool mentions_cap = false;
   for (const std::string& error : errors) {
     if (error.find("k") != std::string::npos && error.find("leaf") != std::string::npos) {
       mentions_k = true;
     }
+    if (error.find("cache_insertion_cost_cap") != std::string::npos) {
+      mentions_cap = true;
+    }
   }
   EXPECT_TRUE(mentions_k);
+  EXPECT_TRUE(mentions_cap);
+
+  ExperimentConfig over_cap = ok;
+  over_cap.cache_insertion_cost_cap = 1.5;
+  EXPECT_EQ(over_cap.Validate().size(), 1u);
 
   EXPECT_THROW(RunExperiment(bad), std::invalid_argument);
 }

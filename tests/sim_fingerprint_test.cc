@@ -1,9 +1,8 @@
 // Golden bit-identity guard for the default simulation path. The placement
-// layer is pluggable and the cooperative cache optional, but with the
-// defaults (k-closest diversion, no cooperative cache) every refactor must
-// reproduce these SHA-1 fingerprints exactly — the same 20-seed bank, in
-// serial and overlapped (max_in_flight=4) mode, that the CI fingerprint
-// harness records.
+// layer is pluggable, but with the default (k-closest diversion) every
+// refactor must reproduce these SHA-1 fingerprints exactly — the same
+// 20-seed bank, in serial and overlapped (max_in_flight=4) mode, that the CI
+// fingerprint harness records.
 //
 // If a change to placement, caching, or the lookup state machine breaks
 // these on purpose (a deliberate default-behavior change), regenerate the
@@ -166,33 +165,6 @@ TEST_P(RecoveryGoldenSeeds, CrashRecoverSoakHoldsInvariantsAndFingerprints) {
 
 INSTANTIATE_TEST_SUITE_P(Golden, RecoveryGoldenSeeds,
                          ::testing::Range(size_t{0}, std::size(kRecoveryGolden)));
-
-// Cooperative-cache bank: the default timeline with the cooperative cache on
-// (the CoopSimConfig of coop_cache_test.cc). The schedule does not depend on
-// the cache configuration, so it matches kSerialGolden; the state differs,
-// since every brokered hit fills the origin's cache instead of the caches
-// along a route.
-constexpr GoldenFingerprint kCoopGolden[] = {
-    {1, "db60572640d3680f0b6c9b10cd515f3392fc7dc6", "2a98991b82fedf4f7670ec5e973da8a56eddef97"},
-    {2, "b7d19ec74cfb076233d14eb720409bd6a66f2ef1", "bbbb9d6640a51c117a6da8efe91d45f3925e8360"},
-    {3, "c79fa2e2572eb35b100ba39b6844f6e4d502ff70", "b90f2553e59cb01cd4222c7498a50ac34d849f6f"},
-};
-
-class CoopGoldenSeeds : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(CoopGoldenSeeds, CoopPathMatchesGoldenFingerprints) {
-  const GoldenFingerprint& golden = kCoopGolden[GetParam()];
-  SimConfig config;
-  config.seed = golden.seed;
-  config.coop_cache = true;
-  SimResult result = SimRunner(config).Run();
-  ASSERT_TRUE(result.ok) << "seed " << golden.seed << ": " << result.failure;
-  EXPECT_EQ(result.schedule_fingerprint, golden.schedule) << "seed " << golden.seed;
-  EXPECT_EQ(result.state_fingerprint, golden.state) << "seed " << golden.seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Golden, CoopGoldenSeeds,
-                         ::testing::Range(size_t{0}, std::size(kCoopGolden)));
 
 }  // namespace
 }  // namespace past

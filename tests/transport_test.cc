@@ -54,8 +54,8 @@ TEST(InlineTransportTest, CostClassesFeedLegacyTallies) {
   // Data messages: kStoreReplica (2^1) and kKeepAliveProbe (2^10).
   EXPECT_EQ(stats.messages(), 2u);
   EXPECT_EQ(stats.bytes_sent(), (uint64_t{1} << 1) + (uint64_t{1} << 10));
-  // RPCs: kDivertRequest, kInstallPointer, kCacheProbe.
-  EXPECT_EQ(stats.rpcs(), 3u);
+  // RPCs: kDivertRequest, kInstallPointer.
+  EXPECT_EQ(stats.rpcs(), 2u);
   for (size_t i = 0; i < kMessageTypeCount; ++i) {
     EXPECT_EQ(stats.sends(static_cast<MessageType>(i)), 1u)
         << MessageTypeName(static_cast<MessageType>(i));

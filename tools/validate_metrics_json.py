@@ -42,18 +42,8 @@ REQUIRED_COUNTERS = [
     # Cache layer (per-node scopes merged into the global snapshot).
     "node.cache.hits",
     "node.cache.misses",
-    # Cache accounting: route-side local hits vs lookups no cache served.
-    "past.cache.local_hits",
+    # Cache accounting: lookups no cache served.
     "past.cache.tier_misses",
-    # Cooperative cache (counters exist from network construction; all zero
-    # unless enable_coop_cache was set).
-    "past.cache.coop.probes",
-    "past.cache.coop.broker_forwards",
-    "past.cache.coop.hits",
-    "past.cache.coop.stale",
-    "past.cache.coop.probe_timeouts",
-    "past.cache.coop.advertised",
-    "past.cache.coop.retracted",
 ]
 
 REQUIRED_GAUGES = [
@@ -64,8 +54,6 @@ REQUIRED_GAUGES = [
     # Engine in-flight tracking; zero at any quiescent dump point.
     "engine.ops_in_flight",
     "engine.ops_in_flight_peak",
-    # Cooperative-cache directory census at dump time.
-    "past.cache.coop.directory_entries",
 ]
 
 REQUIRED_HISTOGRAMS = [
@@ -73,7 +61,6 @@ REQUIRED_HISTOGRAMS = [
     "past.insert.hops",
     "past.lookup.hops",
     "engine.op_latency_ms",
-    "past.cache.coop.probe_latency_ms",
 ]
 
 # Optional latency percentile gauges (bench_overload exports these); when
@@ -147,30 +134,6 @@ def validate(doc):
             )
         if gauges["engine.ops_in_flight"] > gauges["engine.ops_in_flight_peak"]:
             errors.append("engine.ops_in_flight exceeds its recorded peak")
-        # Cooperative cache: a hit is a subset of broker forwards, which
-        # is a subset of probes issued; stale resolutions and probe timeouts
-        # are disjoint failure modes of those same probes.
-        probes = counters["past.cache.coop.probes"]
-        forwards = counters["past.cache.coop.broker_forwards"]
-        coop_hits = counters["past.cache.coop.hits"]
-        if not (coop_hits <= forwards <= probes):
-            errors.append(
-                "coop funnel violated: hits "
-                f"{coop_hits} <= broker_forwards {forwards} <= probes {probes}"
-            )
-        if counters["past.cache.coop.stale"] + counters["past.cache.coop.probe_timeouts"] > probes:
-            errors.append("coop stale + probe_timeouts exceed probes issued")
-        if counters["past.cache.coop.retracted"] > counters["past.cache.coop.advertised"]:
-            errors.append("coop retractions exceed advertisements")
-        # Every cache-served lookup is either a route-side local hit or a
-        # brokered coop hit — the split must tile the total exactly.
-        tier_hits = counters["past.cache.local_hits"] + coop_hits
-        if tier_hits != counters["past.lookup.cache_hits"]:
-            errors.append(
-                "cache tier split diverges from total: local_hits + coop.hits "
-                f"{tier_hits} != past.lookup.cache_hits "
-                f"{counters['past.lookup.cache_hits']}"
-            )
         present = [g for g in LATENCY_PERCENTILE_GAUGES if g in gauges]
         if present:
             if present != LATENCY_PERCENTILE_GAUGES:
