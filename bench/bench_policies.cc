@@ -38,49 +38,55 @@ int main(int argc, char** argv) {
   ValidateOrDie(base);
   PrintHeader("Policy ablation: placement x adversarial workload", base);
 
-  std::vector<PlacementKind> placements;
+  std::optional<PlacementKind> only_placement;
   {
     std::string flag = cli.GetString("--placement", "all");
-    if (flag == "all") {
-      placements = {PlacementKind::kKClosestDiversion, PlacementKind::kResidualPerformance,
-                    PlacementKind::kRandomizedCacheSize};
-    } else {
-      std::optional<PlacementKind> kind = PlacementKindFromName(flag.c_str());
-      if (!kind.has_value()) {
+    if (flag != "all") {
+      only_placement = PlacementKindFromName(flag.c_str());
+      if (!only_placement.has_value()) {
         std::fprintf(stderr, "error: unknown --placement %s\n", flag.c_str());
         return 2;
       }
-      placements = {*kind};
     }
   }
-  std::vector<AdversarialKind> workloads;
+  std::optional<AdversarialKind> only_workload;
   {
     std::string flag = cli.GetString("--workload", "all");
-    if (flag == "all") {
-      workloads = {AdversarialKind::kFlashCrowd, AdversarialKind::kDiurnal,
-                   AdversarialKind::kZipfDrift, AdversarialKind::kRegionalFailure};
-    } else {
+    if (flag != "all") {
       AdversarialKind kind;
       if (!AdversarialKindFromName(flag.c_str(), &kind)) {
         std::fprintf(stderr, "error: unknown --workload %s\n", flag.c_str());
         return 2;
       }
-      workloads = {kind};
+      only_workload = kind;
     }
   }
 
-  // Cell i runs with seed base + 2*i: the seeds the EXPERIMENTS.md rows
-  // were recorded with.
+  // The full grid is workload-major. A cell runs with seed base + 2 * its
+  // index in the full grid, whichever cells the filters select, so a
+  // filtered run prints the same row for a cell as the full grid does.
+  constexpr AdversarialKind kWorkloads[] = {AdversarialKind::kFlashCrowd, AdversarialKind::kDiurnal,
+                                            AdversarialKind::kZipfDrift,
+                                            AdversarialKind::kRegionalFailure};
+  constexpr PlacementKind kPlacements[] = {PlacementKind::kKClosestDiversion,
+                                           PlacementKind::kResidualPerformance,
+                                           PlacementKind::kRandomizedCacheSize};
   struct Cell {
     AdversarialKind workload;
     PlacementKind placement;
   };
   std::vector<Cell> cells;
   std::vector<ExperimentConfig> configs;
-  for (AdversarialKind w : workloads) {
-    for (PlacementKind p : placements) {
+  uint64_t grid_index = 0;
+  for (AdversarialKind w : kWorkloads) {
+    for (PlacementKind p : kPlacements) {
+      uint64_t index = grid_index++;
+      if ((only_workload.has_value() && w != *only_workload) ||
+          (only_placement.has_value() && p != *only_placement)) {
+        continue;
+      }
       ExperimentConfig config = base;
-      config.seed = base.seed + 2 * cells.size();
+      config.seed = base.seed + 2 * index;
       config.adversarial_kind = w;
       config.placement = p;
       config.residual_shed_load = static_cast<uint64_t>(cli.GetInt("--residual-shed-load", 64));

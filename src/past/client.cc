@@ -132,18 +132,6 @@ class PastClient::InsertDriver : public ClientOp,
   bool done_ = false;
 };
 
-// Lookups and reclaims are single-shot: the driver is a thin ClientOp shim
-// over the engine op (reclaim's receipt crediting rides its callback).
-class PastClient::SingleShotDriver : public ClientOp {
- public:
-  explicit SingleShotDriver(std::shared_ptr<AsyncOp> op) : op_(std::move(op)) {}
-  bool done() const override { return op_->done(); }
-  void Cancel() override { op_->Cancel(); }
-
- private:
-  std::shared_ptr<AsyncOp> op_;
-};
-
 PastClient::PastClient(PastNetwork& network, const NodeId& access_node, uint64_t quota_bytes,
                        uint64_t seed)
     : network_(network), access_node_(access_node), rng_(seed), card_(rng_, quota_bytes) {}
@@ -170,13 +158,12 @@ OpHandle PastClient::BeginInsertContent(const std::string& name, const std::stri
 }
 
 OpHandle PastClient::BeginLookup(const FileId& file_id, LookupCallback callback) {
-  auto op = network_.engine().StartLookup(access_node_, file_id, std::move(callback));
-  return OpHandle(std::make_shared<SingleShotDriver>(std::move(op)));
+  return OpHandle(network_.engine().StartLookup(access_node_, file_id, std::move(callback)));
 }
 
 OpHandle PastClient::BeginReclaim(const FileId& file_id, ReclaimCallback callback) {
   ReclaimCertificate certificate = card_.IssueReclaimCertificate(file_id, ++clock_);
-  auto op = network_.engine().StartReclaim(
+  return OpHandle(network_.engine().StartReclaim(
       access_node_, certificate,
       [this, callback = std::move(callback)](const ReclaimResult& result) {
         for (const ReclaimReceipt& receipt : result.receipts) {
@@ -185,8 +172,7 @@ OpHandle PastClient::BeginReclaim(const FileId& file_id, ReclaimCallback callbac
         if (callback) {
           callback(result);
         }
-      });
-  return OpHandle(std::make_shared<SingleShotDriver>(std::move(op)));
+      }));
 }
 
 bool PastClient::Poll() { return network_.engine().Poll(); }
@@ -219,7 +205,9 @@ ClientInsertResult PastClient::InsertContent(const std::string& name,
 }
 
 LookupResult PastClient::Lookup(const FileId& file_id) {
-  return network_.Lookup(access_node_, file_id);
+  auto op = network_.engine().StartLookup(access_node_, file_id, nullptr);
+  Wait(OpHandle(op));
+  return op->result();
 }
 
 ReclaimResult PastClient::Reclaim(const FileId& file_id) {
@@ -231,11 +219,16 @@ ReclaimResult PastClient::Reclaim(const FileId& file_id) {
 
 InsertResult PastClient::InsertCertified(const FileCertificate& certificate, uint64_t size,
                                          FileContentRef content) {
-  return network_.Insert(access_node_, certificate, size, std::move(content));
+  auto op = network_.engine().StartInsert(access_node_, certificate, size, std::move(content),
+                                          nullptr);
+  Wait(OpHandle(op));
+  return op->result();
 }
 
 ReclaimResult PastClient::ReclaimCertified(const ReclaimCertificate& certificate) {
-  return network_.Reclaim(access_node_, certificate);
+  auto op = network_.engine().StartReclaim(access_node_, certificate, nullptr);
+  Wait(OpHandle(op));
+  return op->result();
 }
 
 }  // namespace past

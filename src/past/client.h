@@ -12,10 +12,10 @@
 //    state machine finishes. Any number of ops may be in flight at once;
 //    drive them with Poll() (one transport event) or Wait()/WaitAll().
 //
-//  * Blocking wrappers: Insert / Lookup / Reclaim are exactly Begin* +
-//    Wait() — one op in flight, drained to completion. Under the default
-//    InlineTransport the op completes inside Begin*, so the wrappers behave
-//    bit-identically to the pre-engine blocking coordinators.
+//  * Blocking wrappers: Insert / Lookup / Reclaim start the op their Begin*
+//    counterpart starts (InsertCertified / ReclaimCertified: one engine op
+//    each) and Wait() for it — one op, drained to completion. Under the
+//    default InlineTransport the op completes inside its start call.
 //
 // Callback rules: the completion callback is invoked exactly once unless the
 // op is cancelled first — a cancelled op's callback is never invoked and its
@@ -34,6 +34,7 @@
 
 #include "src/common/rng.h"
 #include "src/crypto/smartcard.h"
+#include "src/past/ops/async_op.h"
 #include "src/past/past_network.h"
 
 namespace past {
@@ -47,17 +48,6 @@ struct ClientInsertResult {
   int attempts = 0;
   InsertStatus last_status = InsertStatus::kNoSpace;
   bool quota_exceeded = false;
-};
-
-// An in-flight client operation (insert retry loop, lookup, or reclaim).
-// Implementations live in client.cc; users hold them through OpHandle.
-class ClientOp {
- public:
-  virtual ~ClientOp() = default;
-  virtual bool done() const = 0;
-  // Abandons the op: the completion callback will not run, partial effects
-  // (e.g. replicas stored by an unfinished insert attempt) are rolled back.
-  virtual void Cancel() = 0;
 };
 
 // Shared handle to a submitted operation. Copyable; the underlying op stays
@@ -117,12 +107,12 @@ class PastClient {
 
   // Advances the transport by one event; false when idle.
   bool Poll();
-  // Pumps until `handle` completes.
+  // Pumps until `handle` completes: the one blocking drive loop.
   void Wait(const OpHandle& handle);
   // Pumps until no operation is in flight anywhere on the network.
   void WaitAll();
 
-  // --- blocking wrappers (Begin* + Wait) ---
+  // --- blocking wrappers (start the op, then Wait) ---
 
   ClientInsertResult Insert(const std::string& name, uint64_t size);
   ClientInsertResult InsertContent(const std::string& name, const std::string& content);
@@ -143,7 +133,6 @@ class PastClient {
 
  private:
   class InsertDriver;
-  class SingleShotDriver;
 
   PastNetwork& network_;
   NodeId access_node_;

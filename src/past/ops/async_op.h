@@ -102,29 +102,38 @@ class OpCore {
   Transport& transport_;
 };
 
+// An in-flight client operation, as a PastClient user holds it through an
+// OpHandle (client.h): an engine op, or the client's insert retry loop.
+class ClientOp {
+ public:
+  virtual ~ClientOp() = default;
+  virtual bool done() const = 0;
+  // Abandons the op: the completion callback will not run, partial effects
+  // (e.g. replicas stored by an unfinished insert attempt) are rolled back.
+  virtual void Cancel() = 0;
+};
+
 // Base state machine. Derived ops implement their protocol as a chain of
 // phases; the engine (op_engine.h) creates them, owns them, counts them,
 // and drains them.
-class AsyncOp : public OpCore {
+class AsyncOp : public OpCore, public ClientOp {
  public:
   // Reply handler / phase continuation types. Derived ops pass their own
   // member function pointers; the template overloads below upcast them.
   using Handler = void (AsyncOp::*)(const Delivery&);
   using Continuation = void (AsyncOp::*)();
 
-  virtual ~AsyncOp() = default;
-
   AsyncOp(const AsyncOp&) = delete;
   AsyncOp& operator=(const AsyncOp&) = delete;
 
-  bool done() const { return done_; }
+  bool done() const override { return done_; }
   bool cancelled() const { return cancelled_; }
   bool timed_out() const { return timed_out_; }
 
   // Abandons the op before completion: outstanding handlers are closed (late
   // deliveries are ignored), partial effects are rolled back via OnCancel(),
   // and the completion callback is NOT invoked. No-op once done.
-  void Cancel();
+  void Cancel() override;
 
  protected:
   explicit AsyncOp(PastNetwork& net) : OpCore(net) {}

@@ -102,17 +102,6 @@ bool OpEngine::Poll() {
   return net_.transport().StepOne();
 }
 
-void OpEngine::Wait(const AsyncOp& op) {
-  while (!op.done()) {
-    if (!Poll()) {
-      // The drive queue ran dry with the op unfinished. Phase timeouts make
-      // this unreachable; hitting it means the engine lost an event source.
-      PAST_LOG(kError) << "OpEngine::Wait: transport idle with op unfinished";
-      return;
-    }
-  }
-}
-
 void OpEngine::WaitAll() {
   while (in_flight_ > 0) {
     if (!Poll()) {

@@ -5,13 +5,11 @@
 // provides the drain primitives the client API is built on:
 //
 //   auto op = engine.StartLookup(origin, id, [](const LookupResult& r) {...});
-//   engine.Wait(*op);    // pump transport events until this op completes
-//   engine.WaitAll();    // ... until no op is in flight
 //   engine.Poll();       // one event; returns whether anything ran
+//   engine.WaitAll();    // pump transport events until no op is in flight
 //
-// Under InlineTransport every op completes inside Start* (deliveries are
-// synchronous), so Wait() returns immediately — the blocking wrappers built
-// on the engine behave exactly like the pre-engine coordinators. Under
+// PastClient::Wait pumps Poll() until one op is done. Under InlineTransport
+// every op completes inside Start* (deliveries are synchronous). Under
 // SimTransport any number of ops overlap; deliveries, op timeouts, and
 // co-scheduled timers (keep-alive rounds) interleave in virtual-time order.
 // Ownership: the engine owns every op it starts. Ops hand the transport
@@ -74,9 +72,6 @@ class OpEngine {
   // anything ran. False with ops in flight means the drive queue is empty —
   // impossible while any phase timeout is armed.
   bool Poll();
-
-  // Pumps until `op` completes.
-  void Wait(const AsyncOp& op);
 
   // Pumps until no op is in flight.
   void WaitAll();

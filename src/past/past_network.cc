@@ -8,10 +8,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
-#include "src/past/ops/insert_op.h"
-#include "src/past/ops/lookup_op.h"
 #include "src/past/ops/op_engine.h"
-#include "src/past/ops/reclaim_op.h"
 #include "src/past/ops/repair_op.h"
 
 namespace past {
@@ -583,25 +580,6 @@ void PastNetwork::CacheAlongPath(const std::vector<NodeId>& path, const FileId& 
       pn->CacheFile(file_id, size, content);
     }
   }
-}
-
-InsertResult PastNetwork::Insert(const NodeId& origin, const FileCertificate& certificate,
-                                 uint64_t size, FileContentRef content) {
-  auto op = engine_->StartInsert(origin, certificate, size, std::move(content), nullptr);
-  engine_->Wait(*op);
-  return op->result();
-}
-
-LookupResult PastNetwork::Lookup(const NodeId& origin, const FileId& file_id) {
-  auto op = engine_->StartLookup(origin, file_id, nullptr);
-  engine_->Wait(*op);
-  return op->result();
-}
-
-ReclaimResult PastNetwork::Reclaim(const NodeId& origin, const ReclaimCertificate& certificate) {
-  auto op = engine_->StartReclaim(origin, certificate, nullptr);
-  engine_->Wait(*op);
-  return op->result();
 }
 
 double PastNetwork::utilization() const {

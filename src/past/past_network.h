@@ -30,7 +30,6 @@ class InsertOp;
 class LookupOp;
 class OpCore;
 class OpEngine;
-class PastClient;
 class ReclaimOp;
 class RepairOp;
 class ScaleEngine;
@@ -135,16 +134,12 @@ class PastNetwork : public MembershipObserver {
   const PastNode* storage_node(const NodeId& id) const;
   size_t node_count() const { return nodes_.size(); }
 
-  // --- client-visible operations ---
+  // --- operation engine ---
 
-  // All client operations go through a PastClient (src/past/client.h): either
-  // the async submit/completion surface (BeginInsert/BeginLookup/BeginReclaim)
-  // or its blocking wrappers. The network-level Insert/Lookup/Reclaim entry
-  // points are private — they execute exactly one protocol attempt with no
-  // re-salting or receipt bookkeeping, which only the client layers correctly.
-
-  // The operation engine: submits ops, tracks in-flight counts, drains the
-  // transport. Exposed so harnesses can Poll()/WaitAll() and read gauges.
+  // Runs the insert / lookup / reclaim state machines: starts ops, tracks
+  // in-flight counts, drains the transport. Clients submit through a
+  // PastClient (src/past/client.h), which adds re-salting and quota
+  // bookkeeping; harnesses Poll()/WaitAll() here and read the gauges.
   OpEngine& engine() { return *engine_; }
 
   // --- global metrics ---
@@ -212,22 +207,12 @@ class PastNetwork : public MembershipObserver {
   friend class LookupOp;
   friend class OpCore;
   friend class OpEngine;
-  friend class PastClient;
   friend class ReclaimOp;
   friend class RepairOp;
   // The epoch-sharded extreme-scale driver (src/sim/scale_engine.h): plans
   // routes in parallel against frozen membership, then commits storage
   // decisions serially through the same private helpers the ops use.
   friend class ScaleEngine;
-
-  // Single-attempt protocol executions (blocking: submit on the engine, then
-  // drain). PastClient is the public doorway; see the comment on engine().
-  InsertResult Insert(const NodeId& origin, const FileCertificate& certificate, uint64_t size,
-                      FileContentRef content = nullptr);
-
-  LookupResult Lookup(const NodeId& origin, const FileId& file_id);
-
-  ReclaimResult Reclaim(const NodeId& origin, const ReclaimCertificate& certificate);
 
   struct PendingStore {
     NodeId node;

@@ -4,18 +4,14 @@
 
 namespace past {
 
-KeepAliveDriver::KeepAliveDriver(EventQueue& queue, PastryNetwork& network, SimTime period)
-    : queue_(queue), network_(network), period_(period) {
+KeepAliveDriver::KeepAliveDriver(EventQueue& queue, PastryNetwork& network,
+                                 Transport& transport, SimTime period, SimTime timeout)
+    : queue_(queue), network_(network), transport_(transport), period_(period),
+      timeout_(timeout) {
   ScheduleNext();
 }
 
 KeepAliveDriver::~KeepAliveDriver() { Stop(); }
-
-void KeepAliveDriver::UseTransport(Transport* transport, SimTime timeout) {
-  transport_ = transport;
-  timeout_ = timeout;
-  unresponsive_since_.clear();
-}
 
 void KeepAliveDriver::Stop() {
   if (!stopped_) {
@@ -36,15 +32,6 @@ void KeepAliveDriver::RunRound() {
     return;
   }
   ++rounds_run_;
-  if (transport_ == nullptr) {
-    failures_detected_ += network_.DetectAndRepair();
-  } else {
-    RunProbeRound();
-  }
-  ScheduleNext();
-}
-
-void KeepAliveDriver::RunProbeRound() {
   // Probe every leaf-set edge through the fabric; any answered probe marks
   // the member responsive for this round. The containers live on this frame
   // until Settle() returns, so the continuations may capture them by
@@ -65,12 +52,12 @@ void KeepAliveDriver::RunProbeRound() {
       probe.type = MessageType::kKeepAliveProbe;
       probe.from = id;
       probe.to = member;
-      // The same 16-byte probe the direct DetectAndRepair() scan accounts.
+      // The same 16-byte probe PastryNetwork::DetectAndRepair() accounts.
       probe.payload_bytes = 16;
       probe.hops = 1;
       probe.distance =
           (topo.Contains(id) && topo.Contains(member)) ? topo.Distance(id, member) : 0.0;
-      transport_->Send(probe, [this, id, member, &responded](const Delivery&) {
+      transport_.Send(probe, [this, id, member, &responded](const Delivery&) {
         if (!network_.IsAlive(member)) {
           return;  // a dead node receives nothing and answers nothing
         }
@@ -78,13 +65,13 @@ void KeepAliveDriver::RunProbeRound() {
         ack.type = MessageType::kKeepAliveAck;
         ack.from = member;
         ack.to = id;
-        transport_->Send(ack, [&responded, member](const Delivery&) {
+        transport_.Send(ack, [&responded, member](const Delivery&) {
           responded[member] = true;
         });
       });
     }
   }
-  transport_->Settle();
+  transport_.Settle();
 
   SimTime now = queue_.now();
   for (const NodeId& member : probed) {
@@ -92,8 +79,7 @@ void KeepAliveDriver::RunProbeRound() {
       unresponsive_since_.erase(member);
       continue;
     }
-    auto [it, first_miss] = unresponsive_since_.emplace(member, now);
-    (void)first_miss;
+    auto it = unresponsive_since_.emplace(member, now).first;
     if (now - it->second >= timeout_) {
       // Unresponsive for the paper's period T: presumed failed. FailNode
       // repairs leaf sets and notifies observers (replica maintenance) —
@@ -104,6 +90,11 @@ void KeepAliveDriver::RunProbeRound() {
       ++failures_detected_;
     }
   }
+  // A member that left every leaf set (failed by another path, say) starts
+  // afresh if it rejoins: its first miss after that opens a new timeout.
+  std::erase_if(unresponsive_since_,
+                [&responded](const auto& entry) { return !responded.contains(entry.first); });
+  ScheduleNext();
 }
 
 }  // namespace past

@@ -3,19 +3,14 @@
 // T is presumed failed, triggering leaf-set repair in all affected nodes.
 //
 // The KeepAliveDriver binds that behavior to the discrete-event clock: every
-// `period` of virtual time it runs one probe round over the overlay. A
-// silently failed node is therefore detected no later than its failure time
-// plus period + timeout (the paper's recovery period).
-//
-// Two probing modes:
-//  * Direct (default): one DetectAndRepair() scan per round — the overlay
-//    checks liveness omnisciently. Detects dead nodes, but cannot see
-//    network partitions.
-//  * Transport (UseTransport): kKeepAliveProbe / kKeepAliveAck messages per
-//    leaf-set edge over the message fabric. Probes are subject to the
-//    transport's fault plan (drops, partitions); a member whose probes have
-//    gone unanswered for `timeout` of virtual time is presumed failed and
-//    removed — which is how a partitioned-but-running node is detected.
+// `period` of virtual time it sends a kKeepAliveProbe over every leaf-set
+// edge through the message fabric and counts the kKeepAliveAck replies.
+// Probes are subject to the transport's fault plan (drops, partitions); a
+// member whose probes have gone unanswered for `timeout` of virtual time —
+// measured from its first missed round — is presumed failed and removed.
+// A silently dead node is therefore detected no later than its failure time
+// plus period + timeout (the paper's recovery period), and a partitioned but
+// running node is detected the same way.
 #ifndef SRC_PASTRY_KEEPALIVE_H_
 #define SRC_PASTRY_KEEPALIVE_H_
 
@@ -30,17 +25,14 @@ namespace past {
 class KeepAliveDriver {
  public:
   // Starts probing immediately: the first round fires at now() + period.
-  KeepAliveDriver(EventQueue& queue, PastryNetwork& network, SimTime period);
+  // `transport` (typically the SimTransport driving the same queue) must
+  // outlive this driver.
+  KeepAliveDriver(EventQueue& queue, PastryNetwork& network, Transport& transport,
+                  SimTime period, SimTime timeout);
   ~KeepAliveDriver();
 
   KeepAliveDriver(const KeepAliveDriver&) = delete;
   KeepAliveDriver& operator=(const KeepAliveDriver&) = delete;
-
-  // Switches probing onto `transport` (typically the SimTransport driving
-  // the same queue; must outlive this driver). A member unresponsive for
-  // `timeout` of virtual time — measured from its first missed round — is
-  // presumed failed. Pass nullptr to return to the direct mode.
-  void UseTransport(Transport* transport, SimTime timeout);
 
   // Stops scheduling further rounds (pending round is cancelled).
   void Stop();
@@ -52,14 +44,14 @@ class KeepAliveDriver {
  private:
   void ScheduleNext();
   void RunRound();
-  void RunProbeRound();
 
   EventQueue& queue_;
   PastryNetwork& network_;
+  Transport& transport_;
   SimTime period_;
-  Transport* transport_ = nullptr;
-  SimTime timeout_ = 0;
-  // First virtual time each currently-unresponsive member missed a round.
+  SimTime timeout_;
+  // When each member's current run of missed rounds began. A member that was
+  // not probed in the latest round (it left every leaf set) has no record.
   std::unordered_map<NodeId, SimTime, NodeIdHash> unresponsive_since_;
   EventQueue::EventId pending_event_ = 0;
   bool stopped_ = false;

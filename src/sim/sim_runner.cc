@@ -68,8 +68,8 @@ class Execution {
     options.seed = config_.seed ^ 0xfab71cULL;
     transport_ = &net_->UseSimTransport(queue_, options);
 
-    driver_ = std::make_unique<KeepAliveDriver>(queue_, net_->overlay(), kKeepAlivePeriod);
-    driver_->UseTransport(transport_, kKeepAliveTimeout);
+    driver_ = std::make_unique<KeepAliveDriver>(queue_, net_->overlay(), *transport_,
+                                                kKeepAlivePeriod, kKeepAliveTimeout);
 
     for (size_t i = 0; i < config_.num_clients; ++i) {
       clients_.push_back(std::make_unique<PastClient>(
@@ -140,11 +140,11 @@ class Execution {
     }
   }
 
-  bool overlapped() const { return config_.max_in_flight > 1; }
-
-  // Overlap mode: keep submitting until the window is full, then pump the
-  // transport until a slot frees up. Completion callbacks (which do the
-  // bookkeeping below) run from inside Poll().
+  // Every op is submitted through the engine: keep submitting until the
+  // window is full, then pump the transport until a slot frees up.
+  // Completion callbacks (which do the bookkeeping below) run from inside
+  // Poll(). A window of one drives each op to completion before the next
+  // schedule position.
   void ThrottleInFlight() {
     while (net_->engine().in_flight() >= config_.max_in_flight) {
       if (!net_->engine().Poll()) {
@@ -174,13 +174,9 @@ class Execution {
     size_t ci = ev.pick % clients_.size();
     uint64_t size = kMinFileSize + ev.aux % (kMaxFileSize - kMinFileSize + 1);
     std::string name = "sim-" + std::to_string(insert_counter_++) + ".bin";
-    if (overlapped()) {
-      clients_[ci]->BeginInsert(
-          name, size, [this, ci, size](const ClientInsertResult& r) { OnInsertDone(ci, size, r); });
-      ThrottleInFlight();
-      return;
-    }
-    OnInsertDone(ci, size, clients_[ci]->Insert(name, size));
+    clients_[ci]->BeginInsert(
+        name, size, [this, ci, size](const ClientInsertResult& r) { OnInsertDone(ci, size, r); });
+    ThrottleInFlight();
   }
 
   void DoLookup(const ScheduledEvent& ev) {
@@ -191,14 +187,9 @@ class Execution {
     const TrackedFile& f = files_[live[ev.pick % live.size()]];
     // Results are not asserted here: under the active fault plan a lookup
     // may legitimately time out. Checkpoint probes assert reachability.
-    if (overlapped()) {
-      clients_[ev.aux % clients_.size()]->BeginLookup(f.id, nullptr);
-      ++result_.lookups;
-      ThrottleInFlight();
-      return;
-    }
-    clients_[ev.aux % clients_.size()]->Lookup(f.id);
+    clients_[ev.aux % clients_.size()]->BeginLookup(f.id, nullptr);
     ++result_.lookups;
+    ThrottleInFlight();
   }
 
   void DoReclaim(const ScheduledEvent& ev) {
@@ -211,16 +202,11 @@ class Execution {
     // Message loss may leave stragglers; the checkpoint finalizes them. The
     // file leaves the live set at submission so no later event races it.
     pending_reclaim_.push_back(idx);
-    if (overlapped()) {
-      size_t owner = f.owner;
-      clients_[owner]->BeginReclaim(f.id, [this, owner](const ReclaimResult& r) {
-        CreditShadow(owner, r.receipts);
-      });
-      ThrottleInFlight();
-      return;
-    }
-    ReclaimResult r = clients_[f.owner]->Reclaim(f.id);
-    CreditShadow(f.owner, r.receipts);
+    size_t owner = f.owner;
+    clients_[owner]->BeginReclaim(f.id, [this, owner](const ReclaimResult& r) {
+      CreditShadow(owner, r.receipts);
+    });
+    ThrottleInFlight();
   }
 
   void DoJoin(const ScheduledEvent& ev) {
@@ -340,16 +326,14 @@ class Execution {
 
   void Checkpoint() {
     ++result_.checkpoints;
-    if (overlapped()) {
-      // Audit what must hold even mid-flight, then drain the window so the
-      // quiescent protocol below sees a settled network.
-      InvariantReport mid = InvariantChecker().CheckDuringOps(*net_);
-      if (!mid.ok() && failure_.empty()) {
-        failure_ = "mid-flight " + mid.Summary();
-        return;
-      }
-      net_->engine().WaitAll();
+    // Audit what must hold even mid-flight, then drain the window so the
+    // quiescent protocol below sees a settled network.
+    InvariantReport mid = InvariantChecker().CheckDuringOps(*net_);
+    if (!mid.ok() && failure_.empty()) {
+      failure_ = "mid-flight " + mid.Summary();
+      return;
     }
+    net_->engine().WaitAll();
     if (!failure_.empty()) {
       return;  // a completion callback reported a violation while draining
     }

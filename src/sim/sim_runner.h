@@ -57,12 +57,12 @@ struct SimConfig {
   // Invariant checkpoint every this many schedule positions (a final
   // checkpoint always runs at end of schedule).
   size_t checkpoint_every = 40;
-  // Client operations allowed in flight at once. 1 (the default) drives
-  // every op to completion before the next schedule position — the classic
-  // serialized soak. Above 1, ops are submitted through the async engine
-  // (PastClient::Begin*) and overlap on the virtual timeline; each
-  // checkpoint first audits the mid-flight invariants, then drains all ops
-  // before the quiescent protocol runs.
+  // Client operations allowed in flight at once. Every op is submitted
+  // through the async engine (PastClient::Begin*); 1 (the default) is a
+  // serialized window that drives each op to completion before the next
+  // schedule position, and above 1 ops overlap on the virtual timeline.
+  // Each checkpoint first audits the mid-flight invariants, then drains all
+  // ops before the quiescent protocol runs.
   size_t max_in_flight = 1;
   // Execute only schedule positions [0, max_events) — the minimizer's
   // truncation knob. kAllEvents means the full timeline.

@@ -1,9 +1,10 @@
 // The submit/completion surface of the async operation engine: completion
 // callbacks fire in virtual-time completion order (not submission order) and
-// deterministically so; a cancelled op never runs its callback and leaves no
-// partial state; an op that times out while duplicate replies are still in
-// flight rolls back cleanly and ignores the stragglers; and the blocking
-// wrappers are bit-identical to Begin* + Wait on a fixed seed bank.
+// deterministically so; a cancelled op never runs its callback, and a
+// cancelled insert leaves no partial state; an op that times out while
+// duplicate replies are still in flight rolls back cleanly and ignores the
+// stragglers; and the blocking wrappers are bit-identical to Begin* + Wait
+// on a fixed seed bank.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -144,6 +145,44 @@ TEST_F(AsyncOpsTest, CancelBeforeCompletionSuppressesCallbackAndRollsBack) {
   const obs::Counter* cancelled = network().metrics().FindCounter("engine.ops.cancelled");
   ASSERT_NE(cancelled, nullptr);
   EXPECT_EQ(cancelled->value(), 1u);
+}
+
+TEST_F(AsyncOpsTest, CancelledLookupAndReclaimNeverCallBack) {
+  Build(60);
+  PastClient client(network(), AnyNode(), 1ull << 40, 83);
+  ClientInsertResult looked_up = client.Insert("looked-up.bin", 10'000);
+  ClientInsertResult reclaimed = client.Insert("reclaimed.bin", 10'000);
+  ASSERT_TRUE(looked_up.stored);
+  ASSERT_TRUE(reclaimed.stored);
+  const uint64_t quota_before = client.card().quota_remaining();
+  const obs::Counter* cancelled = network().metrics().FindCounter("engine.ops.cancelled");
+  ASSERT_NE(cancelled, nullptr);
+  const uint64_t cancelled_before = cancelled->value();
+
+  bool lookup_called = false;
+  bool reclaim_called = false;
+  OpHandle lookup = client.BeginLookup(looked_up.file_id,
+                                       [&](const LookupResult&) { lookup_called = true; });
+  OpHandle reclaim = client.BeginReclaim(reclaimed.file_id,
+                                         [&](const ReclaimResult&) { reclaim_called = true; });
+  ASSERT_TRUE(client.Poll());
+  ASSERT_FALSE(lookup.done());
+  ASSERT_FALSE(reclaim.done());
+
+  lookup.Cancel();
+  reclaim.Cancel();
+  EXPECT_TRUE(lookup.done());
+  EXPECT_TRUE(reclaim.done());
+  EXPECT_EQ(cancelled->value(), cancelled_before + 2);
+  // Straggling deliveries land on closed handlers: no callback, and no
+  // reclaim receipt reaches the quota.
+  client.WaitAll();
+  EXPECT_EQ(network().engine().in_flight(), 0u);
+  while (queue_.Step()) {
+  }
+  EXPECT_FALSE(lookup_called);
+  EXPECT_FALSE(reclaim_called);
+  EXPECT_EQ(client.card().quota_remaining(), quota_before);
 }
 
 TEST_F(AsyncOpsTest, TimeoutWithDuplicateRepliesInFlightRollsBackCleanly) {

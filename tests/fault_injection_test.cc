@@ -139,8 +139,7 @@ TEST_F(FaultInjectionTest, PartitionedNodeIsPresumedFailedAndRepaired) {
   // once it has been unresponsive for T = 3 periods.
   constexpr SimTime kPeriod = 1'000;
   constexpr SimTime kTimeout = 3 * kPeriod;
-  KeepAliveDriver driver(queue_, network().overlay(), kPeriod);
-  driver.UseTransport(&network().transport(), kTimeout);
+  KeepAliveDriver driver(queue_, network().overlay(), network().transport(), kPeriod, kTimeout);
 
   // Partition a node that holds a replica of the first file. It stays alive
   // (and keeps probing), but nothing reaches it and none of its probes or
@@ -190,8 +189,7 @@ TEST_F(FaultInjectionTest, DuplicateDeliveryDuringPartitionStaysConsistent) {
 
   constexpr SimTime kPeriod = 1'000;
   constexpr SimTime kTimeout = 3 * kPeriod;
-  KeepAliveDriver driver(queue_, network().overlay(), kPeriod);
-  driver.UseTransport(&network().transport(), kTimeout);
+  KeepAliveDriver driver(queue_, network().overlay(), network().transport(), kPeriod, kTimeout);
 
   NodeId victim;
   bool found_victim = false;
