@@ -1,8 +1,14 @@
 // Tests for the simulation-grade RSA layer and modular arithmetic.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/rng.h"
+#include "src/crypto/certificates.h"
 #include "src/crypto/keys.h"
+#include "src/crypto/sha1.h"
+#include "src/crypto/smartcard.h"
+#include "src/past/past_node.h"
 
 namespace past {
 namespace {
@@ -80,6 +86,53 @@ TEST(KeyPairTest, DistinctKeysGenerated) {
 TEST(KeyPairTest, EmptyKeyNeverVerifies) {
   PublicKey empty;
   EXPECT_FALSE(KeyPair::Verify(empty, "anything", Signature{123}));
+}
+
+// Pins the exact bytes the crypto layer produces: 100 owner cards and 100
+// storing nodes from fixed seeds, 10 files per owner, so 1,000 fileIds,
+// each with its file-certificate, store-receipt, reclaim-certificate and
+// reclaim-receipt signature, folded into one SHA-1. Any change to key
+// generation, signing, the signed byte sequences or fileId derivation moves
+// the digest; a faster implementation of the same arithmetic does not.
+TEST(KeyPairTest, SignaturesAndFileIdsPinned) {
+  Rng owner_rng(0x5160);
+  Rng node_rng(0x5161);
+  PastConfig config;
+  Sha1 fold;
+  auto fold_u64 = [&fold](uint64_t v) {
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
+    }
+    fold.Update(bytes, sizeof(bytes));
+  };
+  int verified = 0;
+  for (int owner_index = 0; owner_index < 100; ++owner_index) {
+    Smartcard owner(owner_rng, 1ull << 40);
+    PastNode node(NodeId(owner_rng.NextU64(), owner_rng.NextU64()), config, 1ull << 30, node_rng);
+    fold_u64(owner.public_key().modulus);
+    fold_u64(node.card().public_key().modulus);
+    for (int f = 0; f < 10; ++f) {
+      std::string name = "owner-" + std::to_string(owner_index) + "/file-" + std::to_string(f);
+      uint64_t salt = owner_rng.NextU64();
+      uint64_t size = owner_rng.NextU64() % 1'000'000;
+      auto cert = owner.IssueFileCertificate(name, salt, size, 5, Sha1::Hash(name),
+                                             static_cast<uint64_t>(f));
+      ASSERT_TRUE(cert.has_value());
+      StoreReceipt store = node.MakeStoreReceipt(cert->file_id);
+      ReclaimCertificate reclaim = owner.IssueReclaimCertificate(cert->file_id, size);
+      ReclaimReceipt reclaimed = node.MakeReclaimReceipt(cert->file_id, size);
+      fold.Update(cert->file_id.bytes().data(), cert->file_id.bytes().size());
+      fold_u64(cert->signature.value);
+      fold_u64(store.signature.value);
+      fold_u64(reclaim.signature.value);
+      fold_u64(reclaimed.signature.value);
+      verified += cert->VerifySignature() + store.Verify() + reclaim.VerifySignature() +
+                  reclaimed.Verify();
+    }
+  }
+  EXPECT_EQ(verified, 4000);
+  EXPECT_EQ(DigestToHex(fold.Final()), "5a0a2e453aa38039925fed184f91df5cefb6250e");
 }
 
 // Property sweep: many keys, many messages.
