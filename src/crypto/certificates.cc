@@ -3,19 +3,27 @@
 namespace past {
 namespace {
 
-void AppendU64(std::string* out, uint64_t v) {
+// The signed byte sequences are fed field by field into a SHA-1 context:
+// fixed-width fields big-endian, ids and digests as raw bytes, keys as
+// PublicKey::ToBytes().
+void HashU64(Sha1& ctx, uint64_t v) {
+  uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (56 - 8 * i)));
+    bytes[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
   }
+  ctx.Update(bytes, sizeof(bytes));
 }
 
-void AppendFileId(std::string* out, const FileId& id) {
-  out->append(reinterpret_cast<const char*>(id.bytes().data()), id.bytes().size());
+void HashFileId(Sha1& ctx, const FileId& id) { ctx.Update(id.bytes().data(), id.bytes().size()); }
+
+void HashNodeId(Sha1& ctx, const NodeId& id) {
+  HashU64(ctx, Uint128High64(id.value()));
+  HashU64(ctx, Uint128Low64(id.value()));
 }
 
-void AppendNodeId(std::string* out, const NodeId& id) {
-  AppendU64(out, Uint128High64(id.value()));
-  AppendU64(out, Uint128Low64(id.value()));
+void HashKey(Sha1& ctx, const PublicKey& key) {
+  const std::array<uint8_t, 16> bytes = key.ToBytes();
+  ctx.Update(bytes.data(), bytes.size());
 }
 
 }  // namespace
@@ -23,67 +31,63 @@ void AppendNodeId(std::string* out, const NodeId& id) {
 FileId ComputeFileId(const std::string& name, const PublicKey& owner, uint64_t salt) {
   Sha1 ctx;
   ctx.Update(name);
-  std::string key_bytes = owner.ToBytes();
-  ctx.Update(key_bytes);
-  std::string salt_bytes;
-  AppendU64(&salt_bytes, salt);
-  ctx.Update(salt_bytes);
+  HashKey(ctx, owner);
+  HashU64(ctx, salt);
   return FileId(ctx.Final());
 }
 
-std::string FileCertificate::SignedPayload() const {
-  std::string out;
-  out.reserve(80);
-  AppendFileId(&out, file_id);
-  out.append(reinterpret_cast<const char*>(content_hash.data()), content_hash.size());
-  AppendU64(&out, replication_factor);
-  AppendU64(&out, salt);
-  AppendU64(&out, creation_date);
-  out.append(owner.ToBytes());
-  return out;
+Sha1Digest FileCertificate::SignedDigest() const {
+  Sha1 ctx;
+  HashFileId(ctx, file_id);
+  ctx.Update(content_hash.data(), content_hash.size());
+  HashU64(ctx, replication_factor);
+  HashU64(ctx, salt);
+  HashU64(ctx, creation_date);
+  HashKey(ctx, owner);
+  return ctx.Final();
 }
 
 bool FileCertificate::VerifySignature() const {
-  return KeyPair::Verify(owner, SignedPayload(), signature);
+  return KeyPair::Verify(owner, SignedDigest(), signature);
 }
 
 bool FileCertificate::VerifyContent(std::string_view content) const {
   return Sha1::Hash(content) == content_hash;
 }
 
-std::string StoreReceipt::SignedPayload() const {
-  std::string out;
-  AppendFileId(&out, file_id);
-  AppendNodeId(&out, storing_node);
-  out.append(node_key.ToBytes());
-  return out;
+Sha1Digest StoreReceipt::SignedDigest() const {
+  Sha1 ctx;
+  HashFileId(ctx, file_id);
+  HashNodeId(ctx, storing_node);
+  HashKey(ctx, node_key);
+  return ctx.Final();
 }
 
-bool StoreReceipt::Verify() const { return KeyPair::Verify(node_key, SignedPayload(), signature); }
+bool StoreReceipt::Verify() const { return KeyPair::Verify(node_key, SignedDigest(), signature); }
 
-std::string ReclaimCertificate::SignedPayload() const {
-  std::string out;
-  AppendFileId(&out, file_id);
-  AppendU64(&out, date);
-  out.append(owner.ToBytes());
-  return out;
+Sha1Digest ReclaimCertificate::SignedDigest() const {
+  Sha1 ctx;
+  HashFileId(ctx, file_id);
+  HashU64(ctx, date);
+  HashKey(ctx, owner);
+  return ctx.Final();
 }
 
 bool ReclaimCertificate::VerifySignature() const {
-  return KeyPair::Verify(owner, SignedPayload(), signature);
+  return KeyPair::Verify(owner, SignedDigest(), signature);
 }
 
-std::string ReclaimReceipt::SignedPayload() const {
-  std::string out;
-  AppendFileId(&out, file_id);
-  AppendNodeId(&out, storing_node);
-  AppendU64(&out, reclaimed_bytes);
-  out.append(node_key.ToBytes());
-  return out;
+Sha1Digest ReclaimReceipt::SignedDigest() const {
+  Sha1 ctx;
+  HashFileId(ctx, file_id);
+  HashNodeId(ctx, storing_node);
+  HashU64(ctx, reclaimed_bytes);
+  HashKey(ctx, node_key);
+  return ctx.Final();
 }
 
 bool ReclaimReceipt::Verify() const {
-  return KeyPair::Verify(node_key, SignedPayload(), signature);
+  return KeyPair::Verify(node_key, SignedDigest(), signature);
 }
 
 }  // namespace past

@@ -34,8 +34,8 @@ struct FileCertificate {
   PublicKey owner;
   Signature signature;
 
-  // Canonical byte string covered by the signature.
-  std::string SignedPayload() const;
+  // SHA-1 of the canonical byte sequence the signature covers.
+  Sha1Digest SignedDigest() const;
 
   // Checks the owner's signature over the payload.
   bool VerifySignature() const;
@@ -52,7 +52,7 @@ struct StoreReceipt {
   PublicKey node_key;
   Signature signature;
 
-  std::string SignedPayload() const;
+  Sha1Digest SignedDigest() const;
   bool Verify() const;
 };
 
@@ -63,7 +63,7 @@ struct ReclaimCertificate {
   PublicKey owner;
   Signature signature;
 
-  std::string SignedPayload() const;
+  Sha1Digest SignedDigest() const;
   bool VerifySignature() const;
 };
 
@@ -76,7 +76,7 @@ struct ReclaimReceipt {
   PublicKey node_key;
   Signature signature;
 
-  std::string SignedPayload() const;
+  Sha1Digest SignedDigest() const;
   bool Verify() const;
 };
 

@@ -53,6 +53,46 @@ uint64_t ModInverse(uint64_t e, uint64_t phi) {
   return static_cast<uint64_t>(t);
 }
 
+// Montgomery arithmetic modulo an odd m < 2^63 with R = 2^64: a product of
+// two residues is below 2^126, and adding mu * m keeps the sum below 2^128,
+// so one 128-bit multiply-add and a shift replace the 128-bit `%`.
+class Montgomery64 {
+ public:
+  explicit Montgomery64(uint64_t m) : m_(m) {
+    uint64_t inv = m;  // m * m = 1 (mod 8): correct to 3 bits
+    for (int i = 0; i < 5; ++i) {
+      inv *= 2 - m * inv;  // each Newton step doubles the correct bits
+    }
+    neg_inv_ = 0 - inv;
+    one_ = (0 - m) % m;  // 2^64 mod m
+    r2_ = static_cast<uint64_t>(static_cast<uint128>(one_) * one_ % m);
+  }
+
+  // t * R^-1 mod m, for t < m * R.
+  uint64_t Reduce(uint128 t) const {
+    uint64_t mu = static_cast<uint64_t>(t) * neg_inv_;
+    uint64_t u = static_cast<uint64_t>((t + static_cast<uint128>(mu) * m_) >> 64);
+    return u >= m_ ? u - m_ : u;
+  }
+  uint64_t Mul(uint64_t a, uint64_t b) const { return Reduce(static_cast<uint128>(a) * b); }
+  uint64_t ToMontgomery(uint64_t a) const { return Mul(a, r2_); }  // a < m
+  uint64_t one() const { return one_; }
+
+ private:
+  uint64_t m_;
+  uint64_t neg_inv_;  // -m^-1 mod 2^64
+  uint64_t one_;      // R mod m
+  uint64_t r2_;       // R^2 mod m
+};
+
+// Montgomery reduction modulo an odd prime below 2^31 with R = 2^32: t * R^-1
+// mod prime for t < prime * R. Every intermediate fits in 64 bits.
+inline uint32_t Redc32(uint64_t t, uint32_t prime, uint32_t neg_inv) {
+  uint32_t mu = static_cast<uint32_t>(t) * neg_inv;
+  uint64_t u = (t + static_cast<uint64_t>(mu) * prime) >> 32;
+  return static_cast<uint32_t>(u >= prime ? u - prime : u);
+}
+
 }  // namespace
 
 uint64_t ModMul(uint64_t a, uint64_t b, uint64_t m) {
@@ -60,16 +100,29 @@ uint64_t ModMul(uint64_t a, uint64_t b, uint64_t m) {
 }
 
 uint64_t ModPow(uint64_t base, uint64_t exp, uint64_t m) {
-  uint64_t result = 1 % m;
   base %= m;
+  if ((m & 1) == 0 || m >= (1ULL << 63)) {
+    uint64_t result = 1 % m;
+    while (exp > 0) {
+      if (exp & 1) {
+        result = ModMul(result, base, m);
+      }
+      base = ModMul(base, base, m);
+      exp >>= 1;
+    }
+    return result;
+  }
+  const Montgomery64 mont(m);
+  uint64_t result = mont.one();
+  base = mont.ToMontgomery(base);
   while (exp > 0) {
     if (exp & 1) {
-      result = ModMul(result, base, m);
+      result = mont.Mul(result, base);
     }
-    base = ModMul(base, base, m);
+    base = mont.Mul(base, base);
     exp >>= 1;
   }
-  return result;
+  return mont.Reduce(result);
 }
 
 bool IsPrime(uint64_t n) {
@@ -107,11 +160,11 @@ bool IsPrime(uint64_t n) {
   return true;
 }
 
-std::string PublicKey::ToBytes() const {
-  std::string out(16, '\0');
+std::array<uint8_t, 16> PublicKey::ToBytes() const {
+  std::array<uint8_t, 16> out;
   for (int i = 0; i < 8; ++i) {
-    out[static_cast<size_t>(i)] = static_cast<char>(modulus >> (56 - 8 * i));
-    out[static_cast<size_t>(8 + i)] = static_cast<char>(exponent >> (56 - 8 * i));
+    out[static_cast<size_t>(i)] = static_cast<uint8_t>(modulus >> (56 - 8 * i));
+    out[static_cast<size_t>(8 + i)] = static_cast<uint8_t>(exponent >> (56 - 8 * i));
   }
   return out;
 }
@@ -132,20 +185,70 @@ KeyPair KeyPair::Generate(Rng& rng) {
     if (d == 0) {
       continue;
     }
-    return KeyPair(PublicKey{n, kPublicExponent}, d);
+    return KeyPair(PublicKey{n, kPublicExponent}, p, q, d);
   }
 }
 
-Signature KeyPair::Sign(std::string_view message) const {
-  uint64_t h = ReduceDigestTo64(Sha1::Hash(message), public_key_.modulus);
-  return Signature{ModPow(h, private_exponent_, public_key_.modulus)};
+KeyPair::KeyPair(PublicKey pub, uint64_t p, uint64_t q, uint64_t d) : public_key_(pub) {
+  auto make_half = [d](uint64_t prime) {
+    PrimeHalf half;
+    half.prime = static_cast<uint32_t>(prime);
+    // d * e = 1 (mod prime - 1), so this is never 0: a zero h stays zero.
+    half.exponent = static_cast<uint32_t>(d % (prime - 1));
+    uint32_t inv = half.prime;  // correct to 3 bits, as in Montgomery64
+    for (int i = 0; i < 4; ++i) {
+      inv *= 2 - half.prime * inv;
+    }
+    half.neg_inv = 0 - inv;
+    uint64_t r = (1ULL << 32) % prime;
+    half.r3 = static_cast<uint32_t>(r * r % prime * r % prime);
+    return half;
+  };
+  p_ = make_half(p);
+  q_ = make_half(q);
+  // Stored in Montgomery form, so one reduction applies it.
+  q_inv_ = static_cast<uint32_t>((ModInverse(q % p, p) << 32) % p);
 }
 
-bool KeyPair::Verify(const PublicKey& key, std::string_view message, const Signature& sig) {
+Signature KeyPair::Sign(const Sha1Digest& digest) const {
+  // s = h^d mod n by CRT: s_p = h^(d mod p-1) mod p, likewise for q (Fermat;
+  // both exponents are nonzero, so h = 0 mod p gives s_p = 0 as it must).
+  const uint64_t h = ReduceDigestTo64(digest, public_key_.modulus);
+  const PrimeHalf& p = p_;
+  const PrimeHalf& q = q_;
+  // Montgomery forms: Redc32(h) = h R^-1 (h < n < p R), times R^3 then
+  // reduced gives h R; the form of 1 is R^3 reduced twice.
+  uint32_t base_p = Redc32(static_cast<uint64_t>(Redc32(h, p.prime, p.neg_inv)) * p.r3, p.prime,
+                           p.neg_inv);
+  uint32_t base_q = Redc32(static_cast<uint64_t>(Redc32(h, q.prime, q.neg_inv)) * q.r3, q.prime,
+                           q.neg_inv);
+  uint32_t acc_p = Redc32(Redc32(p.r3, p.prime, p.neg_inv), p.prime, p.neg_inv);
+  uint32_t acc_q = Redc32(Redc32(q.r3, q.prime, q.neg_inv), q.prime, q.neg_inv);
+  // Both halves advance in one right-to-left loop with branch-free selects:
+  // the two squaring chains are independent, so the CPU overlaps them.
+  for (uint32_t ep = p.exponent, eq = q.exponent; (ep | eq) != 0; ep >>= 1, eq >>= 1) {
+    uint32_t mul_p = Redc32(static_cast<uint64_t>(acc_p) * base_p, p.prime, p.neg_inv);
+    uint32_t mul_q = Redc32(static_cast<uint64_t>(acc_q) * base_q, q.prime, q.neg_inv);
+    acc_p = (ep & 1) != 0 ? mul_p : acc_p;
+    acc_q = (eq & 1) != 0 ? mul_q : acc_q;
+    base_p = Redc32(static_cast<uint64_t>(base_p) * base_p, p.prime, p.neg_inv);
+    base_q = Redc32(static_cast<uint64_t>(base_q) * base_q, q.prime, q.neg_inv);
+  }
+  const uint32_t s_p = Redc32(acc_p, p.prime, p.neg_inv);
+  const uint32_t s_q = Redc32(acc_q, q.prime, q.neg_inv);
+  // Garner: s = s_q + q * ((s_p - s_q) q^-1 mod p), which lies in [0, n).
+  // Both primes have their top (31st) bit set, so s_q < q < 2p.
+  const uint32_t s_q_mod_p = s_q >= p.prime ? s_q - p.prime : s_q;
+  const uint32_t diff = s_p >= s_q_mod_p ? s_p - s_q_mod_p : s_p + p.prime - s_q_mod_p;
+  const uint32_t t = Redc32(static_cast<uint64_t>(diff) * q_inv_, p.prime, p.neg_inv);
+  return Signature{s_q + static_cast<uint64_t>(q.prime) * t};
+}
+
+bool KeyPair::Verify(const PublicKey& key, const Sha1Digest& digest, const Signature& sig) {
   if (key.modulus == 0) {
     return false;
   }
-  uint64_t h = ReduceDigestTo64(Sha1::Hash(message), key.modulus);
+  uint64_t h = ReduceDigestTo64(digest, key.modulus);
   return ModPow(sig.value, key.exponent, key.modulus) == h;
 }
 

@@ -6,6 +6,11 @@
 // collision-resistant by modern standards; we reproduce the paper's choice
 // because identifier uniformity, not adversarial collision resistance, is
 // what the evaluated mechanisms depend on.
+//
+// The compression function has two implementations computing the same
+// function: the x86 SHA extensions, used when CPUID reports them, and
+// portable unrolled rounds everywhere else. The choice is made once per
+// process from CPUID alone.
 #ifndef SRC_CRYPTO_SHA1_H_
 #define SRC_CRYPTO_SHA1_H_
 
@@ -18,6 +23,22 @@
 namespace past {
 
 using Sha1Digest = std::array<uint8_t, 20>;
+
+namespace sha1_internal {
+
+// Runs the SHA-1 compression function over `blocks` consecutive 64-byte
+// blocks, updating the five-word chaining state in place.
+using CompressFn = void (*)(uint32_t state[5], const uint8_t* data, size_t blocks);
+
+// The portable rounds. Declared here so tests can compare it with the
+// hardware path; Sha1 itself dispatches on its own.
+void CompressPortable(uint32_t state[5], const uint8_t* data, size_t blocks);
+
+// The SHA-extensions rounds, or null where the CPU lacks SHA, SSSE3 or
+// SSE4.1 (and on every non-x86-64 build).
+CompressFn HardwareCompress();
+
+}  // namespace sha1_internal
 
 // Incremental SHA-1 context.
 class Sha1 {
@@ -37,7 +58,6 @@ class Sha1 {
   static Sha1Digest Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
 
   uint32_t h_[5];
   uint64_t total_bytes_;

@@ -21,7 +21,7 @@ std::optional<FileCertificate> Smartcard::IssueFileCertificate(
   cert.salt = salt;
   cert.creation_date = creation_date;
   cert.owner = keys_.public_key();
-  cert.signature = keys_.Sign(cert.SignedPayload());
+  cert.signature = keys_.Sign(cert.SignedDigest());
   return cert;
 }
 
@@ -35,7 +35,7 @@ ReclaimCertificate Smartcard::IssueReclaimCertificate(const FileId& file_id, uin
   cert.file_id = file_id;
   cert.date = date;
   cert.owner = keys_.public_key();
-  cert.signature = keys_.Sign(cert.SignedPayload());
+  cert.signature = keys_.Sign(cert.SignedDigest());
   return cert;
 }
 

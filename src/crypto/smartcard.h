@@ -44,8 +44,8 @@ class Smartcard {
   // Returns false (no credit) if the receipt does not verify.
   bool CreditReclaim(const ReclaimReceipt& receipt);
 
-  // Signs arbitrary payloads (store receipts on node cards).
-  Signature Sign(std::string_view payload) const { return keys_.Sign(payload); }
+  // Signs a payload digest (store receipts on node cards).
+  Signature Sign(const Sha1Digest& digest) const { return keys_.Sign(digest); }
 
  private:
   KeyPair keys_;

@@ -107,7 +107,7 @@ StoreReceipt PastNode::MakeStoreReceipt(const FileId& id) {
   receipt.file_id = id;
   receipt.storing_node = id_;
   receipt.node_key = card_.public_key();
-  receipt.signature = card_.Sign(receipt.SignedPayload());
+  receipt.signature = card_.Sign(receipt.SignedDigest());
   return receipt;
 }
 
@@ -117,7 +117,7 @@ ReclaimReceipt PastNode::MakeReclaimReceipt(const FileId& id, uint64_t bytes) {
   receipt.storing_node = id_;
   receipt.reclaimed_bytes = bytes;
   receipt.node_key = card_.public_key();
-  receipt.signature = card_.Sign(receipt.SignedPayload());
+  receipt.signature = card_.Sign(receipt.SignedDigest());
   return receipt;
 }
 

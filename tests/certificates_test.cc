@@ -19,7 +19,7 @@ class CertificatesTest : public ::testing::Test {
     cert.salt = salt;
     cert.creation_date = 20010305;
     cert.owner = owner_.public_key();
-    cert.signature = owner_.Sign(cert.SignedPayload());
+    cert.signature = owner_.Sign(cert.SignedDigest());
     return cert;
   }
 
@@ -68,7 +68,7 @@ TEST_F(CertificatesTest, StoreReceiptRoundTrip) {
   receipt.file_id = ComputeFileId("a.txt", owner_.public_key(), 1);
   receipt.storing_node = NodeId(1, 2);
   receipt.node_key = node_keys.public_key();
-  receipt.signature = node_keys.Sign(receipt.SignedPayload());
+  receipt.signature = node_keys.Sign(receipt.SignedDigest());
   EXPECT_TRUE(receipt.Verify());
   receipt.storing_node = NodeId(3, 4);
   EXPECT_FALSE(receipt.Verify());
@@ -79,7 +79,7 @@ TEST_F(CertificatesTest, ReclaimCertificateRoundTrip) {
   cert.file_id = ComputeFileId("a.txt", owner_.public_key(), 1);
   cert.date = 20010401;
   cert.owner = owner_.public_key();
-  cert.signature = owner_.Sign(cert.SignedPayload());
+  cert.signature = owner_.Sign(cert.SignedDigest());
   EXPECT_TRUE(cert.VerifySignature());
   cert.date += 1;
   EXPECT_FALSE(cert.VerifySignature());
@@ -93,7 +93,7 @@ TEST_F(CertificatesTest, ReclaimReceiptRoundTrip) {
   receipt.storing_node = NodeId(9, 9);
   receipt.reclaimed_bytes = 4096;
   receipt.node_key = node_keys.public_key();
-  receipt.signature = node_keys.Sign(receipt.SignedPayload());
+  receipt.signature = node_keys.Sign(receipt.SignedDigest());
   EXPECT_TRUE(receipt.Verify());
   receipt.reclaimed_bytes = 8192;  // inflating the refund must fail
   EXPECT_FALSE(receipt.Verify());

@@ -28,6 +28,45 @@ TEST(ModArithTest, ModPow) {
   EXPECT_EQ(ModPow(12345, p - 1, p), 1u);
 }
 
+// ModPow against square-and-multiply with a 128-bit `%` at every step, over
+// random odd moduli (the Montgomery path below 2^63), even moduli and
+// moduli at or above 2^63 (the `%` path), and bases at or above m.
+TEST(ModArithTest, ModPowMatchesReferenceModel) {
+  auto reference = [](uint64_t base, uint64_t exp, uint64_t m) {
+    unsigned __int128 result = 1 % m;
+    unsigned __int128 b = base % m;
+    for (; exp > 0; exp >>= 1) {
+      if (exp & 1) {
+        result = result * b % m;
+      }
+      b = b * b % m;
+    }
+    return static_cast<uint64_t>(result);
+  };
+  Rng rng(2001);
+  for (int i = 0; i < 20000; ++i) {
+    const int bits = 1 + static_cast<int>(rng.NextU64() % 64);
+    uint64_t m = bits == 64 ? rng.NextU64() : rng.NextU64() & ((1ULL << bits) - 1);
+    m = m == 0 ? 1 : m;
+    if (i % 2 == 0) {
+      m |= 1;  // half the cases odd
+    }
+    const uint64_t base = i % 3 == 0 ? rng.NextU64() : rng.NextU64() % m;
+    const uint64_t exp = i % 5 == 0 ? rng.NextU64() % 70000 : rng.NextU64();
+    ASSERT_EQ(ModPow(base, exp, m), reference(base, exp, m))
+        << "base " << base << " exp " << exp << " m " << m;
+  }
+  for (uint64_t m : {uint64_t{1}, uint64_t{2}, uint64_t{3}, (uint64_t{1} << 63) - 25,
+                     (uint64_t{1} << 63) + 1, ~uint64_t{0}}) {
+    for (uint64_t base : {uint64_t{0}, uint64_t{1}, m - 1, m, ~uint64_t{0}}) {
+      for (uint64_t exp : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{65537}, ~uint64_t{0}}) {
+        EXPECT_EQ(ModPow(base, exp, m), reference(base, exp, m))
+            << "base " << base << " exp " << exp << " m " << m;
+      }
+    }
+  }
+}
+
 TEST(PrimalityTest, SmallNumbers) {
   EXPECT_FALSE(IsPrime(0));
   EXPECT_FALSE(IsPrime(1));
@@ -49,31 +88,31 @@ TEST(PrimalityTest, KnownLargePrimes) {
 TEST(KeyPairTest, SignVerifyRoundTrip) {
   Rng rng(42);
   KeyPair keys = KeyPair::Generate(rng);
-  Signature sig = keys.Sign("hello past");
-  EXPECT_TRUE(KeyPair::Verify(keys.public_key(), "hello past", sig));
+  Signature sig = keys.Sign(Sha1::Hash("hello past"));
+  EXPECT_TRUE(KeyPair::Verify(keys.public_key(), Sha1::Hash("hello past"), sig));
 }
 
 TEST(KeyPairTest, TamperedMessageFails) {
   Rng rng(43);
   KeyPair keys = KeyPair::Generate(rng);
-  Signature sig = keys.Sign("original");
-  EXPECT_FALSE(KeyPair::Verify(keys.public_key(), "tampered", sig));
+  Signature sig = keys.Sign(Sha1::Hash("original"));
+  EXPECT_FALSE(KeyPair::Verify(keys.public_key(), Sha1::Hash("tampered"), sig));
 }
 
 TEST(KeyPairTest, TamperedSignatureFails) {
   Rng rng(44);
   KeyPair keys = KeyPair::Generate(rng);
-  Signature sig = keys.Sign("message");
+  Signature sig = keys.Sign(Sha1::Hash("message"));
   sig.value ^= 1;
-  EXPECT_FALSE(KeyPair::Verify(keys.public_key(), "message", sig));
+  EXPECT_FALSE(KeyPair::Verify(keys.public_key(), Sha1::Hash("message"), sig));
 }
 
 TEST(KeyPairTest, WrongKeyFails) {
   Rng rng(45);
   KeyPair a = KeyPair::Generate(rng);
   KeyPair b = KeyPair::Generate(rng);
-  Signature sig = a.Sign("message");
-  EXPECT_FALSE(KeyPair::Verify(b.public_key(), "message", sig));
+  Signature sig = a.Sign(Sha1::Hash("message"));
+  EXPECT_FALSE(KeyPair::Verify(b.public_key(), Sha1::Hash("message"), sig));
 }
 
 TEST(KeyPairTest, DistinctKeysGenerated) {
@@ -83,9 +122,33 @@ TEST(KeyPairTest, DistinctKeysGenerated) {
   EXPECT_NE(a.public_key().modulus, b.public_key().modulus);
 }
 
+// The CRT signature is h^d mod n: it is below n, and raising it to e gives
+// back h. Since x -> x^e permutes Z_n, h has exactly one such preimage, so
+// these two checks pin every signature to the textbook value.
+TEST(KeyPairTest, CrtSignaturesAreTheUniqueRsaPreimage) {
+  Rng rng(3000);
+  for (int i = 0; i < 3000; ++i) {
+    KeyPair keys = KeyPair::Generate(rng);
+    const uint64_t n = keys.public_key().modulus;
+    Sha1Digest digest;
+    for (uint8_t& byte : digest) {
+      byte = static_cast<uint8_t>(rng.NextU64());
+    }
+    if (i % 100 == 0) {
+      // A digest whose leading eight bytes are n itself reduces to h = 0.
+      for (int b = 0; b < 8; ++b) {
+        digest[static_cast<size_t>(b)] = static_cast<uint8_t>(n >> (56 - 8 * b));
+      }
+    }
+    const Signature sig = keys.Sign(digest);
+    ASSERT_LT(sig.value, n) << "key " << i;
+    ASSERT_TRUE(KeyPair::Verify(keys.public_key(), digest, sig)) << "key " << i;
+  }
+}
+
 TEST(KeyPairTest, EmptyKeyNeverVerifies) {
   PublicKey empty;
-  EXPECT_FALSE(KeyPair::Verify(empty, "anything", Signature{123}));
+  EXPECT_FALSE(KeyPair::Verify(empty, Sha1::Hash("anything"), Signature{123}));
 }
 
 // Pins the exact bytes the crypto layer produces: 100 owner cards and 100
@@ -143,9 +206,9 @@ TEST_P(KeyPairPropertyTest, RoundTripAndTamperDetection) {
   KeyPair keys = KeyPair::Generate(rng);
   for (int i = 0; i < 10; ++i) {
     std::string msg = "message-" + std::to_string(i);
-    Signature sig = keys.Sign(msg);
-    EXPECT_TRUE(KeyPair::Verify(keys.public_key(), msg, sig));
-    EXPECT_FALSE(KeyPair::Verify(keys.public_key(), msg + "x", sig));
+    Signature sig = keys.Sign(Sha1::Hash(msg));
+    EXPECT_TRUE(KeyPair::Verify(keys.public_key(), Sha1::Hash(msg), sig));
+    EXPECT_FALSE(KeyPair::Verify(keys.public_key(), Sha1::Hash(msg + "x"), sig));
   }
 }
 

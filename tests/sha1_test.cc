@@ -1,13 +1,65 @@
-// SHA-1 against the FIPS 180-1 reference vectors.
+// SHA-1 against the FIPS 180-1 reference vectors, and the two compression
+// functions (portable rounds, x86 SHA extensions) against each other.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/crypto/sha1.h"
 
 namespace past {
 namespace {
+
+// SHA-1 of `message` through one compression function: the FIPS padding
+// (0x80, zeros, 64-bit big-endian bit length) built here, independent of
+// the Sha1 class, and every block handed over in one call.
+Sha1Digest DigestWith(sha1_internal::CompressFn compress, const std::string& message) {
+  std::string padded = message;
+  padded.push_back(static_cast<char>(0x80));
+  while (padded.size() % 64 != 56) {
+    padded.push_back('\0');
+  }
+  const uint64_t bit_len = static_cast<uint64_t>(message.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    padded.push_back(static_cast<char>(bit_len >> (56 - 8 * i)));
+  }
+  uint32_t state[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0};
+  compress(state, reinterpret_cast<const uint8_t*>(padded.data()), padded.size() / 64);
+  Sha1Digest digest;
+  for (size_t i = 0; i < 20; ++i) {
+    digest[i] = static_cast<uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+struct Vector {
+  std::string message;
+  const char* hex;
+};
+
+std::vector<Vector> FipsVectors() {
+  return {{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+          {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+          {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+           "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
+          {std::string(1000000, 'a'), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"}};
+}
+
+// Random lengths 0-300 bytes (one to six blocks after padding) of random
+// bytes, from a fixed seed.
+std::vector<std::string> RandomMessages() {
+  Rng rng(180);
+  std::vector<std::string> messages;
+  for (int i = 0; i < 600; ++i) {
+    std::string m(static_cast<size_t>(i % 301), '\0');
+    for (char& c : m) {
+      c = static_cast<char>(rng.NextU64());
+    }
+    messages.push_back(std::move(m));
+  }
+  return messages;
+}
 
 TEST(Sha1Test, EmptyString) {
   EXPECT_EQ(DigestToHex(Sha1::Hash("")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
@@ -72,6 +124,35 @@ TEST(Sha1Test, ResetReusesContext) {
   ctx.Reset();
   ctx.Update("abc");
   EXPECT_EQ(DigestToHex(ctx.Final()), "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+TEST(Sha1Test, PortableRoundsMatchFipsVectors) {
+  for (const Vector& v : FipsVectors()) {
+    EXPECT_EQ(DigestToHex(DigestWith(sha1_internal::CompressPortable, v.message)), v.hex)
+        << "length " << v.message.size();
+  }
+}
+
+TEST(Sha1Test, PortableRoundsMatchSha1OnRandomLengths) {
+  for (const std::string& m : RandomMessages()) {
+    EXPECT_EQ(DigestWith(sha1_internal::CompressPortable, m), Sha1::Hash(m))
+        << "length " << m.size();
+  }
+}
+
+TEST(Sha1Test, HardwareRoundsMatchPortable) {
+  const sha1_internal::CompressFn hardware = sha1_internal::HardwareCompress();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions; only the portable rounds run here";
+  }
+  for (const Vector& v : FipsVectors()) {
+    EXPECT_EQ(DigestToHex(DigestWith(hardware, v.message)), v.hex)
+        << "length " << v.message.size();
+  }
+  for (const std::string& m : RandomMessages()) {
+    EXPECT_EQ(DigestWith(hardware, m), DigestWith(sha1_internal::CompressPortable, m))
+        << "length " << m.size();
+  }
 }
 
 TEST(Sha1Test, DistinctInputsDistinctDigests) {

@@ -52,7 +52,7 @@ TEST(SmartcardTest, ReclaimCreditRequiresValidReceipt) {
   receipt.storing_node = NodeId(1, 1);
   receipt.reclaimed_bytes = 500;
   receipt.node_key = node_card.public_key();
-  receipt.signature = node_card.Sign(receipt.SignedPayload());
+  receipt.signature = node_card.Sign(receipt.SignedDigest());
 
   EXPECT_TRUE(card.CreditReclaim(receipt));
   EXPECT_EQ(card.quota_remaining(), 1000u);
