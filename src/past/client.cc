@@ -163,16 +163,22 @@ OpHandle PastClient::BeginLookup(const FileId& file_id, LookupCallback callback)
 
 OpHandle PastClient::BeginReclaim(const FileId& file_id, ReclaimCallback callback) {
   ReclaimCertificate certificate = card_.IssueReclaimCertificate(file_id, ++clock_);
+  // The receipts are credited whether the reclaim finishes or is cancelled:
+  // a cancel cannot restore the replicas already dropped.
+  auto credit = [this](const ReclaimResult& result) {
+    for (const ReclaimReceipt& receipt : result.receipts) {
+      card_.CreditReclaim(receipt);
+    }
+  };
   return OpHandle(network_.engine().StartReclaim(
       access_node_, certificate,
-      [this, callback = std::move(callback)](const ReclaimResult& result) {
-        for (const ReclaimReceipt& receipt : result.receipts) {
-          card_.CreditReclaim(receipt);
-        }
+      [credit, callback = std::move(callback)](const ReclaimResult& result) {
+        credit(result);
         if (callback) {
           callback(result);
         }
-      }));
+      },
+      credit));
 }
 
 bool PastClient::Poll() { return network_.engine().Poll(); }
@@ -226,7 +232,7 @@ InsertResult PastClient::InsertCertified(const FileCertificate& certificate, uin
 }
 
 ReclaimResult PastClient::ReclaimCertified(const ReclaimCertificate& certificate) {
-  auto op = network_.engine().StartReclaim(access_node_, certificate, nullptr);
+  auto op = network_.engine().StartReclaim(access_node_, certificate, nullptr, nullptr);
   Wait(OpHandle(op));
   return op->result();
 }

@@ -19,7 +19,8 @@
 //
 // Callback rules: the completion callback is invoked exactly once unless the
 // op is cancelled first — a cancelled op's callback is never invoked and its
-// partial effects are rolled back. Callbacks run while the transport is
+// partial effects are rolled back (a cancelled reclaim credits the quota for
+// the replicas it already dropped). Callbacks run while the transport is
 // being pumped (inside Begin* under InlineTransport); they may submit new
 // ops but must not block. The client must outlive its in-flight ops.
 #ifndef SRC_PAST_CLIENT_H_

@@ -93,8 +93,9 @@ std::shared_ptr<LookupOp> OpEngine::StartLookup(const NodeId& origin, const File
 
 std::shared_ptr<ReclaimOp> OpEngine::StartReclaim(const NodeId& origin,
                                                   const ReclaimCertificate& certificate,
-                                                  ReclaimOp::Callback callback) {
-  return Launch<ReclaimOp>(origin, certificate, std::move(callback));
+                                                  ReclaimOp::Callback callback,
+                                                  ReclaimOp::Callback on_cancel) {
+  return Launch<ReclaimOp>(origin, certificate, std::move(callback), std::move(on_cancel));
 }
 
 bool OpEngine::Poll() {

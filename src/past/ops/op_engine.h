@@ -62,9 +62,12 @@ class OpEngine {
   std::shared_ptr<LookupOp> StartLookup(const NodeId& origin, const FileId& file_id,
                                         LookupOp::Callback callback);
 
+  // `on_cancel` runs with the partial result if the op is cancelled
+  // (reclaim_op.h).
   std::shared_ptr<ReclaimOp> StartReclaim(const NodeId& origin,
                                           const ReclaimCertificate& certificate,
-                                          ReclaimOp::Callback callback);
+                                          ReclaimOp::Callback callback,
+                                          ReclaimOp::Callback on_cancel);
 
   // --- drain ---
 

@@ -5,9 +5,10 @@
 namespace past {
 
 ReclaimOp::ReclaimOp(PastNetwork& net, const NodeId& origin,
-                     const ReclaimCertificate& certificate, Callback callback)
+                     const ReclaimCertificate& certificate, Callback callback,
+                     Callback on_cancel)
     : AsyncOp(net), origin_(origin), certificate_(certificate),
-      callback_(std::move(callback)) {}
+      callback_(std::move(callback)), on_cancel_(std::move(on_cancel)) {}
 
 void ReclaimOp::Start() {
   net_.metrics_.GetCounter("past.reclaim.requests").Inc();
@@ -163,6 +164,12 @@ void ReclaimOp::Finish(ReclaimStatus status) {
 void ReclaimOp::OnFinish() {
   if (callback_) {
     callback_(result_);
+  }
+}
+
+void ReclaimOp::OnCancel() {
+  if (on_cancel_) {
+    on_cancel_(result_);
   }
 }
 

@@ -16,6 +16,10 @@
 // Lost messages simply leave that node's replica in place — the next
 // reclaim or maintenance round retires it; a timed-out per-target phase
 // just moves on to the next target.
+//
+// A cancel cannot put back the replicas already dropped, so instead of the
+// completion callback it runs `on_cancel` with the partial result: the
+// receipts for those drops, which the owner's card can still credit.
 #ifndef SRC_PAST_OPS_RECLAIM_OP_H_
 #define SRC_PAST_OPS_RECLAIM_OP_H_
 
@@ -30,7 +34,7 @@ class ReclaimOp : public AsyncOp {
   using Callback = std::function<void(const ReclaimResult&)>;
 
   ReclaimOp(PastNetwork& net, const NodeId& origin, const ReclaimCertificate& certificate,
-            Callback callback);
+            Callback callback, Callback on_cancel);
 
   void Start();
 
@@ -38,6 +42,7 @@ class ReclaimOp : public AsyncOp {
 
  protected:
   void OnFinish() override;
+  void OnCancel() override;
 
  private:
   void AfterRequest();
@@ -53,6 +58,7 @@ class ReclaimOp : public AsyncOp {
   NodeId origin_;
   ReclaimCertificate certificate_;
   Callback callback_;
+  Callback on_cancel_;
 
   NodeId root_;
   int route_hops_ = 0;

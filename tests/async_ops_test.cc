@@ -7,6 +7,7 @@
 // on a fixed seed bank.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -183,6 +184,58 @@ TEST_F(AsyncOpsTest, CancelledLookupAndReclaimNeverCallBack) {
   EXPECT_FALSE(lookup_called);
   EXPECT_FALSE(reclaim_called);
   EXPECT_EQ(client.card().quota_remaining(), quota_before);
+}
+
+TEST(AsyncReclaimCancel, CreditsEveryReplicaAlreadyDropped) {
+  // Cancel the reclaim of a 10,000-byte k=3 file after 1, 2, ... transport
+  // events, until it finishes on its own. A cancel cannot restore dropped
+  // replicas, so the owner must be credited for exactly those, and the
+  // user's callback must never run.
+  std::set<size_t> partial_counts;
+  for (int events = 1;; ++events) {
+    PastConfig config;
+    config.k = 3;
+    config.enable_maintenance = false;
+    TestDeployment deployment = BuildDeployment(60, 50'000'000, config, 77);
+    EventQueue queue;
+    SimTransport::Options options;
+    options.latency = LatencyModel::Lan();
+    options.seed = 78;
+    deployment.network->UseSimTransport(queue, options);
+    PastClient client(*deployment.network, deployment.node_ids.front(), 1ull << 40, 83);
+    ClientInsertResult stored = client.Insert("reclaimed.bin", 10'000);
+    ASSERT_TRUE(stored.stored);
+    const uint64_t quota_before = client.card().quota_remaining();
+
+    bool called = false;
+    OpHandle reclaim =
+        client.BeginReclaim(stored.file_id, [&](const ReclaimResult&) { called = true; });
+    for (int i = 0; i < events && !reclaim.done(); ++i) {
+      ASSERT_TRUE(client.Poll());
+    }
+    if (reclaim.done()) {
+      ASSERT_GT(events, 1);
+      break;  // every cut point before completion has been tried
+    }
+    reclaim.Cancel();
+    client.WaitAll();
+    while (queue.Step()) {
+    }
+    EXPECT_FALSE(called) << "events " << events;
+    size_t replicas_left = 0;
+    for (const NodeId& id : deployment.node_ids) {
+      const PastNode* node = deployment.network->storage_node(id);
+      replicas_left += node != nullptr && node->store().GetReplica(stored.file_id) != nullptr;
+    }
+    ASSERT_LE(replicas_left, 3u);
+    EXPECT_EQ(client.card().quota_remaining(), quota_before + 10'000 * (3 - replicas_left))
+        << "events " << events << ", replicas left " << replicas_left;
+    if (replicas_left > 0 && replicas_left < 3) {
+      partial_counts.insert(replicas_left);
+    }
+  }
+  // Some cut points land between drops, so the test exercises a partial credit.
+  EXPECT_FALSE(partial_counts.empty());
 }
 
 TEST_F(AsyncOpsTest, TimeoutWithDuplicateRepliesInFlightRollsBackCleanly) {
