@@ -13,12 +13,16 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
   base.cache_mode = CacheMode::kGreedyDualSize;
+  const uint64_t refs = static_cast<uint64_t>(cli.GetInt("--refs", 250000));
   if (!cli.Has("--paper-scale")) {
     base.catalog_size = static_cast<uint32_t>(cli.GetInt("--files", 25000));
-    base.total_references = static_cast<uint64_t>(cli.GetInt("--refs", 250000));
+    base.total_references = refs;
   } else {
     base.total_references = 4000000;
   }
+  const bool csv = cli.Has("--csv");
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Ablation: cache admission fraction c (GD-S)", base);
 
   const std::vector<double> c_values = {0.001, 0.01, 0.1, 0.5, 1.0};
@@ -28,7 +32,7 @@ int main(int argc, char** argv) {
     config.cache_fraction_c = c;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   TablePrinter table({"c", "Hit rate", "Avg hops", "Final util"});
   for (size_t i = 0; i < results.size(); ++i) {
@@ -38,7 +42,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(r.avg_lookup_hops, 3),
                   TablePrinter::Pct(r.final_utilization)});
   }
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

@@ -11,6 +11,9 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const bool csv = cli.Has("--csv");
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Ablation: replica-diversion target selection policy", base);
 
   struct Policy {
@@ -27,7 +30,7 @@ int main(int argc, char** argv) {
     config.diversion_selection = p.selection;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   TablePrinter table({"Selection", "Success", "Fail", "Replica diversion", "Util"});
   for (size_t i = 0; i < results.size(); ++i) {
@@ -37,7 +40,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Pct(r.replica_diversion_ratio, 2),
                   TablePrinter::Pct(r.final_utilization)});
   }
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   using namespace past;
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
+  cli.ExitOnUnknownFlags();  // this bench takes no flags
   std::printf("# Ablation: replication vs Reed-Solomon erasure coding (section 3.6)\n\n");
 
   TablePrinter table({"Scheme", "Tolerates", "Storage overhead", "Fragments/lookup",

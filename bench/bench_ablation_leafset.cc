@@ -8,6 +8,9 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const bool csv = cli.Has("--csv");
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Ablation: leaf set size sweep (t_pri=0.1, t_div=0.05, d1)", base);
 
   const std::vector<int> l_values = {8, 16, 32, 48, 64};
@@ -17,7 +20,7 @@ int main(int argc, char** argv) {
     config.leaf_set_size = l;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   TablePrinter table({"l", "Success", "Fail", "File diversion", "Replica diversion", "Util"});
   for (size_t i = 0; i < results.size(); ++i) {
@@ -28,7 +31,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Pct(r.replica_diversion_ratio, 2),
                   TablePrinter::Pct(r.final_utilization)});
   }
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

@@ -10,6 +10,8 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const bool csv = cli.Has("--csv");
+  cli.ExitOnUnknownFlags();
   PrintHeader("Baseline: no replica/file diversion vs full storage management", base);
 
   ExperimentConfig off = base;
@@ -29,7 +31,7 @@ int main(int argc, char** argv) {
                 TablePrinter::Pct(with_diversion.success_ratio),
                 TablePrinter::Pct(with_diversion.failure_ratio),
                 TablePrinter::Pct(with_diversion.final_utilization)});
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

@@ -33,16 +33,17 @@ inline void ValidateOrDie(const ExperimentConfig& config) {
   std::exit(2);
 }
 
+// Reads the flags every experiment bench shares (each one unconditionally,
+// so CommandLine::ExitOnUnknownFlags knows them all) and validates the result.
 inline ExperimentConfig BenchConfig(const CommandLine& cli) {
   ExperimentConfig config;
+  // catalog 0 = auto: num_nodes * 800 files, preserving the paper's
+  // files-per-node ratio that governs packing at saturation.
+  config.num_nodes = static_cast<size_t>(cli.GetInt("--nodes", 300));
+  config.catalog_size = static_cast<uint32_t>(cli.GetInt("--files", 0));
   if (cli.Has("--paper-scale")) {
     config.num_nodes = 2250;
     config.catalog_size = 1863055;
-  } else {
-    // catalog 0 = auto: num_nodes * 800 files, preserving the paper's
-    // files-per-node ratio that governs packing at saturation.
-    config.num_nodes = static_cast<size_t>(cli.GetInt("--nodes", 300));
-    config.catalog_size = static_cast<uint32_t>(cli.GetInt("--files", 0));
   }
   config.seed = static_cast<uint64_t>(cli.GetInt("--seed", 42));
   config.t_pri = cli.GetDouble("--tpri", 0.1);

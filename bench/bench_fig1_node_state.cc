@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
   config.leaf_set_size = 8;  // l = 8
   config.neighborhood_size = 8;
   size_t n = static_cast<size_t>(cli.GetInt("--nodes", 200));
+  uint64_t seed = static_cast<uint64_t>(cli.GetInt("--seed", 1));
+  cli.ExitOnUnknownFlags();
 
-  PastryNetwork network(config, static_cast<uint64_t>(cli.GetInt("--seed", 1)));
+  PastryNetwork network(config, seed);
   network.BuildInitialNetwork(n);
 
   std::vector<NodeId> nodes = network.live_nodes();

@@ -11,6 +11,8 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Figure 2: cumulative failure ratio vs utilization, per t_pri", base);
 
   const std::vector<double> tpri_values = {0.05, 0.1, 0.2, 0.5};
@@ -21,7 +23,7 @@ int main(int argc, char** argv) {
     config.t_div = 0.05;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   std::printf("t_pri,utilization,cumulative_failure_ratio\n");
   for (size_t i = 0; i < results.size(); ++i) {

@@ -11,6 +11,8 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Figure 3: cumulative failure ratio vs utilization, per t_div", base);
 
   const std::vector<double> tdiv_values = {0.005, 0.01, 0.05, 0.1};
@@ -21,7 +23,7 @@ int main(int argc, char** argv) {
     config.t_div = t_div;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   std::printf("t_div,utilization,cumulative_failure_ratio\n");
   for (size_t i = 0; i < results.size(); ++i) {

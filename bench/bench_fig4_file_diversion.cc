@@ -12,11 +12,13 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig config = BenchConfig(cli);
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Figure 4: file diversion ratios vs utilization", config);
 
   // Single configuration, routed through the suite so --jobs and the derived
   // seed (index 0 -> unchanged) behave exactly like the sweep benches.
-  ExperimentResult r = RunExperimentSuite({config}, BenchSuiteOptions(cli)).front();
+  ExperimentResult r = RunExperimentSuite({config}, suite).front();
   std::printf("utilization,ratio_1_redirect,ratio_2_redirects,ratio_3_redirects,failure_ratio\n");
   for (const CurveSample& s : r.curve) {
     double denom = std::max<uint64_t>(s.inserts_attempted, 1);

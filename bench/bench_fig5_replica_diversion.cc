@@ -10,9 +10,11 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig config = BenchConfig(cli);
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Figure 5: replica diversion ratio vs utilization", config);
 
-  ExperimentResult r = RunExperimentSuite({config}, BenchSuiteOptions(cli)).front();
+  ExperimentResult r = RunExperimentSuite({config}, suite).front();
   std::printf("utilization,replica_diversion_ratio\n");
   for (const CurveSample& s : r.curve) {
     double denom = std::max<uint64_t>(s.replicas_stored, 1);

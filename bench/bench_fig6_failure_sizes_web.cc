@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig config = BenchConfig(cli);
+  cli.ExitOnUnknownFlags();
   config.workload = WorkloadKind::kWeb;
   PrintHeader("Figure 6: failed insertions by size vs utilization (web workload)", config);
 

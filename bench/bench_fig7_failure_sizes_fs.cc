@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   if (cli.Has("--paper-scale")) {
     config.catalog_size = 2027908;  // the paper's filesystem scan size
   }
+  cli.ExitOnUnknownFlags();
   PrintHeader("Figure 7: failed insertions by size vs utilization (filesystem workload)",
               config);
 

@@ -14,12 +14,15 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const uint64_t refs = static_cast<uint64_t>(cli.GetInt("--refs", 250000));
   if (cli.Has("--paper-scale")) {
     base.total_references = 4000000;
   } else {
     base.catalog_size = static_cast<uint32_t>(cli.GetInt("--files", 25000));
-    base.total_references = static_cast<uint64_t>(cli.GetInt("--refs", 250000));
+    base.total_references = refs;
   }
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Figure 8: cache hit rate and lookup hops vs utilization", base);
 
   struct Mode {
@@ -35,7 +38,7 @@ int main(int argc, char** argv) {
     config.cache_mode = m.mode;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   std::printf("policy,utilization,window_hit_rate,window_avg_hops\n");
   for (size_t i = 0; i < results.size(); ++i) {

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   size_t n = static_cast<size_t>(cli.GetInt("--nodes", 500));
   uint64_t seed = static_cast<uint64_t>(cli.GetInt("--seed", 42));
+  cli.ExitOnUnknownFlags();
 
   std::printf("# Lookup latency (section 5.2), %zu nodes\n\n", n);
 

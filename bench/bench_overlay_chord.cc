@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   uint64_t seed = static_cast<uint64_t>(cli.GetInt("--seed", 42));
+  cli.ExitOnUnknownFlags();
   const int trials = 1000;
 
   std::printf("# Overlay comparison: Pastry (b=4, l=32) vs Chord (r=8 successors)\n");

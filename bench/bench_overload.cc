@@ -156,6 +156,7 @@ int main(int argc, char** argv) {
   size_t ops = static_cast<size_t>(cli.GetInt("--ops", smoke ? 600 : 2000));
   uint64_t seed = static_cast<uint64_t>(cli.GetInt("--seed", 42));
   std::string metrics_json = cli.GetString("--metrics-json", "");
+  cli.ExitOnUnknownFlags();
   size_t catalog = smoke ? 100 : 200;
 
   std::vector<double> loads = smoke ? std::vector<double>{500.0, 20'000.0}

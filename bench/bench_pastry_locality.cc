@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   size_t n = static_cast<size_t>(cli.GetInt("--nodes", 1000));
   uint64_t seed = static_cast<uint64_t>(cli.GetInt("--seed", 42));
+  cli.ExitOnUnknownFlags();
 
   std::printf("# Pastry locality (section 2.1 / [27]): route stretch and nearest-replica\n");
   std::printf("# selection, %zu nodes\n\n", n);

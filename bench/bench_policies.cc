@@ -35,31 +35,31 @@ int main(int argc, char** argv) {
   base.cache_mode = CacheMode::kGreedyDualSize;
   base.cache_insertion_cost_cap = cli.GetDouble("--insertion-cap", 0.5);
   base.adversarial = true;
+  const std::string placement_flag = cli.GetString("--placement", "all");
+  const std::string workload_flag = cli.GetString("--workload", "all");
+  const uint64_t residual_shed_load =
+      static_cast<uint64_t>(cli.GetInt("--residual-shed-load", 64));
+  SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   ValidateOrDie(base);
   PrintHeader("Policy ablation: placement x adversarial workload", base);
 
   std::optional<PlacementKind> only_placement;
-  {
-    std::string flag = cli.GetString("--placement", "all");
-    if (flag != "all") {
-      only_placement = PlacementKindFromName(flag.c_str());
-      if (!only_placement.has_value()) {
-        std::fprintf(stderr, "error: unknown --placement %s\n", flag.c_str());
-        return 2;
-      }
+  if (placement_flag != "all") {
+    only_placement = PlacementKindFromName(placement_flag.c_str());
+    if (!only_placement.has_value()) {
+      std::fprintf(stderr, "error: unknown --placement %s\n", placement_flag.c_str());
+      return 2;
     }
   }
   std::optional<AdversarialKind> only_workload;
-  {
-    std::string flag = cli.GetString("--workload", "all");
-    if (flag != "all") {
-      AdversarialKind kind;
-      if (!AdversarialKindFromName(flag.c_str(), &kind)) {
-        std::fprintf(stderr, "error: unknown --workload %s\n", flag.c_str());
-        return 2;
-      }
-      only_workload = kind;
+  if (workload_flag != "all") {
+    AdversarialKind kind;
+    if (!AdversarialKindFromName(workload_flag.c_str(), &kind)) {
+      std::fprintf(stderr, "error: unknown --workload %s\n", workload_flag.c_str());
+      return 2;
     }
+    only_workload = kind;
   }
 
   // The full grid is workload-major. A cell runs with seed base + 2 * its
@@ -89,13 +89,12 @@ int main(int argc, char** argv) {
       config.seed = base.seed + 2 * index;
       config.adversarial_kind = w;
       config.placement = p;
-      config.residual_shed_load = static_cast<uint64_t>(cli.GetInt("--residual-shed-load", 64));
+      config.residual_shed_load = residual_shed_load;
       cells.push_back({w, p});
       configs.push_back(config);
     }
   }
 
-  SuiteOptions suite = BenchSuiteOptions(cli);
   suite.derive_seeds = false;
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 

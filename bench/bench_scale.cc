@@ -236,14 +236,23 @@ int main(int argc, char** argv) {
   using namespace past;
   CommandLine cli(argc, argv);
   BenchStopwatch stopwatch;
+  // Every flag is read up front, so an unknown one fails before any run.
+  const ScaleConfig cli_config = ConfigFromCli(cli);
+  const bool scale_sweep = cli.Has("--scale-sweep");
+  const bool smoke = cli.Has("--smoke");
+  const bool check_determinism = cli.Has("--check-determinism");
+  const size_t soak_seeds = static_cast<size_t>(cli.GetInt("--seeds", 1));
+  const std::string json_path = cli.GetString("--metrics-json", "");
+  const int64_t max_bytes_per_node = cli.GetInt("--max-bytes-per-node", 0);
+  cli.ExitOnUnknownFlags();
 
-  if (cli.Has("--scale-sweep")) {
+  if (scale_sweep) {
     // The tentpole measurement: 10k / 50k / 100k with churn + maintenance.
     std::printf("# bench_scale --scale-sweep\n");
     std::printf("%8s %8s %10s %12s %10s %12s\n", "nodes", "build_s", "epoch_s", "events/sec",
                 "rss_mb", "bytes/node");
     for (size_t n : {size_t{10'000}, size_t{50'000}, size_t{100'000}}) {
-      ScaleConfig config = ConfigFromCli(cli);
+      ScaleConfig config = cli_config;
       config.nodes = n;
       config.inserts_per_epoch = n / 5;
       config.lookups_per_epoch = n / 5;
@@ -268,8 +277,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  ScaleConfig config = ConfigFromCli(cli);
-  bool smoke = cli.Has("--smoke");
+  ScaleConfig config = cli_config;
   if (!smoke && !cli.Has("--mean-field")) {
     // Full runs default to the scale-sweep churn mix so "bench_scale
     // --nodes N" exercises crashes + joins + periodic sweeps out of the box;
@@ -299,11 +307,10 @@ int main(int argc, char** argv) {
 
   std::printf("# bench_scale (%s)\n", smoke ? "smoke" : "full");
 
-  if (cli.Has("--check-determinism")) {
+  if (check_determinism) {
     // With --seeds N this is the shard-invariance soak: every seed is run at
     // jobs 1/2/4/8 and all four fingerprint pairs must match. Without it, one
     // seed is checked at jobs=1 vs the requested --jobs (default 4).
-    size_t soak_seeds = static_cast<size_t>(cli.GetInt("--seeds", 1));
     std::vector<size_t> job_counts;
     if (soak_seeds > 1) {
       job_counts = {2, 4, 8};
@@ -356,7 +363,6 @@ int main(int argc, char** argv) {
   ScaleReport report = RunOne(config, &timings, &shards, &op_totals);
   PrintReport(config, report, timings);
 
-  std::string json_path = cli.GetString("--metrics-json", "");
   if (!json_path.empty()) {
     if (!WriteMetricsJson(json_path, config, report, timings, shards, op_totals)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
@@ -368,7 +374,6 @@ int main(int argc, char** argv) {
   PrintBenchFooter(stopwatch);
   // Optional hard memory budget (CI scale-smoke asserts bytes/node so a
   // per-node state regression fails the job instead of slipping through).
-  int64_t max_bytes_per_node = cli.GetInt("--max-bytes-per-node", 0);
   if (max_bytes_per_node > 0 && config.nodes > 0) {
     double bytes_per_node = PeakRssMb() * 1024.0 * 1024.0 / static_cast<double>(config.nodes);
     if (bytes_per_node > static_cast<double>(max_bytes_per_node)) {

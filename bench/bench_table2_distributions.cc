@@ -11,6 +11,9 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const bool csv = cli.Has("--csv");
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Table 2: storage distributions x leaf set size (t_pri=0.1, t_div=0.05)", base);
 
   std::vector<ExperimentConfig> configs;
@@ -25,7 +28,7 @@ int main(int argc, char** argv) {
       cells.emplace_back(l, dist);
     }
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   TablePrinter table({"l", "Dist", "Success", "Fail", "File diversion", "Replica diversion",
                       "Util"});
@@ -37,7 +40,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Pct(r.replica_diversion_ratio),
                   TablePrinter::Pct(r.final_utilization)});
   }
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

@@ -10,6 +10,9 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const bool csv = cli.Has("--csv");
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Table 3: varying t_pri (t_div=0.05)", base);
 
   const std::vector<double> tpri_values = {0.5, 0.2, 0.1, 0.05};
@@ -20,7 +23,7 @@ int main(int argc, char** argv) {
     config.t_div = 0.05;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   TablePrinter table({"t_pri", "Success", "Fail", "File diversion", "Replica diversion",
                       "Util"});
@@ -32,7 +35,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Pct(r.replica_diversion_ratio, 2),
                   TablePrinter::Pct(r.final_utilization)});
   }
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

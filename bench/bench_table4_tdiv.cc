@@ -11,6 +11,9 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
+  const bool csv = cli.Has("--csv");
+  const SuiteOptions suite = BenchSuiteOptions(cli);
+  cli.ExitOnUnknownFlags();
   PrintHeader("Table 4: varying t_div (t_pri=0.1)", base);
 
   const std::vector<double> tdiv_values = {0.1, 0.05, 0.01, 0.005};
@@ -21,7 +24,7 @@ int main(int argc, char** argv) {
     config.t_div = t_div;
     configs.push_back(config);
   }
-  std::vector<ExperimentResult> results = RunExperimentSuite(configs, BenchSuiteOptions(cli));
+  std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);
 
   TablePrinter table({"t_div", "Success", "Fail", "File diversion", "Replica diversion",
                       "Util"});
@@ -33,7 +36,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Pct(r.replica_diversion_ratio, 2),
                   TablePrinter::Pct(r.final_utilization)});
   }
-  if (cli.Has("--csv")) {
+  if (csv) {
     table.PrintCsv();
   } else {
     table.Print();

@@ -207,6 +207,27 @@ TEST(CommandLineTest, ParsesFlags) {
   EXPECT_EQ(cli.GetInt("--missing", 7), 7);
 }
 
+TEST(CommandLineTest, RejectsFlagsNeverRead) {
+  const char* argv[] = {"bench", "--smoke", "--coop-cache", "1", "--metrics-json", "--m.json",
+                        "--nodes", "60"};
+  CommandLine cli(8, const_cast<char**>(argv));
+  EXPECT_TRUE(cli.Has("--smoke"));
+  EXPECT_EQ(cli.UnknownFlags(),
+            (std::vector<std::string>{"--coop-cache", "--metrics-json", "--m.json", "--nodes"}));
+  // Once read as `--flag value`, the word after the flag is its value.
+  EXPECT_EQ(cli.GetString("--metrics-json", ""), "--m.json");
+  EXPECT_EQ(cli.GetInt("--nodes", 300), 60);
+  EXPECT_EQ(cli.UnknownFlags(), std::vector<std::string>{"--coop-cache"});
+  EXPECT_EXIT(cli.ExitOnUnknownFlags(), ::testing::ExitedWithCode(2),
+              "error: unknown flag --coop-cache");
+
+  // A bare run has nothing to reject.
+  const char* bare[] = {"bench"};
+  CommandLine bare_cli(1, const_cast<char**>(bare));
+  EXPECT_TRUE(bare_cli.UnknownFlags().empty());
+  bare_cli.ExitOnUnknownFlags();
+}
+
 TEST(TablePrinterTest, FormatHelpers) {
   EXPECT_EQ(TablePrinter::Pct(0.123), "12.3%");
   EXPECT_EQ(TablePrinter::Pct(0.5, 0), "50%");
