@@ -85,44 +85,46 @@ class Montgomery64 {
   uint64_t r2_;       // R^2 mod m
 };
 
-// Montgomery reduction modulo an odd prime below 2^31 with R = 2^32: t * R^-1
-// mod prime for t < prime * R. Every intermediate fits in 64 bits.
-inline uint32_t Redc32(uint64_t t, uint32_t prime, uint32_t neg_inv) {
+}  // namespace
+
+// With prime < 2^31 and R = 2^32, t + mu * prime < 2^64: every intermediate
+// fits in 64 bits.
+inline uint32_t KeyPair::PrimeHalf::Reduce(uint64_t t) const {
   uint32_t mu = static_cast<uint32_t>(t) * neg_inv;
   uint64_t u = (t + static_cast<uint64_t>(mu) * prime) >> 32;
   return static_cast<uint32_t>(u >= prime ? u - prime : u);
 }
 
-}  // namespace
+inline uint32_t KeyPair::PrimeHalf::Mul(uint32_t a, uint32_t b) const {
+  return Reduce(static_cast<uint64_t>(a) * b);
+}
+
+inline uint32_t KeyPair::PrimeHalf::ToMontgomery(uint64_t h) const { return Mul(Reduce(h), r3); }
 
 uint64_t ModMul(uint64_t a, uint64_t b, uint64_t m) {
   return static_cast<uint64_t>(static_cast<uint128>(a) * b % m);
 }
 
 uint64_t ModPow(uint64_t base, uint64_t exp, uint64_t m) {
-  base %= m;
-  if ((m & 1) == 0 || m >= (1ULL << 63)) {
-    uint64_t result = 1 % m;
-    while (exp > 0) {
+  // Right-to-left square-and-multiply from `one`, with `mul` as the modular
+  // product: plain residues or Montgomery forms.
+  auto pow = [exp](uint64_t one, uint64_t b, auto mul) mutable {
+    uint64_t result = one;
+    for (; exp > 0; exp >>= 1) {
       if (exp & 1) {
-        result = ModMul(result, base, m);
+        result = mul(result, b);
       }
-      base = ModMul(base, base, m);
-      exp >>= 1;
+      b = mul(b, b);
     }
     return result;
+  };
+  base %= m;
+  if ((m & 1) == 0 || m >= (1ULL << 63)) {
+    return pow(1 % m, base, [m](uint64_t a, uint64_t b) { return ModMul(a, b, m); });
   }
   const Montgomery64 mont(m);
-  uint64_t result = mont.one();
-  base = mont.ToMontgomery(base);
-  while (exp > 0) {
-    if (exp & 1) {
-      result = mont.Mul(result, base);
-    }
-    base = mont.Mul(base, base);
-    exp >>= 1;
-  }
-  return mont.Reduce(result);
+  return mont.Reduce(pow(mont.one(), mont.ToMontgomery(base),
+                         [&mont](uint64_t a, uint64_t b) { return mont.Mul(a, b); }));
 }
 
 bool IsPrime(uint64_t n) {
@@ -216,32 +218,29 @@ Signature KeyPair::Sign(const Sha1Digest& digest) const {
   const uint64_t h = ReduceDigestTo64(digest, public_key_.modulus);
   const PrimeHalf& p = p_;
   const PrimeHalf& q = q_;
-  // Montgomery forms: Redc32(h) = h R^-1 (h < n < p R), times R^3 then
-  // reduced gives h R; the form of 1 is R^3 reduced twice.
-  uint32_t base_p = Redc32(static_cast<uint64_t>(Redc32(h, p.prime, p.neg_inv)) * p.r3, p.prime,
-                           p.neg_inv);
-  uint32_t base_q = Redc32(static_cast<uint64_t>(Redc32(h, q.prime, q.neg_inv)) * q.r3, q.prime,
-                           q.neg_inv);
-  uint32_t acc_p = Redc32(Redc32(p.r3, p.prime, p.neg_inv), p.prime, p.neg_inv);
-  uint32_t acc_q = Redc32(Redc32(q.r3, q.prime, q.neg_inv), q.prime, q.neg_inv);
+  // h < n < p R and q R, so each half maps h straight into its Montgomery
+  // form; the form of 1 is R mod prime, R^3 reduced twice.
+  uint32_t base_p = p.ToMontgomery(h);
+  uint32_t base_q = q.ToMontgomery(h);
+  uint32_t acc_p = p.Reduce(p.Reduce(p.r3));
+  uint32_t acc_q = q.Reduce(q.Reduce(q.r3));
   // Both halves advance in one right-to-left loop with branch-free selects:
   // the two squaring chains are independent, so the CPU overlaps them.
   for (uint32_t ep = p.exponent, eq = q.exponent; (ep | eq) != 0; ep >>= 1, eq >>= 1) {
-    uint32_t mul_p = Redc32(static_cast<uint64_t>(acc_p) * base_p, p.prime, p.neg_inv);
-    uint32_t mul_q = Redc32(static_cast<uint64_t>(acc_q) * base_q, q.prime, q.neg_inv);
+    const uint32_t mul_p = p.Mul(acc_p, base_p);
+    const uint32_t mul_q = q.Mul(acc_q, base_q);
     acc_p = (ep & 1) != 0 ? mul_p : acc_p;
     acc_q = (eq & 1) != 0 ? mul_q : acc_q;
-    base_p = Redc32(static_cast<uint64_t>(base_p) * base_p, p.prime, p.neg_inv);
-    base_q = Redc32(static_cast<uint64_t>(base_q) * base_q, q.prime, q.neg_inv);
+    base_p = p.Mul(base_p, base_p);
+    base_q = q.Mul(base_q, base_q);
   }
-  const uint32_t s_p = Redc32(acc_p, p.prime, p.neg_inv);
-  const uint32_t s_q = Redc32(acc_q, q.prime, q.neg_inv);
+  const uint32_t s_p = p.Reduce(acc_p);
+  const uint32_t s_q = q.Reduce(acc_q);
   // Garner: s = s_q + q * ((s_p - s_q) q^-1 mod p), which lies in [0, n).
   // Both primes have their top (31st) bit set, so s_q < q < 2p.
   const uint32_t s_q_mod_p = s_q >= p.prime ? s_q - p.prime : s_q;
   const uint32_t diff = s_p >= s_q_mod_p ? s_p - s_q_mod_p : s_p + p.prime - s_q_mod_p;
-  const uint32_t t = Redc32(static_cast<uint64_t>(diff) * q_inv_, p.prime, p.neg_inv);
-  return Signature{s_q + static_cast<uint64_t>(q.prime) * t};
+  return Signature{s_q + static_cast<uint64_t>(q.prime) * p.Mul(diff, q_inv_)};
 }
 
 bool KeyPair::Verify(const PublicKey& key, const Sha1Digest& digest, const Signature& sig) {

@@ -66,6 +66,13 @@ class KeyPair {
     uint32_t exponent = 0;  // d mod (prime - 1)
     uint32_t neg_inv = 0;   // -prime^-1 mod 2^32
     uint32_t r3 = 0;        // 2^96 mod prime, i.e. R^3 with R = 2^32
+
+    // t R^-1 mod prime, for t < prime * R.
+    uint32_t Reduce(uint64_t t) const;
+    // a b R^-1 mod prime, for a, b < prime.
+    uint32_t Mul(uint32_t a, uint32_t b) const;
+    // h R mod prime, for h < prime * R.
+    uint32_t ToMontgomery(uint64_t h) const;
   };
 
   KeyPair(PublicKey pub, uint64_t p, uint64_t q, uint64_t d);

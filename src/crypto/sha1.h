@@ -58,7 +58,6 @@ class Sha1 {
   static Sha1Digest Hash(std::string_view data);
 
  private:
-
   uint32_t h_[5];
   uint64_t total_bytes_;
   uint8_t buffer_[64];
