@@ -43,14 +43,6 @@ struct LevelResult {
   double p99_ms = 0.0;
 };
 
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  size_t idx = static_cast<size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
-
 // One load level on a fresh deployment: warm a catalog, then submit `ops`
 // operations with exponential inter-arrival gaps (mean 1000/lambda ms) and
 // drive the virtual clock until every completion callback has run.
@@ -127,9 +119,9 @@ LevelResult RunLevel(double lambda_ops_per_sec, size_t ops, size_t num_nodes,
     sum += v;
   }
   level.mean_ms = latencies.empty() ? 0.0 : sum / static_cast<double>(latencies.size());
-  level.p50_ms = Percentile(latencies, 0.50);
-  level.p95_ms = Percentile(latencies, 0.95);
-  level.p99_ms = Percentile(latencies, 0.99);
+  level.p50_ms = FloorRankPercentile(latencies, 0.50);
+  level.p95_ms = FloorRankPercentile(latencies, 0.95);
+  level.p99_ms = FloorRankPercentile(latencies, 0.99);
 
   if (!metrics_json.empty()) {
     // Export the percentiles as gauges so the dump is self-describing.

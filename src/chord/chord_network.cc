@@ -19,14 +19,13 @@ NodeId ChordNetwork::CreateNode() {
 }
 
 bool ChordNetwork::Join(const NodeId& id, const Coordinate& location) {
-  if (nodes_.count(id) != 0 && alive_[id]) {
+  if (nodes_.count(id) != 0) {
     return false;
   }
   topology_.PlaceNear(id, location, 0.0);
   auto node = std::make_unique<ChordNode>(id, successor_list_length_);
   ChordNode* x = node.get();
   nodes_[id] = std::move(node);
-  alive_[id] = true;
 
   if (!ring_.empty()) {
     // Find our successor by routing from an arbitrary live node.
@@ -61,7 +60,7 @@ bool ChordNetwork::Join(const NodeId& id, const Coordinate& location) {
     // Our predecessor's successor structure now starts with us.
     if (x->predecessor()) {
       ChordNode* p = this->node(*x->predecessor());
-      if (p != nullptr && IsAlive(p->id())) {
+      if (p != nullptr) {
         std::vector<NodeId> pred_successors;
         pred_successors.push_back(id);
         pred_successors.push_back(s->id());
@@ -117,39 +116,11 @@ void ChordNetwork::FixAllFingers() {
   }
 }
 
-void ChordNetwork::FailNode(const NodeId& id) {
-  auto it = alive_.find(id);
-  if (it == alive_.end() || !it->second) {
-    return;
-  }
-  it->second = false;
-  ring_.erase(id.value());
-  topology_.Remove(id);
-  for (const auto& [value, live_id] : ring_) {
-    (void)value;
-    ChordNode* n = node(live_id);
-    n->RemoveSuccessor(id);
-    n->RemoveFinger(id);
-    if (n->predecessor() && *n->predecessor() == id) {
-      n->SetPredecessor(std::nullopt);
-    }
-  }
-  Stabilize(2);
-}
-
 void ChordNetwork::Stabilize(int rounds) {
   for (int round = 0; round < rounds; ++round) {
     for (const auto& [value, id] : ring_) {
       (void)value;
       ChordNode* n = node(id);
-      // Drop dead heads from the successor list.
-      std::vector<NodeId> live;
-      for (const NodeId& s : n->successors()) {
-        if (IsAlive(s)) {
-          live.push_back(s);
-        }
-      }
-      n->SetSuccessors(std::move(live));
       auto successor = n->successor();
       if (!successor) {
         continue;
@@ -157,7 +128,7 @@ void ChordNetwork::Stabilize(int rounds) {
       ChordNode* s = node(*successor);
       stats_.RecordRpc();
       // stabilize: adopt the successor's predecessor if it lies between us.
-      if (s->predecessor() && IsAlive(*s->predecessor()) && *s->predecessor() != id &&
+      if (s->predecessor() && *s->predecessor() != id &&
           ChordNode::InInterval(*s->predecessor(), id, s->id()) &&
           *s->predecessor() != s->id()) {
         s = node(*s->predecessor());
@@ -166,15 +137,13 @@ void ChordNetwork::Stabilize(int rounds) {
       std::vector<NodeId> fresh;
       fresh.push_back(s->id());
       for (const NodeId& next : s->successors()) {
-        if (IsAlive(next) && next != id &&
-            std::find(fresh.begin(), fresh.end(), next) == fresh.end()) {
+        if (next != id && std::find(fresh.begin(), fresh.end(), next) == fresh.end()) {
           fresh.push_back(next);
         }
       }
       n->SetSuccessors(std::move(fresh));
       // notify: tell the successor we may be its predecessor.
-      if (!s->predecessor() || !IsAlive(*s->predecessor()) ||
-          ChordNode::InInterval(id, *s->predecessor(), s->id())) {
+      if (!s->predecessor() || ChordNode::InInterval(id, *s->predecessor(), s->id())) {
         if (id != s->id()) {
           s->SetPredecessor(id);
         }
@@ -185,21 +154,15 @@ void ChordNetwork::Stabilize(int rounds) {
 
 ChordRouteResult ChordNetwork::FindSuccessor(const NodeId& from, const NodeId& key) {
   ChordRouteResult result;
-  if (!IsAlive(from)) {
+  if (node(from) == nullptr) {
     return result;
   }
   NodeId current = from;
   result.path.push_back(current);
-  auto alive = [this](const NodeId& id) { return IsAlive(id); };
   const int max_hops = 4 * 128;
   for (int hop = 0; hop < max_hops; ++hop) {
     ChordNode* n = node(current);
     auto successor = n->successor();
-    // Drop dead successors lazily.
-    while (successor && !IsAlive(*successor)) {
-      n->RemoveSuccessor(*successor);
-      successor = n->successor();
-    }
     if (!successor) {
       // Single-node ring: we own everything.
       result.succeeded = ring_.size() == 1;
@@ -214,7 +177,7 @@ ChordRouteResult ChordNetwork::FindSuccessor(const NodeId& from, const NodeId& k
       result.succeeded = true;
       return result;
     }
-    std::optional<NodeId> next = n->ClosestPreceding(key, alive);
+    std::optional<NodeId> next = n->ClosestPreceding(key);
     if (!next || *next == current) {
       next = successor;  // fall back to linear traversal
     }
@@ -227,11 +190,6 @@ ChordRouteResult ChordNetwork::FindSuccessor(const NodeId& from, const NodeId& k
   }
   PAST_LOG(kWarning) << "chord lookup exceeded hop bound for " << key.ToHex();
   return result;
-}
-
-bool ChordNetwork::IsAlive(const NodeId& id) const {
-  auto it = alive_.find(id);
-  return it != alive_.end() && it->second;
 }
 
 ChordNode* ChordNetwork::node(const NodeId& id) {

@@ -1,4 +1,4 @@
-// The Chord overlay network: node registry, join, failure handling, and
+// The Chord overlay network: node registry, join, stabilization, and
 // iterative find-successor routing with hop/distance accounting, mirroring
 // the PastryNetwork interface closely enough for side-by-side benches.
 //
@@ -45,10 +45,6 @@ class ChordNetwork {
   bool Join(const NodeId& id, const Coordinate& location);
   void BuildInitialNetwork(size_t n);
 
-  // Fails a node; successor lists of the affected nodes are repaired and
-  // finger entries referencing it are dropped.
-  void FailNode(const NodeId& id);
-
   // Rebuilds every node's finger table by routing (the amortized effect of
   // Chord's fix_fingers maintenance).
   void FixAllFingers();
@@ -62,19 +58,18 @@ class ChordNetwork {
 
   // --- routing ---
 
-  // Iterative find-successor: returns the owner of `key` (the first live
-  // node clockwise from it) with the path taken.
+  // Iterative find-successor: returns the owner of `key` (the first node
+  // clockwise from it) with the path taken.
   ChordRouteResult FindSuccessor(const NodeId& from, const NodeId& key);
 
   // --- queries / oracles ---
 
-  bool IsAlive(const NodeId& id) const;
   ChordNode* node(const NodeId& id);
   const ChordNode* node(const NodeId& id) const;
   size_t live_count() const { return ring_.size(); }
   std::vector<NodeId> live_nodes() const;
 
-  // Ground truth: the ring successor of `key` among live nodes.
+  // Ground truth: the ring successor of `key` among the nodes.
   NodeId OwnerOf(const NodeId& key) const;
 
   // Number of nodes whose immediate successor disagrees with the ground
@@ -89,7 +84,6 @@ class ChordNetwork {
   Topology topology_;
   TransportStats stats_;
   std::unordered_map<NodeId, std::unique_ptr<ChordNode>, NodeIdHash> nodes_;
-  std::unordered_map<NodeId, bool, NodeIdHash> alive_;
   std::map<uint128, NodeId> ring_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/chord/chord_node.h"
 
-#include <algorithm>
-#include <functional>
+#include <utility>
 
 namespace past {
 
@@ -15,26 +14,9 @@ void ChordNode::SetSuccessors(std::vector<NodeId> successors) {
   }
 }
 
-bool ChordNode::RemoveSuccessor(const NodeId& id) {
-  auto it = std::find(successors_.begin(), successors_.end(), id);
-  if (it == successors_.end()) {
-    return false;
-  }
-  successors_.erase(it);
-  return true;
-}
-
 NodeId ChordNode::FingerStart(int i) const {
   uint128 step = static_cast<uint128>(1) << i;
   return NodeId(id_.value() + step);  // mod 2^128 wraps naturally
-}
-
-void ChordNode::RemoveFinger(const NodeId& id) {
-  for (auto& finger : fingers_) {
-    if (finger && *finger == id) {
-      finger.reset();
-    }
-  }
 }
 
 bool ChordNode::InInterval(const NodeId& key, const NodeId& from, const NodeId& to) {
@@ -47,12 +29,11 @@ bool ChordNode::InInterval(const NodeId& key, const NodeId& from, const NodeId& 
   return offset > 0 && offset <= span;
 }
 
-std::optional<NodeId> ChordNode::ClosestPreceding(
-    const NodeId& key, const std::function<bool(const NodeId&)>& alive) const {
-  // Scan fingers from farthest to nearest for a live node in (this, key).
+std::optional<NodeId> ChordNode::ClosestPreceding(const NodeId& key) const {
+  // Scan fingers from farthest to nearest for a node in (this, key).
   std::optional<NodeId> best;
   auto consider = [&](const NodeId& candidate) {
-    if (candidate == id_ || !alive(candidate)) {
+    if (candidate == id_) {
       return;
     }
     // Strictly between us and the key: (id_, key) exclusive of key itself.

@@ -4,14 +4,13 @@
 // "makes no explicit effort to achieve good network locality". This
 // implementation exists to quantify that comparison (bench_overlay_chord).
 //
-// State per node: a predecessor, a successor list of length r (fault
-// tolerance), and a finger table where finger[i] is the first live node
-// whose id follows this node's id + 2^i on the 2^128 ring.
+// State per node: a predecessor, a successor list of length r, and a finger
+// table where finger[i] is the first node whose id follows this node's id +
+// 2^i on the 2^128 ring.
 #ifndef SRC_CHORD_CHORD_NODE_H_
 #define SRC_CHORD_CHORD_NODE_H_
 
 #include <array>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -34,8 +33,6 @@ class ChordNode {
     return successors_.empty() ? std::nullopt : std::make_optional(successors_.front());
   }
   void SetSuccessors(std::vector<NodeId> successors);
-  // Drops a failed node from the successor list. Returns true if removed.
-  bool RemoveSuccessor(const NodeId& id);
 
   const std::optional<NodeId>& predecessor() const { return predecessor_; }
   void SetPredecessor(const std::optional<NodeId>& p) { predecessor_ = p; }
@@ -49,15 +46,10 @@ class ChordNode {
   // The start of finger interval i: id + 2^i (mod 2^128).
   NodeId FingerStart(int i) const;
 
-  // Removes a failed node everywhere it appears in the finger table.
-  void RemoveFinger(const NodeId& id);
-
   // The closest preceding node for `key` from the finger table and successor
-  // list — the standard Chord forwarding rule. Only nodes for which `alive`
-  // holds are considered. Returns nullopt when no known node lies strictly
-  // between this node and the key.
-  std::optional<NodeId> ClosestPreceding(const NodeId& key,
-                                         const std::function<bool(const NodeId&)>& alive) const;
+  // list — the standard Chord forwarding rule. Returns nullopt when no known
+  // node lies strictly between this node and the key.
+  std::optional<NodeId> ClosestPreceding(const NodeId& key) const;
 
   // True iff `key` lies in the half-open ring interval (this, successor].
   static bool InInterval(const NodeId& key, const NodeId& from, const NodeId& to);

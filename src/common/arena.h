@@ -75,7 +75,6 @@ class Arena {
     if (free_lists_[cls] != nullptr) {
       void* p = free_lists_[cls];
       free_lists_[cls] = *static_cast<void**>(p);
-      bytes_free_ -= ClassBytes(cls);
       return p;
     }
     size_t want = ClassBytes(cls);
@@ -115,7 +114,6 @@ class Arena {
     }
     *static_cast<void**>(p) = free_lists_[cls];
     free_lists_[cls] = p;
-    bytes_free_ += ClassBytes(cls);
   }
 
   template <typename T, typename... Args>
@@ -136,9 +134,7 @@ class Arena {
 
   // --- footprint introspection (scale dumps) ---
 
-  size_t slab_count() const { return slabs_.size(); }
   size_t bytes_reserved() const { return slabs_.size() * slab_bytes_ + bytes_large_; }
-  size_t bytes_free_listed() const { return bytes_free_; }
 
  private:
   static constexpr size_t kMinSlabBytes = size_t{1} << 12;
@@ -177,7 +173,6 @@ class Arena {
   void* free_lists_[kClassCount] = {};
   std::vector<std::pair<void*, size_t>> large_;
   size_t bytes_large_ = 0;
-  size_t bytes_free_ = 0;
 };
 
 }  // namespace past

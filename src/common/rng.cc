@@ -53,10 +53,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo + 1)));
-}
-
 double Rng::NextGaussian() {
   if (have_cached_gaussian_) {
     have_cached_gaussian_ = false;
@@ -75,7 +71,5 @@ double Rng::NextGaussian() {
 }
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 }  // namespace past

@@ -25,17 +25,11 @@ class Rng {
   // Uniform double in [0, 1).
   double NextDouble();
 
-  // Uniform integer in [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Standard normal deviate (Marsaglia polar method).
   double NextGaussian();
 
   // True with probability p.
   bool NextBool(double p);
-
-  // Derives an independent child generator (stable given call order).
-  Rng Fork();
 
  private:
   uint64_t state_[4];

@@ -19,9 +19,6 @@ class Gf256 {
   uint8_t Inv(uint8_t a) const;             // a must be nonzero
   uint8_t Pow(uint8_t a, unsigned e) const;
 
-  // Generator element (3 for this polynomial).
-  uint8_t generator() const { return 3; }
-
  private:
   Gf256();
 

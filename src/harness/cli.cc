@@ -1,5 +1,6 @@
 #include "src/harness/cli.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,22 +25,49 @@ bool CommandLine::Has(const std::string& flag) const {
 const std::string* CommandLine::ValueOf(const std::string& flag) const {
   queried_.insert(flag);
   valued_.insert(flag);
-  for (size_t i = 0; i + 1 < args_.size(); ++i) {
-    if (args_[i] == flag) {
-      return &args_[i + 1];
+  for (size_t i = 0; i < args_.size(); ++i) {
+    if (args_[i] != flag) {
+      continue;
     }
+    if (i + 1 == args_.size() || args_[i + 1].rfind("--", 0) == 0) {
+      ExitOnBadValue(flag, "needs a value");
+    }
+    return &args_[i + 1];
   }
   return nullptr;
 }
 
+void CommandLine::ExitOnBadValue(const std::string& flag, const std::string& why) {
+  std::fprintf(stderr, "error: %s %s\n", flag.c_str(), why.c_str());
+  std::exit(2);
+}
+
 int64_t CommandLine::GetInt(const std::string& flag, int64_t default_value) const {
   const std::string* v = ValueOf(flag);
-  return v == nullptr ? default_value : std::strtoll(v->c_str(), nullptr, 10);
+  if (v == nullptr) {
+    return default_value;
+  }
+  char* end = nullptr;
+  errno = 0;
+  long long value = std::strtoll(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+    ExitOnBadValue(flag, "needs an integer, got '" + *v + "'");
+  }
+  return value;
 }
 
 double CommandLine::GetDouble(const std::string& flag, double default_value) const {
   const std::string* v = ValueOf(flag);
-  return v == nullptr ? default_value : std::strtod(v->c_str(), nullptr);
+  if (v == nullptr) {
+    return default_value;
+  }
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(v->c_str(), &end);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+    ExitOnBadValue(flag, "needs a number, got '" + *v + "'");
+  }
+  return value;
 }
 
 std::string CommandLine::GetString(const std::string& flag,

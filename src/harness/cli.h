@@ -3,9 +3,12 @@
 // A bench reads its `--flag value` / `--flag` options through the queries
 // below, then calls ExitOnUnknownFlags(): a flag it never asked about (a
 // typo, or a flag the bench no longer has) fails the run instead of leaving
-// the default in place without a word. A bare run has no flags, so `for b in
-// build/bench/*; do $b; done` always works. The google-benchmark binaries
-// (bench_micro_*) parse their own flags and do not use this class.
+// the default in place without a word. A valued flag with no value (the
+// next word is missing or starts with `--`), or a GetInt/GetDouble value
+// that is not a number, exits 2 from the query itself. A bare run has no
+// flags, so `for b in build/bench/*; do $b; done` always works. The
+// google-benchmark binaries (bench_micro_*) parse their own flags and do not
+// use this class.
 #ifndef SRC_HARNESS_CLI_H_
 #define SRC_HARNESS_CLI_H_
 
@@ -21,6 +24,8 @@ class CommandLine {
   CommandLine(int argc, char** argv);
 
   bool Has(const std::string& flag) const;
+  // The value queries return `default_value` when the flag is absent; a bad
+  // value prints `error: ...` naming the flag and exits with status 2.
   int64_t GetInt(const std::string& flag, int64_t default_value) const;
   double GetDouble(const std::string& flag, double default_value) const;
   std::string GetString(const std::string& flag, const std::string& default_value) const;
@@ -35,6 +40,7 @@ class CommandLine {
 
  private:
   const std::string* ValueOf(const std::string& flag) const;
+  [[noreturn]] static void ExitOnBadValue(const std::string& flag, const std::string& why);
 
   std::vector<std::string> args_;
   // Flags asked about so far; the queries are const, so these record them.

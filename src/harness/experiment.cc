@@ -335,16 +335,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
                        static_cast<double>(found);
   result.avg_lookup_hops =
       found == 0 || hops == nullptr ? 0.0 : hops->sum / static_cast<double>(found);
-  if (!lookup_latencies.empty()) {
-    auto percentile = [&lookup_latencies](double q) {
-      size_t idx = static_cast<size_t>(q * static_cast<double>(lookup_latencies.size() - 1));
-      std::nth_element(lookup_latencies.begin(), lookup_latencies.begin() + idx,
-                       lookup_latencies.end());
-      return lookup_latencies[idx];
-    };
-    result.lookup_latency_p50_ms = percentile(0.50);
-    result.lookup_latency_p95_ms = percentile(0.95);
-  }
+  result.lookup_latency_p50_ms = FloorRankPercentile(lookup_latencies, 0.50);
+  result.lookup_latency_p95_ms = FloorRankPercentile(lookup_latencies, 0.95);
 
   if (trace_sink != nullptr) {
     trace_sink->Flush();
@@ -354,6 +346,15 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     PAST_LOG(kError) << "failed to write metrics JSON to " << config.metrics_json_path;
   }
   return result;
+}
+
+double FloorRankPercentile(std::vector<double>& values, double q) {
+  if (values.empty()) {
+    return 0.0;
+  }
+  size_t idx = static_cast<size_t>(q * static_cast<double>(values.size() - 1));
+  std::nth_element(values.begin(), values.begin() + idx, values.end());
+  return values[idx];
 }
 
 TestDeployment BuildDeployment(size_t num_nodes, uint64_t capacity_per_node,

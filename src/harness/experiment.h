@@ -155,6 +155,11 @@ struct ExperimentResult {
 // Throws std::invalid_argument when config.Validate() reports errors.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
+// The floor-rank q-quantile of `values`: the element at index
+// floor(q * (n - 1)) in sorted order, or 0 when `values` is empty. Reorders
+// `values` (std::nth_element).
+double FloorRankPercentile(std::vector<double>& values, double q);
+
 // Fixture shared by examples and tests that want a live network without the
 // full harness: builds a small PAST deployment with clustered nodes.
 struct TestDeployment {

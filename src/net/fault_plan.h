@@ -27,10 +27,6 @@ struct FaultPlan {
   // Per-message probability of adding `delay_ms` of extra latency.
   double delay_probability = 0.0;
   double delay_ms = 0.0;
-
-  bool any_random_faults() const {
-    return drop_probability > 0.0 || duplicate_probability > 0.0 || delay_probability > 0.0;
-  }
 };
 
 }  // namespace past

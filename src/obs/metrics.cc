@@ -118,12 +118,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const HistogramMetric* MetricsRegistry::FindHistogram(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);

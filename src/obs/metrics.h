@@ -133,7 +133,6 @@ class MetricsRegistry {
 
   // Read-side lookups; nullptr when the instrument was never created.
   const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
   const HistogramMetric* FindHistogram(const std::string& name) const;
 
   MetricsSnapshot Snapshot() const;

@@ -32,32 +32,6 @@ std::string OpTraceJson(const OpTrace& event) {
   return out.str();
 }
 
-RingBufferTraceSink::RingBufferTraceSink(size_t capacity) : capacity_(capacity) {}
-
-void RingBufferTraceSink::Record(const OpTrace& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++recorded_;
-  if (capacity_ == 0) {
-    ++dropped_;
-    return;
-  }
-  if (events_.size() == capacity_) {
-    events_.pop_front();
-    ++dropped_;
-  }
-  events_.push_back(event);
-}
-
-uint64_t RingBufferTraceSink::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-uint64_t RingBufferTraceSink::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_;
-}
-
 JsonlTraceSink::JsonlTraceSink(const std::string& path) : out_(path, std::ios::trunc) {}
 
 void JsonlTraceSink::Record(const OpTrace& event) {

@@ -1,21 +1,18 @@
 // Structured operation tracing for insert / lookup / reclaim / maintenance.
 //
-// Each completed operation emits one OpTrace record into a pluggable sink:
-// kNull (default, zero overhead beyond one branch), a bounded ring buffer
-// (tests, interactive inspection), or a JSONL file (offline analysis — one
-// JSON object per line). Records carry pre-rendered ids (hex strings) so the
-// obs layer stays free of protocol-type dependencies.
+// When a sink is installed, each completed operation emits one OpTrace record
+// into it; with none installed (the default) an op pays one branch. The one
+// sink is a JSONL file (offline analysis — one JSON object per line). Records
+// carry pre-rendered ids (hex strings) so the obs layer stays free of
+// protocol-type dependencies.
 //
 // Threading: the harness suite runs experiments share-nothing, each with its
-// own sink, but Record()/Flush() on the buffered sinks are mutex-guarded so a
-// sink shared across threads (or inspected while an experiment runs) stays
-// well-formed. RingBufferTraceSink::events() returns the live deque — only
-// read it after the writers are done.
+// own sink, but JsonlTraceSink's Record()/Flush() are mutex-guarded so a sink
+// shared across threads stays well-formed.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -53,31 +50,6 @@ class TraceSink {
   virtual ~TraceSink() = default;
   virtual void Record(const OpTrace& event) = 0;
   virtual void Flush() {}
-};
-
-// Swallows everything; lets emitters call an always-valid sink.
-class NullTraceSink : public TraceSink {
- public:
-  void Record(const OpTrace&) override {}
-};
-
-// Keeps the most recent `capacity` events; older ones are dropped (counted).
-class RingBufferTraceSink : public TraceSink {
- public:
-  explicit RingBufferTraceSink(size_t capacity);
-
-  void Record(const OpTrace& event) override;
-
-  const std::deque<OpTrace>& events() const { return events_; }
-  uint64_t dropped() const;
-  uint64_t recorded() const;
-
- private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::deque<OpTrace> events_;
-  uint64_t dropped_ = 0;
-  uint64_t recorded_ = 0;
 };
 
 // Appends one JSON object per event to `path` (truncated on open).

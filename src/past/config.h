@@ -66,14 +66,6 @@ struct PastConfig {
   // slot order differs from the default, and the message-level simulator's
   // committed fingerprints depend on the default order.
   bool compact_store_tables = false;
-
-  // Per-phase timeout for the event-driven client operations (virtual ms).
-  // When a protocol exchange still has unanswered messages this long after
-  // they were sent, the op presumes them lost and takes its timeout path
-  // (rollback + client re-salt retry for inserts). Must comfortably exceed
-  // the worst-case chained delivery latency of one exchange so that merely
-  // slow (delayed-fault) messages are not misread as drops.
-  uint64_t op_timeout_ms = 2000;
 };
 
 }  // namespace past

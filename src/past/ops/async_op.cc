@@ -3,6 +3,17 @@
 #include "src/past/ops/op_engine.h"
 
 namespace past {
+namespace {
+
+// Per-phase timeout for the event-driven client operations (virtual ms).
+// When a protocol exchange still has unanswered messages this long after
+// they were sent, the op presumes them lost and takes its timeout path
+// (rollback + client re-salt retry for inserts). Must comfortably exceed
+// the worst-case chained delivery latency of one exchange so that merely
+// slow (delayed-fault) messages are not misread as drops.
+constexpr uint64_t kOpTimeoutMs = 2000;
+
+}  // namespace
 
 Message OpCore::Direct(MessageType type, const NodeId& from, const NodeId& to,
                        const FileId& file, uint64_t payload_bytes) {
@@ -42,7 +53,7 @@ void AsyncOp::EndPhase() {
   // cancel the timer before the op can retire, and a cancelled event's
   // closure is never run.
   timer_armed_ = true;
-  timer_ = transport_.ScheduleTimer(net_.config().op_timeout_ms, [this, epoch = epoch_] {
+  timer_ = transport_.ScheduleTimer(kOpTimeoutMs, [this, epoch = epoch_] {
     if (done_ || epoch_ != epoch) {
       return;  // the phase completed (or the op finished) before the timer
     }

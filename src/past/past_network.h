@@ -112,7 +112,6 @@ class PastNetwork : public MembershipObserver {
   // ops layer commits before acks/receipts leave a node. Call before adding
   // nodes; `env` must outlive this network.
   void UseDurableStore(StorageEnv& env, const DurableOptions& opts);
-  bool durable_store_enabled() const { return durable_env_ != nullptr; }
 
   // Brings a previously failed node back with whatever its directory holds
   // (possibly a torn tail): replays the log, then audits the recovered state

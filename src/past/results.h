@@ -66,7 +66,7 @@ struct InsertResult {
 struct LookupResult {
   LookupStatus status = LookupStatus::kNotFound;
 
-  // Derived accessor (migration shim for the old `bool found` field).
+  // Shorthand for `status == LookupStatus::kFound`.
   bool found() const { return status == LookupStatus::kFound; }
 
   // True when a cached copy (not one of the k replicas) served the request.
@@ -93,8 +93,8 @@ struct LookupResult {
 struct ReclaimResult {
   ReclaimStatus status = ReclaimStatus::kNotFound;
 
-  // Derived accessor (migration shim for the old `bool accepted` field):
-  // the certificates all verified, whether or not anything was stored.
+  // Shorthand: the certificates all verified (kReclaimed or kNotFound),
+  // whether or not anything was stored.
   bool accepted() const {
     return status == ReclaimStatus::kReclaimed || status == ReclaimStatus::kNotFound;
   }

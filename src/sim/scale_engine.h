@@ -48,9 +48,9 @@
 // maintenance disabled between sweeps, a file inserted with k replicas that
 // sees t epochs of random crashes (survival s per epoch-product) has
 // Binomial(k, s) live replicas — the periodic-repair specialization of the
-// birth-death replication models (PAPERS.md: Sun et al.). RunMeanField()
+// birth-death replication models (PAPERS.md: Sun et al.). BuildReport()
 // measures the empirical replica distribution and its total-variation
-// distance from that prediction.
+// distance from that prediction (MeasureMeanField).
 #ifndef SRC_SIM_SCALE_ENGINE_H_
 #define SRC_SIM_SCALE_ENGINE_H_
 

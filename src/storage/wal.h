@@ -115,7 +115,6 @@ class NodeStoreJournal {
   bool failed() const { return failed_; }
   const std::string& dir() const { return dir_; }
   uint64_t total_bytes() const { return total_bytes_; }
-  uint64_t dead_bytes() const { return dead_bytes_; }
   size_t segment_count() const { return segments_.size(); }
 
  private:

@@ -247,7 +247,7 @@ TEST_F(AsyncOpsTest, TimeoutWithDuplicateRepliesInFlightRollsBackCleanly) {
   FaultPlan faults;
   faults.duplicate_probability = 1.0;
   faults.delay_probability = 1.0;
-  faults.delay_ms = 10'000.0;  // > op_timeout_ms (2000)
+  faults.delay_ms = 10'000.0;  // > the 2000 ms op timeout
   sim_->set_faults(faults);
 
   PastClient client(network(), AnyNode(), 1ull << 40, 80);

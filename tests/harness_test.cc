@@ -208,14 +208,13 @@ TEST(CommandLineTest, ParsesFlags) {
 }
 
 TEST(CommandLineTest, RejectsFlagsNeverRead) {
-  const char* argv[] = {"bench", "--smoke", "--coop-cache", "1", "--metrics-json", "--m.json",
+  const char* argv[] = {"bench", "--smoke", "--coop-cache", "1", "--metrics-json", "m.json",
                         "--nodes", "60"};
   CommandLine cli(8, const_cast<char**>(argv));
   EXPECT_TRUE(cli.Has("--smoke"));
   EXPECT_EQ(cli.UnknownFlags(),
-            (std::vector<std::string>{"--coop-cache", "--metrics-json", "--m.json", "--nodes"}));
-  // Once read as `--flag value`, the word after the flag is its value.
-  EXPECT_EQ(cli.GetString("--metrics-json", ""), "--m.json");
+            (std::vector<std::string>{"--coop-cache", "--metrics-json", "--nodes"}));
+  EXPECT_EQ(cli.GetString("--metrics-json", ""), "m.json");
   EXPECT_EQ(cli.GetInt("--nodes", 300), 60);
   EXPECT_EQ(cli.UnknownFlags(), std::vector<std::string>{"--coop-cache"});
   EXPECT_EXIT(cli.ExitOnUnknownFlags(), ::testing::ExitedWithCode(2),
@@ -226,6 +225,44 @@ TEST(CommandLineTest, RejectsFlagsNeverRead) {
   CommandLine bare_cli(1, const_cast<char**>(bare));
   EXPECT_TRUE(bare_cli.UnknownFlags().empty());
   bare_cli.ExitOnUnknownFlags();
+}
+
+TEST(CommandLineTest, RejectsValuesThatAreNotNumbers) {
+  const char* argv[] = {"bench", "--jobs", "two", "--nodes", "60x", "--tpri", "0.2.1",
+                        "--seed", "-7", "--tdiv", "5e-2"};
+  CommandLine cli(11, const_cast<char**>(argv));
+  EXPECT_EQ(cli.GetInt("--seed", 42), -7);
+  EXPECT_DOUBLE_EQ(cli.GetDouble("--tdiv", 0.05), 0.05);
+  EXPECT_EXIT(cli.GetInt("--jobs", 1), ::testing::ExitedWithCode(2),
+              "error: --jobs needs an integer, got 'two'");
+  EXPECT_EXIT(cli.GetInt("--nodes", 300), ::testing::ExitedWithCode(2), "error: --nodes");
+  EXPECT_EXIT(cli.GetDouble("--tpri", 0.1), ::testing::ExitedWithCode(2),
+              "error: --tpri needs a number, got '0.2.1'");
+}
+
+TEST(CommandLineTest, RejectsAFlagInPlaceOfAValue) {
+  // `--metrics-json` is missing its file name, so it would swallow the first
+  // `--nodes` and leave `--nodes` reading the word `--nodes` as its value.
+  const char* argv[] = {"bench", "--metrics-json", "--nodes", "--nodes", "60", "--seed"};
+  CommandLine cli(6, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.GetInt("--nodes", 300), ::testing::ExitedWithCode(2),
+              "error: --nodes needs a value");
+  EXPECT_EXIT(cli.GetString("--metrics-json", ""), ::testing::ExitedWithCode(2),
+              "error: --metrics-json needs a value");
+  // A valued flag at the end of the line has no value either.
+  EXPECT_EXIT(cli.GetInt("--seed", 42), ::testing::ExitedWithCode(2),
+              "error: --seed needs a value");
+}
+
+TEST(PercentileTest, ExactValues) {
+  std::vector<double> v = {5.0, 1.0, 4.0, 2.0, 3.0};
+  EXPECT_DOUBLE_EQ(FloorRankPercentile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(FloorRankPercentile(v, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(FloorRankPercentile(v, 0.5), 3.0);
+  // Rank floor(0.3 * 4) = 1: the floor rank, not an interpolated 2.2.
+  EXPECT_DOUBLE_EQ(FloorRankPercentile(v, 0.3), 2.0);
+  std::vector<double> empty;
+  EXPECT_DOUBLE_EQ(FloorRankPercentile(empty, 0.5), 0.0);
 }
 
 TEST(TablePrinterTest, FormatHelpers) {

@@ -1,6 +1,6 @@
 // Observability layer tests: instrument semantics, bucket edges, scope
-// aggregation, trace sinks, and agreement between the metrics registry and
-// the legacy harness headline numbers.
+// aggregation, the JSONL trace sink, and agreement between the metrics
+// registry and the legacy harness headline numbers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -76,7 +76,7 @@ TEST(ObsMetricsTest, RegistryCreatesOnFirstAccessWithStableReferences) {
   ASSERT_NE(registry.FindCounter("x"), nullptr);
   EXPECT_EQ(registry.FindCounter("x")->value(), 3u);
 
-  // Histogram bounds are consulted only on first creation.
+  // A histogram's bounds are consulted only on first creation.
   HistogramMetric& h1 = registry.GetHistogram("h", {1.0, 2.0});
   HistogramMetric& h2 = registry.GetHistogram("h", {99.0});
   EXPECT_EQ(&h1, &h2);
@@ -124,20 +124,6 @@ TEST(ObsMetricsTest, JsonOutputContainsAllSections) {
   EXPECT_NE(json.find("\"g.one\": 2.5"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"upper_bounds\""), std::string::npos);
-}
-
-TEST(ObsTraceTest, RingBufferKeepsMostRecentAndCountsDrops) {
-  RingBufferTraceSink sink(2);
-  for (uint64_t i = 0; i < 3; ++i) {
-    OpTrace event;
-    event.seq = i;
-    sink.Record(event);
-  }
-  EXPECT_EQ(sink.recorded(), 3u);
-  EXPECT_EQ(sink.dropped(), 1u);
-  ASSERT_EQ(sink.events().size(), 2u);
-  EXPECT_EQ(sink.events().front().seq, 1u);
-  EXPECT_EQ(sink.events().back().seq, 2u);
 }
 
 TEST(ObsTraceTest, OpTraceJsonIsOneObjectWithKnownKeys) {

@@ -45,20 +45,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(RngTest, NextInRangeInclusive) {
-  Rng rng(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    int64_t v = rng.NextInRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, GaussianMoments) {
   Rng rng(6);
   double sum = 0.0, sum_sq = 0.0;
@@ -70,12 +56,6 @@ TEST(RngTest, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(7);
-  Rng child = a.Fork();
-  EXPECT_NE(a.NextU64(), child.NextU64());
 }
 
 TEST(TruncatedNormalTest, RespectsBounds) {

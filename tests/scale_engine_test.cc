@@ -260,7 +260,7 @@ TEST(ScaleEngineTest, MeanFieldWindowIsPopulated) {
   EXPECT_GT(report.eligible_files, 0u);
   EXPECT_GT(report.survival_probability, 0.0);
   EXPECT_LE(report.survival_probability, 1.0);
-  // Histogram masses agree: both sum to the eligible-file count.
+  // The two histograms' masses agree: both sum to the eligible-file count.
   uint64_t empirical_total = 0;
   for (uint64_t count : report.replica_histogram) {
     empirical_total += count;
