@@ -32,6 +32,13 @@ const std::string* CommandLine::ValueOf(const std::string& flag) const {
     if (i + 1 == args_.size() || args_[i + 1].rfind("--", 0) == 0) {
       ExitOnBadValue(flag, "needs a value");
     }
+    // A later occurrence would otherwise be ignored without a word. Values
+    // never start with `--`, so any later match is the flag itself.
+    for (size_t j = i + 2; j < args_.size(); ++j) {
+      if (args_[j] == flag) {
+        ExitOnBadValue(flag, "is given more than once");
+      }
+    }
     return &args_[i + 1];
   }
   return nullptr;

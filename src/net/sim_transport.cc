@@ -16,7 +16,7 @@ double SimTransport::LatencyFor(const Message& msg) const {
 }
 
 bool SimTransport::ShouldDrop(const Message& msg) {
-  if (IsPartitioned(msg.from) || IsPartitioned(msg.to)) {
+  if (!partitioned_.empty() && (IsPartitioned(msg.from) || IsPartitioned(msg.to))) {
     return true;
   }
   uint64_t& targeted = drop_next_[static_cast<size_t>(msg.type)];
@@ -48,22 +48,46 @@ void SimTransport::Send(const Message& msg, DeliverFn on_deliver) {
   }
   SimTime delay = static_cast<SimTime>(std::llround(std::max(latency, 0.0)));
   for (int copy = 0; copy < copies; ++copy) {
-    ++in_flight_;
-    // The Message is copied into the event so the sender's stack can unwind;
-    // the continuation sees the copy by reference.
-    queue_.ScheduleAfter(delay, [this, msg, latency, fn = on_deliver]() {
-      --in_flight_;
-      ++delivered_;
-      if (fn) {
-        Delivery delivery{msg, latency, queue_.now()};
-        fn(delivery);
-      }
-    });
+    // The Message is parked so the sender's stack can unwind; the event
+    // itself carries only the slot, which fits std::function's small buffer.
+    uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<uint32_t>(parked_.size());
+      parked_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    Parked& p = parked_[slot];
+    p.msg = msg;
+    p.latency = latency;
+    if (copy + 1 == copies) {
+      p.fn = std::move(on_deliver);
+    } else {
+      p.fn = on_deliver;
+    }
+    queue_.ScheduleAfter(delay, [this, slot] { Deliver(slot); });
+  }
+}
+
+void SimTransport::Deliver(uint32_t slot) {
+  // The continuation may send, which can reuse this slot or grow parked_,
+  // so everything it needs leaves the slot before it runs.
+  Parked& p = parked_[slot];
+  const Message msg = p.msg;
+  const double latency = p.latency;
+  DeliverFn fn = std::move(p.fn);
+  p.fn = nullptr;
+  free_slots_.push_back(slot);
+  ++delivered_;
+  if (fn) {
+    Delivery delivery{msg, latency, queue_.now()};
+    fn(delivery);
   }
 }
 
 void SimTransport::Settle() {
-  while (in_flight_ > 0) {
+  while (in_flight() > 0) {
     if (!queue_.Step()) {
       break;  // queue empty yet in-flight != 0 would be a bookkeeping bug
     }

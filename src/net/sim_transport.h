@@ -4,15 +4,22 @@
 // Each Send computes a latency from the LatencyModel and the message's route
 // shape (hops, proximity distance, payload bytes), applies the FaultPlan
 // (drop / duplicate / delay, plus node partitions), and schedules the
-// delivery continuation on the EventQueue. Determinism: for a fixed seed and
-// call sequence, the fault decisions and delivery order are identical run to
+// delivery on the EventQueue. Determinism: for a fixed seed and call
+// sequence, the fault decisions and delivery order are identical run to
 // run — equal-time deliveries execute in FIFO send order (the EventQueue's
 // sequence tie-break).
+//
+// A message in flight is parked with its latency and continuation in a
+// reused slot, and the queued event carries only {this, slot}, which fits
+// std::function's small buffer: a send allocates nothing beyond what the
+// caller's continuation itself needs, once the slot table has grown to the
+// run's peak in-flight count.
 #ifndef SRC_NET_SIM_TRANSPORT_H_
 #define SRC_NET_SIM_TRANSPORT_H_
 
 #include <array>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/net/fault_plan.h"
@@ -53,7 +60,7 @@ class SimTransport : public Transport {
   // drain is a simulation step, like Settle()).
   bool StepOne() override { return queue_.Step(); }
 
-  uint64_t InFlightDeliveries() const override { return in_flight_; }
+  uint64_t InFlightDeliveries() const override { return in_flight(); }
   bool Idle() const override { return queue_.empty(); }
 
   const Options& options() const { return options_; }
@@ -78,18 +85,28 @@ class SimTransport : public Transport {
     drop_next_[static_cast<size_t>(type)] += count;
   }
 
-  uint64_t in_flight() const { return in_flight_; }
+  uint64_t in_flight() const { return parked_.size() - free_slots_.size(); }
   uint64_t delivered() const { return delivered_; }
 
  private:
+  // One message in flight (one copy, when duplicated).
+  struct Parked {
+    Message msg;
+    double latency = 0.0;
+    DeliverFn fn;
+  };
+
   double LatencyFor(const Message& msg) const;
   bool ShouldDrop(const Message& msg);
+  // Frees `slot`, then runs its continuation.
+  void Deliver(uint32_t slot);
 
   EventQueue& queue_;
   Options options_;
   Rng rng_;
-  uint64_t in_flight_ = 0;
   uint64_t delivered_ = 0;
+  std::vector<Parked> parked_;
+  std::vector<uint32_t> free_slots_;
   std::unordered_set<NodeId, NodeIdHash> partitioned_;
   std::array<uint64_t, kMessageTypeCount> drop_next_{};
 };

@@ -298,27 +298,32 @@ const PastNode* PastNetwork::storage_node(const NodeId& id) const {
 
 std::vector<NodeId> PastNetwork::KClosestFromLeafSet(const NodeId& root, const NodeId& key,
                                                      size_t k) const {
-  const PastryNode* node = pastry_.node(root);
+  const PastryNetwork::NodeIndex root_index = pastry_.IndexOf(root);
+  if (root_index == PastryNetwork::kInvalidIndex) {
+    return {};
+  }
+  const PastryNode* node = pastry_.node_at(root_index);
   if (node == nullptr) {
     return {};
   }
+  // Liveness is read through the leaf set's interned indices: an array load
+  // per member instead of an id -> index hash probe.
   const LeafSet& leaves = node->leaf_set();
+  std::span<const NodeId> larger = leaves.larger();
+  std::span<const NodeId> smaller = leaves.smaller();
   std::vector<NodeId> candidates;
-  candidates.reserve(leaves.larger().size() + leaves.smaller().size() + 1);
-  for (const NodeId& id : leaves.larger()) {
-    if (pastry_.IsAlive(id)) {
-      candidates.push_back(id);
+  candidates.reserve(larger.size() + smaller.size() + 1);
+  for (size_t i = 0; i < larger.size(); ++i) {
+    if (pastry_.alive_at(leaves.larger_indices()[i])) {
+      candidates.push_back(larger[i]);
     }
   }
-  // The two sides only overlap in networks smaller than the leaf set; the
-  // linear dedup scan is bounded by l/2 and usually finds nothing.
-  for (const NodeId& id : leaves.smaller()) {
-    if (pastry_.IsAlive(id) &&
-        std::find(candidates.begin(), candidates.end(), id) == candidates.end()) {
-      candidates.push_back(id);
+  for (size_t i = 0; i < smaller.size(); ++i) {
+    if (pastry_.alive_at(leaves.smaller_indices()[i]) && !leaves.InLarger(smaller[i])) {
+      candidates.push_back(smaller[i]);
     }
   }
-  if (pastry_.IsAlive(root)) {
+  if (pastry_.alive_at(root_index)) {
     candidates.push_back(root);
   }
   // Only the first k in closeness order are needed; CloserTo is a strict
@@ -338,28 +343,28 @@ bool PastNetwork::IsAmongKClosest(const NodeId& node, const NodeId& key, size_t 
   // order, node is among the k closest live candidates iff it is alive and
   // strictly fewer than k distinct live leaf-set members beat it. This runs
   // per hop of every insert route, so it is worth the hand-rolled counting.
-  if (!pastry_.IsAlive(node)) {
+  const PastryNetwork::NodeIndex index = pastry_.IndexOf(node);
+  if (index == PastryNetwork::kInvalidIndex || !pastry_.alive_at(index)) {
     return false;
   }
-  const PastryNode* pn = pastry_.node(node);
+  const PastryNode* pn = pastry_.node_at(index);
   if (pn == nullptr) {
     return false;
   }
   const LeafSet& leaves = pn->leaf_set();
+  std::span<const NodeId> larger = leaves.larger();
+  std::span<const NodeId> smaller = leaves.smaller();
   size_t closer = 0;
-  for (const NodeId& id : leaves.larger()) {
-    if (pastry_.IsAlive(id) && id.CloserTo(key, node)) {
+  for (size_t i = 0; i < larger.size(); ++i) {
+    if (pastry_.alive_at(leaves.larger_indices()[i]) && larger[i].CloserTo(key, node)) {
       if (++closer >= k) {
         return false;
       }
     }
   }
-  std::span<const NodeId> larger = leaves.larger();
-  for (const NodeId& id : leaves.smaller()) {
-    if (std::find(larger.begin(), larger.end(), id) != larger.end()) {
-      continue;  // sides overlap only in tiny networks; avoid double counting
-    }
-    if (pastry_.IsAlive(id) && id.CloserTo(key, node)) {
+  for (size_t i = 0; i < smaller.size(); ++i) {
+    if (pastry_.alive_at(leaves.smaller_indices()[i]) && smaller[i].CloserTo(key, node) &&
+        !leaves.InLarger(smaller[i])) {
       if (++closer >= k) {
         return false;
       }
@@ -420,7 +425,7 @@ std::optional<NodeId> PastNetwork::ChooseDiversionTarget(const NodeId& primary,
   }
   std::span<const NodeId> smaller = leaves.smaller();
   for (size_t i = 0; i < smaller.size(); ++i) {
-    if (std::find(larger.begin(), larger.end(), smaller[i]) == larger.end()) {
+    if (!leaves.InLarger(smaller[i])) {
       consider(smaller[i], leaves.smaller_indices()[i]);
     }
   }

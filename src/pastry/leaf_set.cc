@@ -100,10 +100,21 @@ bool LeafSet::Contains(const NodeId& id) const {
   return false;
 }
 
+bool LeafSet::InLarger(const NodeId& id) const {
+  const int n = count_[0];
+  const NodeId* ids = side_ids(0);
+  if (n == 0 || owner_.ClockwiseDistance(id) > owner_.ClockwiseDistance(ids[n - 1])) {
+    return false;
+  }
+  return std::find(ids, ids + n, id) != ids + n;
+}
+
 std::vector<NodeId> LeafSet::All() const {
-  std::vector<NodeId> all(larger().begin(), larger().end());
+  std::vector<NodeId> all;
+  all.reserve(static_cast<size_t>(count_[0] + count_[1]));
+  all.assign(larger().begin(), larger().end());
   for (const NodeId& id : smaller()) {
-    if (std::find(all.begin(), all.end(), id) == all.end()) {
+    if (!InLarger(id)) {
       all.push_back(id);
     }
   }

@@ -61,8 +61,16 @@ class LeafSet {
     return {side_idx(1), static_cast<size_t>(count_[1])};
   }
 
-  // Distinct members of both sides (owner excluded).
+  // Distinct members of both sides (owner excluded): larger(), then the
+  // members of smaller() that are not in larger().
   std::vector<NodeId> All() const;
+
+  // True if `id` is a member of larger(). The sides share members only in
+  // networks of at most l nodes. A member of larger() is no farther
+  // clockwise from the owner than its farthest one, so in the usual
+  // disjoint case a smaller-side member is ruled out by one distance
+  // compare, without the linear scan.
+  bool InLarger(const NodeId& id) const;
 
   // True if `key` falls inside the id range covered by the leaf set
   // (between the farthest smaller and farthest larger member, owner

@@ -9,33 +9,63 @@ EventQueue::EventId EventQueue::ScheduleAfter(SimTime delay, Callback fn) {
 }
 
 EventQueue::EventId EventQueue::ScheduleAt(SimTime when, Callback fn) {
-  EventId id = next_id_++;
-  heap_.push(Event{std::max(when, now_), next_sequence_++, id, std::move(fn)});
-  live_.insert(id);
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.live = true;
+  ++live_count_;
+  heap_.push(Item{std::max(when, now_), next_sequence_++, slot, s.generation});
+  return (static_cast<EventId>(s.generation) << 32) | slot;
+}
+
+void EventQueue::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.live = false;
+  if (++s.generation == 0) {
+    s.generation = 1;  // ids stay nonzero across wraparound
+  }
+  free_slots_.push_back(slot);
+  --live_count_;
 }
 
 bool EventQueue::Cancel(EventId id) {
   // Only ids currently live (scheduled, not yet run) are cancellable; an id
-  // that already ran — or was never issued — reports false instead of
-  // silently corrupting the pending() count.
-  if (live_.erase(id) == 0) {
+  // that already ran, was cancelled, or was never issued reports false, even
+  // when its slot now holds a newer event.
+  uint64_t slot = id & 0xffffffffu;
+  if (slot >= slots_.size()) {
     return false;
   }
-  cancelled_.insert(id);
+  const Slot& s = slots_[slot];
+  if (!s.live || s.generation != static_cast<uint32_t>(id >> 32)) {
+    return false;
+  }
+  Release(static_cast<uint32_t>(slot));
   return true;
 }
 
 bool EventQueue::PopAndRun() {
   while (!heap_.empty()) {
-    Event event = heap_.top();
+    Item item = heap_.top();
     heap_.pop();
-    if (cancelled_.erase(event.id) != 0) {
-      continue;
+    Slot& s = slots_[item.slot];
+    if (!s.live || s.generation != item.generation) {
+      continue;  // cancelled
     }
-    live_.erase(event.id);
-    now_ = event.when;
-    event.fn();
+    now_ = item.when;
+    // The callback may schedule into (and grow) the slot table, so it runs
+    // from a local, with its slot already released.
+    Callback fn = std::move(s.fn);
+    Release(item.slot);
+    fn();
     return true;
   }
   return false;

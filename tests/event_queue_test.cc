@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <random>
+#include <unordered_set>
+#include <vector>
+
 #include "src/sim/event_queue.h"
 
 namespace past {
@@ -35,7 +41,7 @@ TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(q.RunUntil(20), 2u);
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(q.now(), 20u);
-  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.LiveCount(), 1u);
 }
 
 TEST(EventQueueTest, CancelPreventsExecution) {
@@ -82,16 +88,15 @@ TEST(EventQueueTest, StepExecutesOne) {
 
 TEST(EventQueueTest, CancelAfterRunReportsFalseAndKeepsPendingExact) {
   // Regression: cancelling an id that already executed used to report true
-  // and permanently skew pending(); with the live-set bookkeeping it is a
-  // clean no-op.
+  // and permanently skew the pending count; it is a clean no-op.
   EventQueue q;
   auto ran_id = q.ScheduleAfter(1, [] {});
   auto live_id = q.ScheduleAfter(2, [] {});
   EXPECT_TRUE(q.Step());
   EXPECT_FALSE(q.Cancel(ran_id));
-  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.LiveCount(), 1u);
   EXPECT_TRUE(q.Cancel(live_id));
-  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.LiveCount(), 0u);
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.Step());
 }
@@ -117,12 +122,12 @@ TEST(EventQueueTest, CancellationHeavyWorkload) {
       ASSERT_TRUE(q.Cancel(ids[static_cast<size_t>(i)]));
       ++cancelled;
     }
-    ASSERT_EQ(q.pending(), static_cast<size_t>(kPerBatch / 2));
+    ASSERT_EQ(q.LiveCount(), static_cast<size_t>(kPerBatch / 2));
     // Double-cancel is rejected without disturbing the count.
     ASSERT_FALSE(q.Cancel(ids[1]));
-    ASSERT_EQ(q.pending(), static_cast<size_t>(kPerBatch / 2));
+    ASSERT_EQ(q.LiveCount(), static_cast<size_t>(kPerBatch / 2));
     q.RunAll();
-    ASSERT_EQ(q.pending(), 0u);
+    ASSERT_EQ(q.LiveCount(), 0u);
   }
   EXPECT_EQ(executed, static_cast<uint64_t>(kBatches) * kPerBatch / 2);
   EXPECT_EQ(cancelled, static_cast<uint64_t>(kBatches) * kPerBatch / 2);
@@ -160,7 +165,6 @@ TEST(EventQueueTest, LiveCountTreatsCancelledOnlyQueueAsQuiescent) {
   // Nothing was popped, so the husks are still enqueued — yet the queue must
   // report quiescent.
   EXPECT_EQ(q.LiveCount(), 0u);
-  EXPECT_EQ(q.pending(), 0u);
   EXPECT_TRUE(q.empty());
 
   // A fresh event revives it, and running drains it back to quiescent.
@@ -185,6 +189,221 @@ TEST(EventQueueTest, KeepAlivePatternRepeatingTimer) {
   q.RunUntil(1000);
   EXPECT_EQ(rounds, 5);
   EXPECT_EQ(q.now(), 1000u);
+}
+
+// The set-based queue EventQueue replaced, kept as the reference model for
+// the differential test below: a heap of {when, sequence, id, callback}
+// with sequential ids, and live/cancelled id sets.
+class ReferenceQueue {
+ public:
+  using Callback = std::function<void()>;
+  using EventId = uint64_t;
+
+  SimTime now() const { return now_; }
+  EventId ScheduleAfter(SimTime delay, Callback fn) { return ScheduleAt(now_ + delay, fn); }
+  EventId ScheduleAt(SimTime when, Callback fn) {
+    EventId id = next_id_++;
+    heap_.push(Event{std::max(when, now_), next_sequence_++, id, std::move(fn)});
+    live_.insert(id);
+    return id;
+  }
+  bool Cancel(EventId id) {
+    if (live_.erase(id) == 0) {
+      return false;
+    }
+    cancelled_.insert(id);
+    return true;
+  }
+  size_t RunUntil(SimTime until) {
+    size_t executed = 0;
+    while (!heap_.empty() && heap_.top().when <= until) {
+      if (PopAndRun()) {
+        ++executed;
+      }
+    }
+    now_ = std::max(now_, until);
+    return executed;
+  }
+  bool Step() { return PopAndRun(); }
+  size_t LiveCount() const { return live_.size(); }
+  // The first id this queue has not issued yet.
+  EventId unissued() const { return next_id_; }
+
+ private:
+  struct Event {
+    SimTime when;
+    uint64_t sequence;
+    EventId id;
+    Callback fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.when != b.when ? a.when > b.when : a.sequence > b.sequence;
+    }
+  };
+  bool PopAndRun() {
+    while (!heap_.empty()) {
+      Event event = heap_.top();
+      heap_.pop();
+      if (cancelled_.erase(event.id) != 0) {
+        continue;
+      }
+      live_.erase(event.id);
+      now_ = event.when;
+      event.fn();
+      return true;
+    }
+    return false;
+  }
+
+  SimTime now_ = 0;
+  uint64_t next_sequence_ = 0;
+  EventId next_id_ = 1;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::unordered_set<EventId> live_;
+  std::unordered_set<EventId> cancelled_;
+};
+
+uint64_t SplitMix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// Drives one queue through a scripted run. Events are tagged by issue
+// order, and what an event does when it runs (schedule a child, cancel an
+// issued id) is a pure function of (seed, tag), so two queues fed the same
+// top-level ops see the same nested ones as long as they agree.
+template <typename Queue>
+class Driver {
+ public:
+  explicit Driver(uint64_t seed) : seed_(seed) {}
+
+  Queue q;
+  std::vector<uint64_t> ids;  // by tag
+  std::vector<int64_t> log;   // tags run, nested Cancel results, run times
+
+  void ScheduleAfter(SimTime delay) { Issue(q.ScheduleAfter(delay, Callback(ids.size()))); }
+  void ScheduleAt(SimTime when) { Issue(q.ScheduleAt(when, Callback(ids.size()))); }
+
+ private:
+  std::function<void()> Callback(size_t tag) {
+    return [this, tag] {
+      log.push_back(static_cast<int64_t>(tag));
+      log.push_back(static_cast<int64_t>(q.now()));
+      uint64_t r = SplitMix(seed_ ^ (tag * 0x100000001b3ull));
+      if (r % 4 == 0) {
+        ScheduleAfter((r >> 8) % 6);
+      }
+      if ((r >> 16) % 5 == 0) {
+        bool cancelled = q.Cancel(ids[(r >> 24) % ids.size()]);
+        log.push_back(cancelled ? -1 : -2);
+      }
+    };
+  }
+  void Issue(uint64_t id) {
+    ASSERT_NE(id, 0u);  // 0 means "no timer" to keepalive.h and async_op.h
+    ids.push_back(id);
+  }
+
+  uint64_t seed_;
+};
+
+TEST(EventQueueTest, MatchesReferenceQueueOnRandomOps) {
+  constexpr SimTime kDelays[] = {0, 1, 1, 2, 3, 5, 5, 8, 40};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Driver<ReferenceQueue> ref(seed);
+    Driver<EventQueue> sut(seed);
+    std::mt19937_64 rng(seed);
+    size_t checked = 0;
+    for (int op = 0; op < 20'000; ++op) {
+      const uint64_t r = rng();
+      const uint64_t pick = r >> 16;
+      switch (r % 16) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+        case 4: {
+          SimTime delay = kDelays[pick % std::size(kDelays)];
+          ref.ScheduleAfter(delay);
+          sut.ScheduleAfter(delay);
+          break;
+        }
+        case 5: {
+          // Often in the past, which clamps to now().
+          SimTime when = ref.q.now() + (pick % 7) - std::min<SimTime>(ref.q.now(), 3);
+          ref.ScheduleAt(when);
+          sut.ScheduleAt(when);
+          break;
+        }
+        case 6:
+        case 7:
+        case 8: {
+          // Any issued id: live, already run, or already cancelled.
+          if (ref.ids.empty()) {
+            break;
+          }
+          size_t tag = pick % ref.ids.size();
+          ASSERT_EQ(ref.q.Cancel(ref.ids[tag]), sut.q.Cancel(sut.ids[tag])) << "op " << op;
+          break;
+        }
+        case 9: {
+          // Ids never issued, and 0.
+          ASSERT_FALSE(ref.q.Cancel(ref.q.unissued() + pick % 5));
+          ASSERT_FALSE(sut.q.Cancel(((pick | 0x80000000ull) << 32) | (pick % 64)));
+          ASSERT_FALSE(sut.q.Cancel(0xffffffffull));
+          ASSERT_FALSE(ref.q.Cancel(0));
+          ASSERT_FALSE(sut.q.Cancel(0));
+          break;
+        }
+        case 10:
+        case 11:
+        case 12:
+        case 13:
+          ASSERT_EQ(ref.q.Step(), sut.q.Step()) << "op " << op;
+          break;
+        default: {
+          SimTime until = ref.q.now() + kDelays[pick % std::size(kDelays)];
+          ASSERT_EQ(ref.q.RunUntil(until), sut.q.RunUntil(until)) << "op " << op;
+          break;
+        }
+      }
+      ASSERT_EQ(ref.ids.size(), sut.ids.size()) << "op " << op;
+      ASSERT_EQ(ref.log.size(), sut.log.size()) << "op " << op;
+      for (; checked < ref.log.size(); ++checked) {
+        ASSERT_EQ(ref.log[checked], sut.log[checked]) << "op " << op << " entry " << checked;
+      }
+      ASSERT_EQ(ref.q.LiveCount(), sut.q.LiveCount()) << "op " << op;
+      ASSERT_EQ(ref.q.now(), sut.q.now()) << "op " << op;
+      ASSERT_EQ(sut.q.empty(), sut.q.LiveCount() == 0);
+    }
+  }
+}
+
+TEST(EventQueueTest, StaleIdCannotCancelTheEventThatReusedItsSlot) {
+  EventQueue q;
+  int ran = 0;
+  auto cancelled = q.ScheduleAfter(5, [&] { ran += 1; });
+  ASSERT_TRUE(q.Cancel(cancelled));
+  auto reused = q.ScheduleAfter(5, [&] { ran += 10; });
+  EXPECT_EQ(reused & 0xffffffffu, cancelled & 0xffffffffu);  // same slot
+  EXPECT_FALSE(q.Cancel(cancelled));
+  EXPECT_EQ(q.LiveCount(), 1u);
+  q.RunAll();
+  EXPECT_EQ(ran, 10);
+
+  // The same holds for an id whose event ran.
+  auto next = q.ScheduleAfter(5, [&] { ran += 100; });
+  EXPECT_FALSE(q.Cancel(reused));
+  EXPECT_TRUE(q.Cancel(next));
+  q.RunAll();
+  EXPECT_EQ(ran, 10);
+  EXPECT_NE(cancelled, 0u);
+  EXPECT_NE(reused, 0u);
+  EXPECT_NE(next, 0u);
 }
 
 }  // namespace

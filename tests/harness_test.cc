@@ -254,6 +254,19 @@ TEST(CommandLineTest, RejectsAFlagInPlaceOfAValue) {
               "error: --seed needs a value");
 }
 
+TEST(CommandLineTest, RejectsAValuedFlagGivenTwice) {
+  // Reading only the first `--nodes` would run 60 nodes without a word.
+  const char* argv[] = {"bench", "--nodes", "60", "--nodes", "70", "--seed", "3", "--smoke",
+                        "--smoke"};
+  CommandLine cli(9, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.GetInt("--nodes", 300), ::testing::ExitedWithCode(2),
+              "error: --nodes is given more than once");
+  EXPECT_EXIT(cli.GetString("--nodes", ""), ::testing::ExitedWithCode(2), "error: --nodes");
+  // A flag given once still reads, and a repeated switch is just present.
+  EXPECT_EQ(cli.GetInt("--seed", 42), 3);
+  EXPECT_TRUE(cli.Has("--smoke"));
+}
+
 TEST(PercentileTest, ExactValues) {
   std::vector<double> v = {5.0, 1.0, 4.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(FloorRankPercentile(v, 0.0), 1.0);

@@ -2,7 +2,10 @@
 // queries, and the overlap behavior in small rings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/pastry/leaf_set.h"
@@ -144,6 +147,58 @@ TEST_P(LeafSetPropertyTest, MatchesBruteForceOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LeafSetPropertyTest, ::testing::Range<uint64_t>(1, 12));
+
+// InLarger() and All() against brute force: small rings, where the two
+// sides share members, and 300-node rings, where they do not, each with
+// some members removed afterwards (and not replaced, as after a failure
+// the leaf set has not repaired yet). Capacities span the inline and the
+// spilled layouts.
+TEST(LeafSetTest, OverlapTestAndAllMatchBruteForce) {
+  Rng rng(2024);
+  const int capacities[] = {1, 4, 8, 16, 20};
+  size_t overlapping_sets = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool small = trial % 2 == 0;
+    const size_t ring_size = small ? 2 + rng.NextBelow(39) : 300;
+    const int per_side = capacities[rng.NextBelow(std::size(capacities))];
+    std::vector<NodeId> ring;
+    for (size_t i = 0; i < ring_size; ++i) {
+      ring.emplace_back(rng.NextU64(), rng.NextU64());
+    }
+    LeafSet ls(ring[0], per_side);
+    for (size_t i = 1; i < ring.size(); ++i) {
+      ls.Insert(ring[i]);
+    }
+    for (size_t i = 1; i < ring.size(); ++i) {
+      if (rng.NextBool(0.15)) {
+        ls.Remove(ring[i]);
+      }
+    }
+
+    std::vector<NodeId> larger(ls.larger().begin(), ls.larger().end());
+    std::vector<NodeId> expected_all = larger;
+    bool overlap = false;
+    for (const NodeId& id : ls.smaller()) {
+      if (std::find(larger.begin(), larger.end(), id) == larger.end()) {
+        expected_all.push_back(id);
+      } else {
+        overlap = true;
+      }
+    }
+    for (const NodeId& id : ring) {
+      bool in_larger = std::find(larger.begin(), larger.end(), id) != larger.end();
+      ASSERT_EQ(ls.InLarger(id), in_larger) << "trial " << trial;
+    }
+    ASSERT_EQ(ls.All(), expected_all) << "trial " << trial;
+    ASSERT_EQ(ls.size(), expected_all.size()) << "trial " << trial;
+    if (!small) {
+      ASSERT_FALSE(overlap) << "trial " << trial;
+    }
+    overlapping_sets += overlap ? 1 : 0;
+  }
+  // The small rings must actually exercise the shared-member path.
+  EXPECT_GT(overlapping_sets, 50u);
+}
 
 }  // namespace
 }  // namespace past

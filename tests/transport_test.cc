@@ -3,6 +3,8 @@
 // targeted drops), and delivery-order determinism.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -244,6 +246,67 @@ TEST(SimTransportTest, RepliesFromContinuationsSettleInOneCall) {
   EXPECT_TRUE(reply_arrived);
   EXPECT_EQ(transport.in_flight(), 0u);
   EXPECT_EQ(transport.delivered(), 2u);
+}
+
+TEST(SimTransportTest, DeliverySlotsReusedMidDeliveryKeepEachMessage) {
+  // Every continuation sends three more messages from inside its delivery,
+  // and every message is delivered twice, so parked slots are freed and
+  // reused while deliveries are still running. Each delivery must still see
+  // exactly the message it was sent with, and its own latency.
+  EventQueue queue;
+  TransportStats stats;
+  SimTransport::Options options;
+  options.latency = LatencyModel::Lan();
+  options.faults.duplicate_probability = 1.0;
+  SimTransport transport(queue, options, &stats);
+
+  uint64_t sends = 0;
+  uint64_t deliveries = 0;
+  uint64_t mismatches = 0;
+  std::function<void(int)> send_three = [&](int depth) {
+    for (int i = 0; i < 3; ++i) {
+      const uint64_t n = ++sends;
+      Message msg;
+      msg.type = static_cast<MessageType>(n % kMessageTypeCount);
+      msg.from = NodeId(n, 1);
+      msg.to = NodeId(n, 2);
+      std::array<uint8_t, FileId::kBytes> file{};
+      file[0] = static_cast<uint8_t>(n);
+      file[1] = static_cast<uint8_t>(n >> 8);
+      msg.file = FileId(file);
+      msg.payload_bytes = (n * 7919) % 20'000;  // spreads the arrival times
+      msg.hops = 1 + static_cast<int>(n % 3);
+      const double latency = options.latency.FetchLatencyMs(msg.hops, 0.0, msg.payload_bytes);
+      transport.Send(msg, [&, msg, latency, depth](const Delivery& d) {
+        ++deliveries;
+        const Message& got = d.message;
+        if (got.type != msg.type || got.from != msg.from || got.to != msg.to ||
+            got.file != msg.file || got.payload_bytes != msg.payload_bytes ||
+            got.hops != msg.hops || d.latency_ms != latency) {
+          ++mismatches;
+        }
+        if (depth < 3) {
+          send_three(depth + 1);
+        }
+        // The slot this delivery came from may hold another message by now;
+        // the Delivery it was handed is still its own.
+        if (d.message.from != msg.from || d.message.payload_bytes != msg.payload_bytes) {
+          ++mismatches;
+        }
+      });
+    }
+  };
+  send_three(0);
+  EXPECT_EQ(transport.in_flight(), 6u);
+  transport.Settle();
+  // 3 sends at depth 0, and every one of the 2 copies sends 3 more.
+  EXPECT_EQ(sends, 3u + 18u + 108u + 648u);
+  EXPECT_EQ(deliveries, 2 * sends);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(transport.in_flight(), 0u);
+  EXPECT_EQ(transport.delivered(), deliveries);
+  EXPECT_EQ(stats.duplicated(), sends);
+  EXPECT_TRUE(transport.Idle());
 }
 
 TEST(TransportStatsTest, ExportsPerTypeAndFaultGaugesOnlyWhenNonzero) {
