@@ -221,7 +221,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   uint64_t window_hits = 0;
   uint64_t window_hops = 0;
   // Modeled fetch latency per successful lookup, for the policy benches'
-  // percentile reporting (the replay itself runs over InlineTransport).
+  // percentile reporting (the replay itself runs at zero latency).
   const LatencyModel latency_model = LatencyModel::Lan();
   std::vector<double> lookup_latencies;
 

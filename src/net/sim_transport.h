@@ -18,6 +18,7 @@
 #define SRC_NET_SIM_TRANSPORT_H_
 
 #include <array>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -109,6 +110,22 @@ class SimTransport : public Transport {
   std::vector<uint32_t> free_slots_;
   std::unordered_set<NodeId, NodeIdHash> partitioned_;
   std::array<uint64_t, kMessageTypeCount> drop_next_{};
+};
+
+// The network's default transport: SimTransport with zero latency and no
+// faults, over an EventQueue of its own. Every delivery runs from that
+// queue (StepOne / Settle), in FIFO send order, with `latency_ms` and `at`
+// both 0; virtual time reaches an op timer only when nothing else is left.
+class InlineTransport : public SimTransport {
+ public:
+  // SimTransport only stores the reference to queue_, which is constructed
+  // right after it.
+  explicit InlineTransport(TransportStats* stats)
+      : SimTransport(queue_, Options{{0.0, 0.0, std::numeric_limits<double>::infinity()}, {}, 1},
+                     stats) {}
+
+ private:
+  EventQueue queue_;
 };
 
 }  // namespace past

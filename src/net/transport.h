@@ -2,17 +2,13 @@
 //
 // The per-operation coordinators (src/past/ops/) express all node-to-node
 // interaction as typed Messages handed to a Transport; the transport decides
-// when (and whether) each message arrives. Two implementations:
-//
-//  * InlineTransport — immediate synchronous delivery. Bit-identical to the
-//    pre-fabric direct-call behavior and the default everywhere: the
-//    delivery continuation runs before Send() returns, no message is ever
-//    dropped, Settle() is a no-op.
-//
-//  * SimTransport (sim_transport.h) — delivery scheduled on the EventQueue
-//    at a latency computed from the LatencyModel and the message's route
-//    shape, with seeded fault injection (drop / duplicate / delay /
-//    partition).
+// when (and whether) each message arrives. There is one delivery behaviour,
+// SimTransport (sim_transport.h): delivery scheduled on an EventQueue at a
+// latency computed from the LatencyModel and the message's route shape, with
+// seeded fault injection (drop / duplicate / delay / partition). The
+// network's default, InlineTransport, is SimTransport at zero latency with
+// no faults, over a queue of its own: a message still arrives only when the
+// queue is pumped, never inside Send(), in FIFO send order.
 //
 // Delivery model: Send(msg, on_deliver) queues msg; `on_deliver` runs "at
 // msg.to" when the message arrives — possibly never (drop, partition),
@@ -45,7 +41,8 @@ struct Delivery {
   // Simulated one-way latency of this delivery in milliseconds (0 under
   // InlineTransport). Chained exchanges sum these for end-to-end latency.
   double latency_ms = 0.0;
-  // Virtual arrival time (0 under InlineTransport).
+  // Virtual arrival time (always 0 under InlineTransport, whose clock never
+  // advances).
   SimTime at = 0;
 };
 
@@ -67,44 +64,29 @@ class Transport {
   // trigger. After Settle() returns, any exchange whose reply has not
   // arrived never will (it was dropped), so the sender may treat it as
   // timed out.
-  virtual void Settle() {}
+  virtual void Settle() = 0;
 
-  // Virtual clock (0 under InlineTransport).
-  virtual SimTime now() const { return 0; }
+  // Virtual clock.
+  virtual SimTime now() const = 0;
 
   // --- event-driven op support (async_op.h) ---
 
   using TimerId = uint64_t;
 
-  // Schedules `fn` to run after `delay_ms` of virtual time. Under
-  // InlineTransport every delivery has already happened by the time the
-  // caller arms the timer — a reply that is still missing will never come —
-  // so the inline default fires `fn` immediately, which makes the timeout
-  // path run exactly where the old post-Settle() inspection did.
-  virtual TimerId ScheduleTimer(SimTime delay_ms, std::function<void()> fn) {
-    (void)delay_ms;
-    if (fn) {
-      fn();
-    }
-    return 0;
-  }
+  // Schedules `fn` to run after `delay_ms` of virtual time.
+  virtual TimerId ScheduleTimer(SimTime delay_ms, std::function<void()> fn) = 0;
 
-  // Cancels a pending timer; false if it already fired (always, inline).
-  virtual bool CancelTimer(TimerId id) {
-    (void)id;
-    return false;
-  }
+  // Cancels a pending timer; false if it already fired.
+  virtual bool CancelTimer(TimerId id) = 0;
 
   // Advances the transport by one event (a delivery or a timer) and returns
-  // whether anything ran. The op engine's Wait()/Poll() drain is built on
-  // this. InlineTransport has nothing to pump: every send completed inside
-  // Send(), so it returns false.
-  virtual bool StepOne() { return false; }
+  // whether anything ran. The op engine's Poll() drain is built on this.
+  virtual bool StepOne() = 0;
 
-  // Deliveries accepted but not yet dispatched (0 inline: delivery happens
-  // inside Send()). The op engine uses this to decide when a finished op can
-  // no longer be referenced by a queued delivery closure and may be freed.
-  virtual uint64_t InFlightDeliveries() const { return 0; }
+  // Deliveries accepted but not yet dispatched. The op engine uses this to
+  // decide when a finished op can no longer be referenced by a queued
+  // delivery closure and may be freed.
+  virtual uint64_t InFlightDeliveries() const = 0;
 
   // True when Settle()/StepOne() would run nothing: no delivery in flight
   // and no timer pending, including events co-scheduled on a shared queue.
@@ -136,22 +118,6 @@ class Transport {
   }
 
   TransportStats* stats_;
-};
-
-// Immediate synchronous delivery: the continuation runs inside Send().
-// Control flow, side-effect order, and stats are exactly those of the
-// pre-fabric direct-call code.
-class InlineTransport : public Transport {
- public:
-  using Transport::Transport;
-
-  void Send(const Message& msg, DeliverFn on_deliver) override {
-    Account(msg);
-    if (on_deliver) {
-      Delivery delivery{msg, 0.0, 0};
-      on_deliver(delivery);
-    }
-  }
 };
 
 }  // namespace past

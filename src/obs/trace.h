@@ -36,8 +36,8 @@ struct OpTrace {
   bool from_cache = false;
   bool diverted = false;  // replica diversion (insert) / pointer hop (lookup)
   // Message-fabric view of the op: protocol messages put on the transport
-  // and the simulated end-to-end latency they accumulated (0 under
-  // InlineTransport).
+  // and the simulated end-to-end latency they accumulated (0 over the
+  // default, zero-latency transport).
   uint64_t messages = 0;
   double latency_ms = 0.0;
 };

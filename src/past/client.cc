@@ -61,12 +61,12 @@ class PastClient::InsertDriver : public ClientOp,
     auto op = client_.network_.engine().StartInsert(
         client_.access_node_, *certificate_, size_, content_,
         [self](const InsertResult& outcome) { self->OnAttempt(outcome); });
-    // The attempt may have completed inside StartInsert (always, under
-    // InlineTransport) — OnAttempt already ran, and possibly started the
-    // next attempt. Storing the op then would recreate the driver ⇄ op
-    // shared_ptr cycle (op's callback holds the driver) after OnAttempt
-    // broke it: a silent leak of every completed insert. Keep the op only
-    // while it is this driver's live, cancellable attempt.
+    // An attempt whose route was not delivered completes inside
+    // StartInsert (InsertOp::Start) — OnAttempt already ran, and possibly
+    // started the next attempt. Storing the op then would recreate the
+    // driver ⇄ op shared_ptr cycle (op's callback holds the driver) after
+    // OnAttempt broke it: a silent leak of every completed insert. Keep the
+    // op only while it is this driver's live, cancellable attempt.
     if (epoch == attempt_epoch_ && !op->done()) {
       current_ = std::move(op);
     }

@@ -14,15 +14,15 @@
 //
 //  * Blocking wrappers: Insert / Lookup / Reclaim start the op their Begin*
 //    counterpart starts (InsertCertified / ReclaimCertified: one engine op
-//    each) and Wait() for it — one op, drained to completion. Under the
-//    default InlineTransport the op completes inside its start call.
+//    each) and Wait() for it — one op, drained to completion.
 //
 // Callback rules: the completion callback is invoked exactly once unless the
 // op is cancelled first — a cancelled op's callback is never invoked and its
 // partial effects are rolled back (a cancelled reclaim credits the quota for
 // the replicas it already dropped). Callbacks run while the transport is
-// being pumped (inside Begin* under InlineTransport); they may submit new
-// ops but must not block. The client must outlive its in-flight ops.
+// being pumped — except when a malicious node swallows every attempt's
+// route, which fails the insert inside BeginInsert; they may submit new ops
+// but must not block. The client must outlive its in-flight ops.
 #ifndef SRC_PAST_CLIENT_H_
 #define SRC_PAST_CLIENT_H_
 

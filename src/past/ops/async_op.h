@@ -149,9 +149,9 @@ class AsyncOp : public OpCore, public ClientOp {
     BeginPhase(static_cast<Continuation>(next));
   }
 
-  // Closes the phase bracket. If every exchange already completed (always
-  // true under InlineTransport) the continuation runs inline; otherwise the
-  // timeout timer is armed and the continuation runs from the event queue.
+  // Closes the phase bracket. A phase that issued no send has nothing to
+  // wait for, so its continuation runs inline; otherwise the timeout timer
+  // is armed and the continuation runs from the event queue.
   void EndPhase();
 
   // Counted send tracked by `ex`: `handler` runs at most once, only while

@@ -8,10 +8,9 @@
 //   engine.Poll();       // one event; returns whether anything ran
 //   engine.WaitAll();    // pump transport events until no op is in flight
 //
-// PastClient::Wait pumps Poll() until one op is done. Under InlineTransport
-// every op completes inside Start* (deliveries are synchronous). Under
-// SimTransport any number of ops overlap; deliveries, op timeouts, and
-// co-scheduled timers (keep-alive rounds) interleave in virtual-time order.
+// PastClient::Wait pumps Poll() until one op is done. Any number of ops
+// overlap; deliveries, op timeouts, and co-scheduled timers (keep-alive
+// rounds) interleave in virtual-time order.
 // Ownership: the engine owns every op it starts. Ops hand the transport
 // closures holding raw op pointers (the zero-allocation hot path,
 // async_op.h), so an op must stay alive for as long as the transport might

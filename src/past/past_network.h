@@ -50,12 +50,11 @@ class PastNetwork : public MembershipObserver {
   // --- message fabric ---
 
   // The transport every node-to-node protocol message travels through. The
-  // default is an InlineTransport (immediate synchronous delivery, identical
-  // to the pre-fabric direct-call behavior) sharing the overlay's stats
-  // ledger.
+  // default is an InlineTransport (zero-latency, fault-free SimTransport
+  // over a queue of its own) sharing the overlay's stats ledger.
   Transport& transport() { return *transport_; }
 
-  // Replaces the transport; passing nullptr restores the inline default.
+  // Replaces the transport; passing nullptr restores the default.
   void set_transport(std::unique_ptr<Transport> transport);
 
   // Convenience: installs a SimTransport driven by `queue` (latency-scheduled

@@ -56,8 +56,8 @@ struct InsertResult {
   // Pastry hops taken by the insert message.
   int route_hops = 0;
   // Fabric messages the operation put on the wire and the simulated
-  // end-to-end latency they accumulated (both 0-latency under
-  // InlineTransport).
+  // end-to-end latency they accumulated (0 over the default, zero-latency
+  // transport).
   uint64_t messages = 0;
   double latency_ms = 0.0;
   std::vector<StoreReceipt> receipts;
@@ -82,7 +82,7 @@ struct LookupResult {
   NodeId served_by;
   // Fabric messages sent for this lookup and the simulated end-to-end
   // latency of the fetch (request leg over the route plus the reply leg
-  // carrying the bytes back; 0 under InlineTransport).
+  // carrying the bytes back; 0 over the default, zero-latency transport).
   uint64_t messages = 0;
   double latency_ms = 0.0;
   // The file bytes, when the insert supplied content (null for size-only

@@ -31,10 +31,11 @@
 //                       the reconcile pass collects its actions per chunk of
 //                       live nodes and applies them serially in live-node
 //                       order. The diagnosis is exact because the network
-//                       is quiescent here (InlineTransport, no join batch;
-//                       MaintenanceSweep(pool) checks): a repair of one file
-//                       writes only that file's entries and node byte
-//                       counts, which no other file's verdict reads.
+//                       is quiescent here (no delivery or timer pending,
+//                       no join batch; MaintenanceSweep(pool) checks): a
+//                       repair of one file writes only that file's entries
+//                       and node byte counts, which no other file's
+//                       verdict reads.
 //
 // Because op generation, Phase B, churn and every sweep mutation are serial,
 // and Phase A and the sweep's scans are pure (Phase A with per-op derived

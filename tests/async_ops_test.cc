@@ -3,9 +3,11 @@
 // deterministically so; a cancelled op never runs its callback, and a
 // cancelled insert leaves no partial state; an op that times out while
 // duplicate replies are still in flight rolls back cleanly and ignores the
-// stragglers; and the blocking wrappers are bit-identical to Begin* + Wait
-// on a fixed seed bank.
+// stragglers; the blocking wrappers are bit-identical to Begin* + Wait on a
+// fixed seed bank; and a long chain of inserts, each submitted from the
+// last one's callback, runs on a small stack.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <set>
 #include <string>
@@ -367,6 +369,55 @@ TEST(AsyncBlockingEquivalence, SurfacesAreBitIdenticalOnSeedBank) {
               NetworkStateFingerprint(*async_dep.network))
         << "seed " << seed;
   }
+}
+
+// Completion callbacks may submit new ops (client.h). Here each callback
+// submits the next insert of a long chain, over the default transport, on a
+// thread with a 512 KiB stack. Every delivery runs from the event queue, so
+// the stack stays flat; when delivery ran inside Send(), each insert nested
+// inside the previous one's callback and the chain overflowed the stack.
+TEST(CallbackChainTest, InsertsChainedFromCallbacksRunOnASmallStack) {
+  constexpr int kLength = 20'000;
+  PastConfig config;
+  config.k = 3;
+  config.enable_maintenance = false;
+  TestDeployment deployment = BuildDeployment(60, 50'000'000, config, 41);
+  PastNetwork& net = *deployment.network;
+  PastClient client(net, deployment.node_ids.front(), 1ull << 40, 43);
+
+  struct Chain {
+    PastClient& client;
+    int submitted = 0;
+    int stored = 0;
+    void Next() {
+      client.BeginInsert("chain" + std::to_string(submitted++), 1'000,
+                         [this](const ClientInsertResult& r) {
+                           stored += r.stored ? 1 : 0;
+                           if (submitted < kLength) {
+                             Next();
+                           }
+                         });
+    }
+  } chain{client};
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 512 * 1024), 0);
+  pthread_t thread;
+  auto run = [](void* arg) -> void* {
+    auto* c = static_cast<Chain*>(arg);
+    c->Next();
+    c->client.WaitAll();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, run, &chain), 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+
+  EXPECT_EQ(chain.submitted, kLength);
+  EXPECT_EQ(chain.stored, kLength);
+  EXPECT_EQ(net.engine().in_flight(), 0u);
+  EXPECT_EQ(net.SnapshotMetrics().GaugeValue("engine.ops_in_flight"), 0.0);
 }
 
 }  // namespace

@@ -44,6 +44,79 @@ TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(q.LiveCount(), 1u);
 }
 
+TEST(EventQueueTest, RunUntilSkipsACancelledFrontWithoutOvershooting) {
+  // A cancelled item due by `until` at the front must not let the next live
+  // event run when that one is due later.
+  EventQueue q;
+  int ran = 0;
+  auto id = q.ScheduleAfter(5, [&] { ++ran; });
+  q.ScheduleAfter(50, [&] { ++ran; });
+  ASSERT_TRUE(q.Cancel(id));
+  EXPECT_EQ(q.RunUntil(10), 0u);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(q.now(), 10u);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  EXPECT_EQ(q.RunUntil(50), 1u);
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(EventQueueTest, CancelledTimersAtAStandingClockStayBounded) {
+  // The zero-latency pattern: each op phase arms a timer far ahead and
+  // cancels it, while deliveries run at a clock that never advances. A live
+  // timer due first (another op's timeout, a keep-alive round) keeps the
+  // cancelled ones off the front, so only dropping them keeps the queue
+  // from growing with the run.
+  EventQueue q;
+  q.ScheduleAfter(1000, [] {});
+  uint64_t ran = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    EventQueue::EventId timer = q.ScheduleAfter(2000, [] {});
+    q.ScheduleAfter(0, [&] { ++ran; });
+    ASSERT_TRUE(q.Cancel(timer));
+    ASSERT_TRUE(q.Step());
+    ASSERT_LE(q.QueuedItems(), 2 * q.LiveCount() + EventQueue::kDropThreshold) << "pair " << i;
+  }
+  EXPECT_EQ(ran, 1'000'000u);
+  EXPECT_EQ(q.now(), 0u);
+  EXPECT_EQ(q.LiveCount(), 1u);
+}
+
+TEST(EventQueueTest, DroppingCancelledItemsKeepsRunOrder) {
+  // Cancelling most of a batch drops the cancelled items from the heap and
+  // the lane in several passes; the survivors still run by (when, FIFO).
+  EventQueue q;
+  std::mt19937_64 rng(7);
+  std::vector<int> order;
+  std::vector<EventQueue::EventId> ids;
+  std::vector<std::pair<SimTime, int>> survivors;
+  for (int i = 0; i < 2000; ++i) {
+    SimTime delay = i % 3 == 0 ? 0 : 1 + rng() % 50;
+    ids.push_back(q.ScheduleAfter(delay, [&order, i] { order.push_back(i); }));
+    if (i % 10 == 0) {
+      survivors.emplace_back(delay, i);
+    }
+  }
+  std::vector<int> doomed;
+  for (int i = 0; i < 2000; ++i) {
+    if (i % 10 != 0) {
+      doomed.push_back(i);
+    }
+  }
+  std::shuffle(doomed.begin(), doomed.end(), rng);
+  for (int i : doomed) {
+    ASSERT_TRUE(q.Cancel(ids[static_cast<size_t>(i)]));
+    ASSERT_LE(q.QueuedItems(), 2 * q.LiveCount() + EventQueue::kDropThreshold);
+  }
+  std::stable_sort(survivors.begin(), survivors.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<int> expected;
+  for (const auto& [delay, i] : survivors) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(q.RunAll(), survivors.size());
+  EXPECT_EQ(order, expected);
+}
+
 TEST(EventQueueTest, CancelPreventsExecution) {
   EventQueue q;
   int ran = 0;
@@ -216,10 +289,15 @@ class ReferenceQueue {
   }
   size_t RunUntil(SimTime until) {
     size_t executed = 0;
-    while (!heap_.empty() && heap_.top().when <= until) {
-      if (PopAndRun()) {
-        ++executed;
+    for (;;) {
+      while (!heap_.empty() && cancelled_.erase(heap_.top().id) != 0) {
+        heap_.pop();
       }
+      if (heap_.empty() || heap_.top().when > until) {
+        break;
+      }
+      PopAndRun();
+      ++executed;
     }
     now_ = std::max(now_, until);
     return executed;
@@ -379,6 +457,7 @@ TEST(EventQueueTest, MatchesReferenceQueueOnRandomOps) {
       ASSERT_EQ(ref.q.LiveCount(), sut.q.LiveCount()) << "op " << op;
       ASSERT_EQ(ref.q.now(), sut.q.now()) << "op " << op;
       ASSERT_EQ(sut.q.empty(), sut.q.LiveCount() == 0);
+      ASSERT_LE(sut.q.QueuedItems(), 2 * sut.q.LiveCount() + EventQueue::kDropThreshold);
     }
   }
 }

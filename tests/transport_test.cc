@@ -1,4 +1,4 @@
-// Message-fabric tests: InlineTransport semantics, SimTransport latency
+// Message-fabric tests: the zero-latency default transport, SimTransport latency
 // scheduling, fault injection (drop / duplicate / delay / partition /
 // targeted drops), and delivery-order determinism.
 #include <gtest/gtest.h>
@@ -29,20 +29,33 @@ Message MakeMessage(MessageType type, uint8_t from, uint8_t to, uint64_t payload
   return msg;
 }
 
-TEST(InlineTransportTest, DeliversSynchronouslyWithZeroLatency) {
+TEST(InlineTransportTest, DeliversFromItsQueueAtZeroLatency) {
   TransportStats stats;
   InlineTransport transport(&stats);
-  bool delivered = false;
-  transport.Send(MakeMessage(MessageType::kAck, 1, 2, 0), [&](const Delivery& d) {
-    delivered = true;
-    EXPECT_EQ(d.latency_ms, 0.0);
-    EXPECT_EQ(d.at, 0u);
-    EXPECT_EQ(d.message.type, MessageType::kAck);
-  });
-  EXPECT_TRUE(delivered);  // before Send() even returned
-  transport.Settle();      // no-op
-  EXPECT_EQ(stats.sends(MessageType::kAck), 1u);
-  EXPECT_EQ(stats.total_sends(), 1u);
+  std::vector<int> order;
+  auto send = [&](int tag, uint64_t payload) {
+    transport.Send(MakeMessage(MessageType::kAck, 1, 2, payload), [&, tag](const Delivery& d) {
+      order.push_back(tag);
+      EXPECT_EQ(d.latency_ms, 0.0);
+      EXPECT_EQ(d.at, 0u);
+      EXPECT_EQ(d.message.type, MessageType::kAck);
+    });
+  };
+  send(0, 1 << 20);  // no payload is large enough to cost time
+  send(1, 0);
+  send(2, 0);
+  EXPECT_TRUE(order.empty());  // nothing arrives inside Send()
+  EXPECT_EQ(transport.InFlightDeliveries(), 3u);
+  EXPECT_FALSE(transport.Idle());
+  EXPECT_TRUE(transport.StepOne());
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  transport.Settle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));  // FIFO send order
+  EXPECT_TRUE(transport.Idle());
+  EXPECT_FALSE(transport.StepOne());
+  EXPECT_EQ(transport.now(), 0u);
+  EXPECT_EQ(stats.sends(MessageType::kAck), 3u);
+  EXPECT_EQ(stats.total_sends(), 3u);
 }
 
 TEST(InlineTransportTest, CostClassesFeedLegacyTallies) {
