@@ -4,10 +4,12 @@
 // paper's unresponsiveness period T and its replicas are re-created.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/harness/experiment.h"
 #include "src/past/client.h"
+#include "src/past/ops/op_engine.h"
 #include "src/pastry/keepalive.h"
 #include "src/sim/event_queue.h"
 
@@ -56,6 +58,101 @@ TEST_F(FaultInjectionTest, DroppedStoreReplicaTimesOutAndRollsBack) {
   EXPECT_EQ(network().metrics().Snapshot().GaugeValue("past.replicas.stored"), 0.0);
   EXPECT_EQ(network().total_stored(), 0u);
   EXPECT_EQ(sim_->stats().dropped(), 1u);
+}
+
+// The diversion legs of the store exchange (section 3.3). The farthest of
+// the k closest is filled directly, past its t_pri headroom, so the primaries
+// closer to the key store and the last one diverts to a leaf-set node B.
+class DiversionFaultTest : public FaultInjectionTest {
+ protected:
+  static constexpr uint64_t kFileSize = 10'000;
+
+  void SetUp() override {
+    Build(60, /*maintenance=*/false);
+    client_ = std::make_unique<PastClient>(network(), AnyNode(), 1ull << 40, 93);
+    auto cert = client_->card().IssueFileCertificate("divert.bin", 1, kFileSize, 3,
+                                                     Sha1::Hash("divert"), 1);
+    ASSERT_TRUE(cert.has_value());
+    cert_ = *cert;
+    std::vector<NodeId> closest =
+        network().overlay().KClosestLive(cert_.file_id.ToRoutingKey(), 4);
+    ASSERT_EQ(closest.size(), 4u);
+    full_ = closest[2];
+    witness_ = closest[3];
+    // 50 KB left: a 10 KB primary exceeds t_pri = 0.1 of the free space.
+    PastNode* a = network().storage_node(full_);
+    ASSERT_NE(a, nullptr);
+    auto filler = client_->card().IssueFileCertificate("filler.bin", 2, 1, 3,
+                                                       Sha1::Hash("filler"), 1);
+    ASSERT_TRUE(filler.has_value());
+    ASSERT_TRUE(a->StoreReplica(filler->file_id, ReplicaKind::kPrimary,
+                                a->store().capacity() - 50'000, nullptr));
+    ASSERT_FALSE(a->WouldAcceptPrimary(kFileSize));
+  }
+
+  std::unique_ptr<PastClient> client_;
+  FileCertificate cert_;
+  NodeId full_;     // the primary A that must divert
+  NodeId witness_;  // C: the (k+1)-th closest
+};
+
+TEST_F(DiversionFaultTest, DroppedDivertRequestRollsBackEveryTarget) {
+  const obs::MetricsSnapshot before = network().metrics().Snapshot();
+  const uint64_t stored_before = network().total_stored();
+
+  // Drive the attempt until A's request to B is lost: the two closer
+  // primaries are stored by then.
+  sim_->DropNext(MessageType::kDivertRequest, 1);
+  InsertResult result;
+  network().engine().StartInsert(AnyNode(), cert_, kFileSize, nullptr,
+                                 [&](const InsertResult& r) { result = r; });
+  while (sim_->stats().sends(MessageType::kDivertRequest) == 0 && network().engine().Poll()) {
+  }
+  ASSERT_EQ(sim_->stats().dropped(), 1u);
+  EXPECT_EQ(network().CountLiveReplicas(cert_.file_id), 2u);
+  network().engine().WaitAll();
+
+  EXPECT_EQ(result.status, InsertStatus::kTimeout);
+  EXPECT_EQ(result.replicas_stored, 0u);
+  EXPECT_EQ(result.replicas_diverted, 0u);
+  EXPECT_TRUE(result.receipts.empty());
+  EXPECT_EQ(sim_->stats().sends(MessageType::kStoreReplica), 3u);
+
+  // Every replica and pointer of the attempt is gone, and the accounting
+  // is back where it started.
+  EXPECT_EQ(network().CountLiveReplicas(cert_.file_id), 0u);
+  for (const NodeId& id : network().StorageNodeIds()) {
+    EXPECT_EQ(network().storage_node(id)->store().GetPointer(cert_.file_id), nullptr);
+  }
+  const obs::MetricsSnapshot after = network().metrics().Snapshot();
+  EXPECT_EQ(after.GaugeValue("past.replicas.stored"), before.GaugeValue("past.replicas.stored"));
+  EXPECT_EQ(after.GaugeValue("past.replicas.diverted"),
+            before.GaugeValue("past.replicas.diverted"));
+  EXPECT_EQ(network().total_stored(), stored_before);
+}
+
+TEST_F(DiversionFaultTest, DroppedWitnessPointerLeavesTheInsertStored) {
+  // The witness pointer at C is best-effort: losing it neither fails the
+  // attempt nor touches A's diverter pointer.
+  sim_->DropNext(MessageType::kInstallPointer, 1);
+  InsertResult result = client_->InsertCertified(cert_, kFileSize);
+
+  EXPECT_EQ(result.status, InsertStatus::kStored);
+  EXPECT_EQ(result.replicas_stored, 3u);
+  EXPECT_EQ(result.replicas_diverted, 1u);
+  EXPECT_EQ(result.receipts.size(), 3u);
+  EXPECT_EQ(sim_->stats().dropped(), 1u);
+
+  const DiversionPointer* diverter =
+      network().storage_node(full_)->store().GetPointer(cert_.file_id);
+  ASSERT_NE(diverter, nullptr);
+  EXPECT_EQ(diverter->role, PointerRole::kDiverter);
+  const PastNode* b = network().storage_node(diverter->holder);
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(b->store().HasReplica(cert_.file_id));
+  EXPECT_EQ(b->store().GetReplica(cert_.file_id)->kind, ReplicaKind::kDiverted);
+  EXPECT_EQ(network().storage_node(witness_)->store().GetPointer(cert_.file_id), nullptr);
+  EXPECT_EQ(network().CountStorageInvariantViolations({cert_.file_id}), 0u);
 }
 
 TEST_F(FaultInjectionTest, ClientRetriesAfterDropAndSucceeds) {
