@@ -43,9 +43,7 @@ void AsyncOp::EndPhase() {
     return;
   }
   // Replies outstanding: arm the phase timeout. When it fires first, the
-  // continuation runs with the un-answered Exchange flags still false — the
-  // inspection code reads that exactly as the old post-Settle() code read a
-  // missing reply.
+  // continuation runs with the unanswered Exchange flags still false.
   //
   // The closure holds the op raw (two trivially-copyable words: inside the
   // std::function small buffer, no allocation). Safe: an armed timer implies
@@ -73,11 +71,16 @@ void AsyncOp::SendTracked(Exchange& ex, const Message& msg, Handler handler) {
   // Two raw words, trivially copyable: the delivery closure stays inside
   // std::function's small buffer — no heap allocation per send. The engine's
   // ownership rules (op_engine.h) guarantee `this` outlives every delivery,
-  // including duplicates arriving after the op finished.
+  // including duplicates arriving after the op finished. Drops and
+  // duplicates are decided inside Send, so the in-flight delta is the
+  // number of copies that will call back.
+  const uint64_t before = transport_.InFlightDeliveries();
   transport_.Send(msg, [this, ex = &ex](const Delivery& d) { OnDelivery(*ex, d); });
+  queued_ += transport_.InFlightDeliveries() - before;
 }
 
 void AsyncOp::OnDelivery(Exchange& ex, const Delivery& d) {
+  --queued_;
   if (done_ || ex.completed_ || ex.epoch_ != epoch_) {
     return;  // duplicate, straggler from a timed-out phase, or op finished
   }

@@ -1,43 +1,34 @@
 // Event-driven operation engine core: per-op state machines over the
 // message fabric.
 //
-// Each client-visible operation (insert / lookup / reclaim) is an AsyncOp —
-// a heap-allocated state machine that issues protocol messages, registers
-// reply handlers, and arms a timeout timer on the transport instead of
-// blocking in Settle(). The op advances through *phases*: a phase issues a
-// batch of sends, then waits until every exchange it opened has accepted a
-// delivery — or until the op timeout fires first — and then runs its
-// continuation, which inspects the Exchange flags to tell a completed
-// protocol step from a timed-out one. The inspection code is the same
-// either way, which is exactly the old post-Settle() contract in
-// event-driven form.
+// Each client operation (insert / lookup / reclaim) is an AsyncOp that
+// advances through phases. A phase issues a batch of tracked sends and
+// waits until every exchange it opened has accepted a delivery, or until
+// the op timeout fires first; its continuation then reads the Exchange
+// flags to tell a completed protocol step from a timed-out one.
 //
-// Hot-path design: reply handlers and phase continuations are member
-// function pointers, not std::functions, and the closure handed to
-// Transport::Send captures exactly two raw words (the op and the exchange).
-// That keeps every per-send callable inside std::function's small-buffer
-// optimization — zero heap allocations per send, which is what keeps the
-// engine's insert/lookup throughput at the pre-engine coordinators' level.
-// Per-exchange state a handler needs lives in named op members, not lambda
+// Hot path: handlers and continuations are member function pointers, and
+// the closure handed to Transport::Send captures two raw words (the op and
+// the exchange), so it fits std::function's small buffer: no heap
+// allocation per send. State a handler needs lives in op members, not in
 // captures: the op object IS the closure.
 //
-// Handler lifetime rules (enforced by the engine, see op_engine.h):
-//  * The engine owns every op it starts and keeps it alive until the
-//    transport can no longer reference it: a finished op is moved to a
-//    retired list and only reaped at engine safe points, when no dispatch
-//    is on the stack and no delivery is in flight. Raw op pointers inside
-//    transport closures — including straggler duplicates arriving after the
-//    op completed — therefore always point at a live op.
+// Lifetime rules (enforced by the engine, see op_engine.h):
+//  * The engine owns every op it starts. A finished op is retired, and
+//    freed at an engine safe point (no dispatch on the stack) once every
+//    delivery copy it queued has landed, or once the transport has nothing
+//    in flight at all, which also frees an op whose transport was replaced
+//    with its copies still queued. So the raw op pointer in a transport
+//    closure, a straggler duplicate's included, always points at a live op.
 //  * Every reply handler is keyed to an Exchange and to the phase (epoch)
 //    that opened it. A delivery for a completed exchange, a past phase, or
-//    a finished op is ignored: late replies land on closed handlers and
-//    have no effect. This is what makes "timeout fired, op rolled back,
-//    duplicate reply still in flight" safe.
+//    a finished op is ignored. This is what makes "timeout fired, op rolled
+//    back, duplicate reply still in flight" safe.
 //
-// Determinism contract: ops schedule work only through the transport
-// (deliveries and timers on the driving EventQueue); they never read wall
-// clocks or draw extra randomness. For a fixed seed and submission order,
-// the interleaving of any number of in-flight ops is identical run to run.
+// Determinism: ops schedule work only through the transport (deliveries and
+// timers on the driving EventQueue); they never read wall clocks or draw
+// extra randomness. For a fixed seed and submission order, the interleaving
+// of any number of in-flight ops is identical run to run.
 #ifndef SRC_PAST_OPS_ASYNC_OP_H_
 #define SRC_PAST_OPS_ASYNC_OP_H_
 
@@ -55,9 +46,8 @@ class AsyncOp;
 
 // One request/reply leg of a protocol exchange. The op owns one Exchange
 // per tracked send; the Exchange guarantees the handler runs at most once
-// (duplicate deliveries are absorbed) and records whether the leg completed
-// — the flag the phase continuation inspects where the old coordinators
-// read their stack-frame `*_handled` booleans.
+// (duplicate deliveries are absorbed) and records whether the leg completed,
+// the flag the phase continuation inspects.
 class Exchange {
  public:
   Exchange() = default;
@@ -194,6 +184,7 @@ class AsyncOp : public OpCore, public ClientOp {
   bool cancelled_ = false;
   bool timed_out_ = false;
   uint64_t epoch_ = 0;       // current phase; stale deliveries are ignored
+  uint64_t queued_ = 0;      // delivery copies sent and not yet landed
   uint64_t pending_ = 0;     // open exchanges + the phase bracket
   bool in_phase_ = false;
   Continuation next_ = nullptr;

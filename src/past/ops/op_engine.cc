@@ -60,10 +60,11 @@ void OpEngine::OnOpFinished(AsyncOp& op) {
 }
 
 void OpEngine::ReapRetired() {
-  if (retired_.empty() || dispatch_depth_ != 0 || net_.transport().InFlightDeliveries() != 0) {
+  if (retired_.empty() || dispatch_depth_ != 0) {
     return;
   }
-  retired_.clear();
+  const bool idle = net_.transport().InFlightDeliveries() == 0;
+  std::erase_if(retired_, [idle](const auto& op) { return idle || op->queued_ == 0; });
 }
 
 template <typename Op, typename... Args>

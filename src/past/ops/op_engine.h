@@ -11,13 +11,9 @@
 // PastClient::Wait pumps Poll() until one op is done. Any number of ops
 // overlap; deliveries, op timeouts, and co-scheduled timers (keep-alive
 // rounds) interleave in virtual-time order.
-// Ownership: the engine owns every op it starts. Ops hand the transport
-// closures holding raw op pointers (the zero-allocation hot path,
-// async_op.h), so an op must stay alive for as long as the transport might
-// still reference it — which outlasts completion when duplicate or delayed
-// deliveries are in flight. A finished op is therefore moved to a retired
-// list, and the retired list is only reaped at safe points: engine entry
-// (Start*/Poll) with no dispatch on the stack and no delivery in flight.
+// Ownership: the engine owns every op it starts and keeps a finished one on
+// a retired list until the transport can no longer reference it (the
+// lifetime rules in async_op.h); safe points are engine entry (Start*/Poll).
 #ifndef SRC_PAST_OPS_OP_ENGINE_H_
 #define SRC_PAST_OPS_OP_ENGINE_H_
 
@@ -93,8 +89,10 @@ class OpEngine {
   void OnOpStarted(AsyncOp& op);
   void OnOpFinished(AsyncOp& op);
 
-  // Drops retired ops when nothing can still reference them: no dispatch on
-  // the stack, no delivery in flight at the transport.
+  // Frees the retired ops nothing can still reference: with no dispatch on
+  // the stack, those with no delivery of their own in flight, or all of
+  // them when the transport has none in flight (this also frees ops whose
+  // transport was replaced before their copies landed).
   void ReapRetired();
 
   PastNetwork& net_;

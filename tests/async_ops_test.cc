@@ -420,5 +420,41 @@ TEST(CallbackChainTest, InsertsChainedFromCallbacksRunOnASmallStack) {
   EXPECT_EQ(net.SnapshotMetrics().GaugeValue("engine.ops_in_flight"), 0.0);
 }
 
+// A finished op is freed once its own deliveries have landed, even though
+// the transport is never idle: each callback submits the next insert, so
+// some later op always has a message in flight.
+TEST_F(AsyncOpsTest, FinishedOpIsFreedWhileLaterOpsAreInFlight) {
+  Build(60);
+  PastClient client(network(), AnyNode(), 1ull << 40, 94);
+  OpEngine& engine = network().engine();
+
+  struct Chain {
+    PastClient& client;
+    OpEngine& engine;
+    NodeId origin;
+    int submitted = 0;
+    std::shared_ptr<InsertOp> Next() {
+      auto cert = client.card().IssueFileCertificate("reap" + std::to_string(submitted), 1,
+                                                     1'000, 3, Sha1::Hash("reap"), 1);
+      ++submitted;
+      return engine.StartInsert(origin, *cert, 1'000, nullptr, [this](const InsertResult&) {
+        if (submitted < 10) {
+          Next();
+        }
+      });
+    }
+  } chain{client, engine, AnyNode()};
+
+  std::weak_ptr<InsertOp> first = chain.Next();
+  bool freed_in_flight = false;
+  while (engine.in_flight() > 0 && !freed_in_flight) {
+    ASSERT_TRUE(engine.Poll());
+    freed_in_flight = first.expired() && engine.in_flight() > 0;
+  }
+  EXPECT_TRUE(freed_in_flight);
+  engine.WaitAll();
+  EXPECT_EQ(chain.submitted, 10);
+}
+
 }  // namespace
 }  // namespace past
