@@ -384,14 +384,10 @@ PlacementCandidate PastNetwork::MakePlacementCandidate(const PastNode& node,
   return candidate;
 }
 
-bool PastNetwork::ShouldStorePrimary(const NodeId& node, uint64_t size) {
-  const PastNode* pn = storage_node(node);
-  if (pn == nullptr) {
-    return false;
-  }
+bool PastNetwork::ShouldStorePrimary(const PastNode& node, uint64_t size) {
   RngPlacementEntropy entropy(rng_);
-  return placement_->ShouldStorePrimary(MakePlacementCandidate(*pn, size),
-                                        pn->WouldAcceptPrimary(size), size, entropy);
+  return placement_->ShouldStorePrimary(MakePlacementCandidate(node, size),
+                                        node.WouldAcceptPrimary(size), size, entropy);
 }
 
 std::optional<NodeId> PastNetwork::ChooseDiversionTarget(const NodeId& primary,
@@ -526,21 +522,6 @@ std::optional<PastNetwork::NearRootServe> PastNetwork::ServeNearRoot(const NodeI
     }
   }
   return std::nullopt;
-}
-
-void PastNetwork::RollbackInsert(const FileId& file_id,
-                                 const std::vector<PendingStore>& stores) {
-  for (const PendingStore& pending : stores) {
-    PastNode* pn = storage_node(pending.node);
-    if (pn == nullptr) {
-      continue;
-    }
-    if (pending.is_pointer) {
-      pn->store().RemovePointer(file_id);
-    } else {
-      DropReplica(*pn, file_id);
-    }
-  }
 }
 
 void PastNetwork::RecordInsert(uint64_t size, int hops, bool stored) {

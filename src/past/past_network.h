@@ -33,6 +33,7 @@ class OpEngine;
 class ReclaimOp;
 class RepairOp;
 class ScaleEngine;
+class StoreChain;
 class ThreadPool;
 
 class PastNetwork : public MembershipObserver {
@@ -207,15 +208,12 @@ class PastNetwork : public MembershipObserver {
   friend class OpEngine;
   friend class ReclaimOp;
   friend class RepairOp;
+  // The section 3.3 store exchange both insert drivers run (store_chain.h).
+  friend class StoreChain;
   // The epoch-sharded extreme-scale driver (src/sim/scale_engine.h): plans
   // routes in parallel against frozen membership, then commits storage
   // decisions serially through the same private helpers the ops use.
   friend class ScaleEngine;
-
-  struct PendingStore {
-    NodeId node;
-    bool is_pointer = false;
-  };
 
   // The k live nodes numerically closest to `key`, computed from the root
   // node's leaf set (valid because k <= l/2 + 1).
@@ -226,7 +224,7 @@ class PastNetwork : public MembershipObserver {
   // at `node` (one of the k closest). Wraps the node's threshold test with
   // the configured PlacementPolicy; under the default KClosestDiversion the
   // answer is exactly WouldAcceptPrimary.
-  bool ShouldStorePrimary(const NodeId& node, uint64_t size);
+  bool ShouldStorePrimary(const PastNode& node, uint64_t size);
 
   // Snapshot of one node's placement-relevant state.
   PlacementCandidate MakePlacementCandidate(const PastNode& node, uint64_t size) const;
@@ -245,9 +243,9 @@ class PastNetwork : public MembershipObserver {
   // --- placement steps (paper section 3.3) ---
   //
   // The one home of the store / divert / pointer commit and its byte and
-  // replica accounting. InsertOp, RepairOp, ReclaimOp, MaintenanceSweep and
-  // ScaleEngine only sequence these steps; each keeps its own acceptance
-  // checks (policy verdict or threshold test) and its own message phases.
+  // replica accounting. StoreChain (store_chain.h) sequences them into the
+  // insert exchange that InsertOp and ScaleEngine both run; RepairOp,
+  // ReclaimOp and MaintenanceSweep call them with their own checks.
 
   // The k closest live nodes to `key` per `root`'s leaf set, closest first,
   // plus the witness C: the (k+1)-th closest, when the leaf set knows one.
@@ -293,9 +291,6 @@ class PastNetwork : public MembershipObserver {
   };
   std::optional<NearRootServe> ServeNearRoot(const NodeId& dest, const NodeId& key,
                                              const FileId& file) const;
-
-  // Rolls back replicas and pointers created by a failed insert attempt.
-  void RollbackInsert(const FileId& file_id, const std::vector<PendingStore>& stores);
 
   // --- op outcome records ---
   //

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "src/past/store_chain.h"
+
 namespace past {
 namespace {
 
@@ -194,50 +196,26 @@ void ScaleEngine::CommitInsert(Op& op, ScaleEpochStats& stats) {
   // the stores as they are when the request lands).
   bool stored = op.route.delivered && op.route.reached && !op.plan.targets.empty() &&
                 !net_->AnyHolds(op.plan.targets, op.file);
-  std::vector<PastNetwork::PendingStore> created;
-  for (size_t i = 0; stored && i < op.plan.targets.size(); ++i) {
-    const NodeId& t = op.plan.targets[i];
-    PastNode* a = net_->storage_node(t);
-    if (a == nullptr) {
-      continue;
-    }
-    if (net_->ShouldStorePrimary(t, op.size) &&
-        net_->PlaceReplica(*a, op.file, ReplicaKind::kPrimary, op.size, nullptr, nullptr) ==
-            PastNetwork::PlaceOutcome::kStored) {
-      created.push_back({t, /*is_pointer=*/false});
-      a->NoteServedOp();
-      continue;
-    }
-    std::optional<NodeId> divert;
-    if (net_->config_.enable_replica_diversion) {
-      divert = net_->ChooseDiversionTarget(t, op.plan.targets, op.file, op.size);
-    }
-    PastNode* b = divert ? net_->storage_node(*divert) : nullptr;
-    stored = b != nullptr && b->WouldAcceptDiverted(op.size) &&
-             net_->PlaceReplica(*b, op.file, ReplicaKind::kDiverted, op.size, nullptr,
-                                nullptr) == PastNetwork::PlaceOutcome::kStored;
-    if (stored) {
-      created.push_back({*divert, /*is_pointer=*/false});
-      b->NoteServedOp();
-      stored = net_->PlacePointer(*a, op.file, *divert, PointerRole::kDiverter, op.size);
-    }
-    if (stored) {
-      created.push_back({t, /*is_pointer=*/true});
-      PastNode* c = op.plan.witness ? net_->storage_node(*op.plan.witness) : nullptr;
-      if (c != nullptr &&
-          net_->PlacePointer(*c, op.file, *divert, PointerRole::kWitness, op.size)) {
-        created.push_back({*op.plan.witness, /*is_pointer=*/true});
+  if (stored) {
+    StoreChain chain(*net_, op.route.destination, std::move(op.plan), op.file, op.size, nullptr,
+                     nullptr);
+    while (stored && chain.NextTarget()) {
+      if (chain.AtTarget()) {
+        chain.AtDiversionTarget();
+        if (chain.AtDiverter()) {
+          chain.AtWitness();
+        }
       }
+      stored = chain.stored();
+    }
+    if (!stored) {
+      // The client would re-salt; at engine scale the failure is only counted.
+      chain.Rollback();
     }
   }
   if (stored) {
     ++stats.inserts_stored;
     files_.push_back({op.file, op.size});
-  } else {
-    // A primary and its diversion choice both declined: the whole insert
-    // rolls back (the client would re-salt; at engine scale we just count
-    // the failure).
-    net_->RollbackInsert(op.file, created);
   }
   net_->RecordInsert(op.size, static_cast<int>(op.route.hops), stored);
 }

@@ -17,10 +17,9 @@
 //                       in canonical op order, per-shard deferred forgets are
 //                       applied in shard order (Forget is commutative pure
 //                       removal), per-shard collectors are merged.
-//   Phase B (serial)    Storage decisions commit in op order, mirroring the
-//                       insert/lookup op semantics (primary store, replica
-//                       diversion with diverter/witness pointers, rollback)
-//                       via PastNetwork's private helpers.
+//   Phase B (serial)    Storage decisions commit in op order: each insert
+//                       runs the StoreChain steps (store_chain.h) that
+//                       InsertOp runs on message delivery, back to back.
 //   Epoch edge          Churn (crashes, joins) runs serially between
 //                       epochs, so membership only changes at barriers.
 //                       Periodic maintenance sweeps diagnose in parallel
