@@ -96,9 +96,11 @@ void LookupOp::OnFetchRequest(const Delivery&) {
     result_.file_size = server->cache()->SizeOf(file_id_).value_or(0);
     result_.content = server->cache()->ContentOf(file_id_);
   } else {
-    const ReplicaEntry* entry = server->store().GetReplica(file_id_);
+    const NodeStore& store = server->store();
+    const ReplicaEntry* entry = store.GetReplica(file_id_);
+    const ReplicaPayload* payload = entry == nullptr ? nullptr : store.PayloadOf(*entry);
     result_.file_size = entry == nullptr ? 0 : entry->size;
-    result_.content = entry == nullptr ? nullptr : server->store().GetContent(file_id_);
+    result_.content = payload == nullptr ? nullptr : payload->content;
   }
   Message reply;
   reply.type = MessageType::kFetchReply;

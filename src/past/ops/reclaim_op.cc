@@ -68,7 +68,9 @@ void ReclaimOp::ReclaimAt(const NodeId& node_id) {
   const ReplicaEntry* entry = pn->store().GetReplica(file_id);
   if (entry != nullptr) {
     // Only the file's legitimate owner may reclaim it.
-    const FileCertificateRef stored_cert = pn->store().GetCertificate(file_id);
+    const ReplicaPayload* payload = pn->store().PayloadOf(*entry);
+    const FileCertificate* stored_cert =
+        payload == nullptr ? nullptr : payload->certificate.get();
     if (stored_cert == nullptr || !(stored_cert->owner == certificate_.owner)) {
       owner_mismatch_ = true;
       return;

@@ -139,8 +139,9 @@ void RepairOp::RepairFile(const FileId& file_id) {
   const NodeStore& sample_store = net_.storage_node(holders.front())->store();
   const ReplicaEntry* sample = sample_store.GetReplica(file_id);
   uint64_t size = sample->size;
-  FileCertificateRef certificate = sample_store.GetCertificate(file_id);
-  FileContentRef content = sample_store.GetContent(file_id);
+  const ReplicaPayload* payload = sample_store.PayloadOf(*sample);
+  FileCertificateRef certificate = payload == nullptr ? nullptr : payload->certificate;
+  FileContentRef content = payload == nullptr ? nullptr : payload->content;
   // The holder that pushes replica data to repair targets.
   NodeId source = holders.front();
 

@@ -8,7 +8,10 @@ StoreChain::StoreChain(PastNetwork& net, const NodeId& root, PastNetwork::Insert
                        const FileId& file, uint64_t size, FileCertificateRef certificate,
                        FileContentRef content)
     : net_(net), root_(root), plan_(std::move(plan)), file_(file), size_(size),
-      certificate_(std::move(certificate)), content_(std::move(content)) {}
+      certificate_(std::move(certificate)), content_(std::move(content)) {
+  // Per target: A's replica or B's diverted one, A's pointer, C's pointer.
+  created_.reserve(3 * plan_.targets.size());
+}
 
 std::optional<Message> StoreChain::NextTarget() {
   while (next_ < plan_.targets.size() && net_.storage_node(plan_.targets[next_]) == nullptr) {

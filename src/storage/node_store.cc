@@ -17,17 +17,23 @@ bool NodeStore::StoreReplica(const FileId& id, ReplicaKind kind, uint64_t size,
   if (!inserted) {
     return false;  // fileId collision: later insert is rejected (section 2)
   }
-  const ReplicaPayload* payload = nullptr;
   if (certificate != nullptr || content != nullptr) {
-    payload =
-        payloads_.TryEmplace(id, ReplicaPayload{std::move(certificate), std::move(content)}).first;
+    ReplicaPayload payload{std::move(certificate), std::move(content)};
+    if (free_payloads_.empty()) {
+      entry->payload = static_cast<uint32_t>(payload_slab_.size());
+      payload_slab_.push_back(std::move(payload));
+    } else {
+      entry->payload = free_payloads_.back();
+      free_payloads_.pop_back();
+      payload_slab_[entry->payload] = std::move(payload);
+    }
   }
   used_ += size;
   if (kind == ReplicaKind::kPrimary) {
     ++primary_count_;
   }
   if (journal_ != nullptr) {
-    journal_->AppendInsert(id, *entry, payload);
+    journal_->AppendInsert(id, *entry, PayloadOf(*entry));
     MaybeCompact();
   }
   return true;
@@ -38,12 +44,14 @@ bool NodeStore::HasReplica(const FileId& id) const { return replicas_.Contains(i
 const ReplicaEntry* NodeStore::GetReplica(const FileId& id) const { return replicas_.Find(id); }
 
 FileCertificateRef NodeStore::GetCertificate(const FileId& id) const {
-  const ReplicaPayload* payload = payloads_.Find(id);
+  const ReplicaEntry* entry = replicas_.Find(id);
+  const ReplicaPayload* payload = entry == nullptr ? nullptr : PayloadOf(*entry);
   return payload == nullptr ? nullptr : payload->certificate;
 }
 
 FileContentRef NodeStore::GetContent(const FileId& id) const {
-  const ReplicaPayload* payload = payloads_.Find(id);
+  const ReplicaEntry* entry = replicas_.Find(id);
+  const ReplicaPayload* payload = entry == nullptr ? nullptr : PayloadOf(*entry);
   return payload == nullptr ? nullptr : payload->content;
 }
 
@@ -57,10 +65,13 @@ std::optional<uint64_t> NodeStore::RemoveReplica(const FileId& id) {
   if (entry->kind == ReplicaKind::kPrimary) {
     --primary_count_;
   }
+  // The replica's insert record dies with it; size it before the refs go.
+  uint64_t insert_record_bytes =
+      journal_ != nullptr ? NodeStoreJournal::InsertRecordBytes(PayloadOf(*entry)) : 0;
+  ReleasePayload(*entry);
   replicas_.Erase(id);
-  payloads_.Erase(id);
   if (journal_ != nullptr) {
-    journal_->AppendRemove(id);
+    journal_->AppendRemove(id, insert_record_bytes);
     MaybeCompact();
   }
   return size;
@@ -95,17 +106,20 @@ bool NodeStore::TestOnlyCorruptDropReplica(const FileId& id) {
   if (entry->kind == ReplicaKind::kPrimary) {
     --primary_count_;
   }
+  ReleasePayload(*entry);
   replicas_.Erase(id);
-  payloads_.Erase(id);
   return true;
 }
 
 void NodeStore::InstallPointer(const FileId& id, const NodeId& holder, PointerRole role,
                                uint64_t size) {
   DiversionPointer ptr{holder, role, size};
-  pointers_.InsertOrAssign(id, ptr);
+  auto [slot, inserted] = pointers_.TryEmplace(id, ptr);
+  if (!inserted) {
+    *slot = ptr;
+  }
   if (journal_ != nullptr) {
-    journal_->AppendInstallPointer(id, ptr);
+    journal_->AppendInstallPointer(id, ptr, /*replaced=*/!inserted);
     MaybeCompact();
   }
 }
@@ -140,10 +154,18 @@ bool NodeStore::Commit() { return journal_ == nullptr || journal_->Commit(); }
 
 void NodeStore::ResetForRecovery() {
   replicas_.Clear();
-  payloads_.Clear();
+  payload_slab_.clear();
+  free_payloads_.clear();
   pointers_.Clear();
   used_ = 0;
   primary_count_ = 0;
+}
+
+void NodeStore::ReleasePayload(const ReplicaEntry& entry) {
+  if (entry.payload != ReplicaEntry::kNoPayload) {
+    payload_slab_[entry.payload] = ReplicaPayload{};
+    free_payloads_.push_back(entry.payload);
+  }
 }
 
 void NodeStore::MaybeCompact() {

@@ -41,12 +41,17 @@ using FileContentRef = std::shared_ptr<const std::string>;
 // The per-replica record every store operation touches: 16 bytes, so a
 // node's replica table stays dense at simulation scale. Certificate and
 // content references — carried only by durability- and content-bearing
-// workloads, never by size-only simulations — live in a side table
-// (payloads()) keyed by the same FileId.
+// workloads, never by size-only simulations — live in a per-node slab;
+// `payload` indexes it and fills what would otherwise be padding after
+// `kind` (read it through NodeStore::PayloadOf).
 struct ReplicaEntry {
+  static constexpr uint32_t kNoPayload = UINT32_MAX;
+
   uint64_t size = 0;
   ReplicaKind kind = ReplicaKind::kPrimary;
+  uint32_t payload = kNoPayload;
 };
+static_assert(sizeof(ReplicaEntry) == 16);
 
 // Optional heavyweight attachments of a replica.
 struct ReplicaPayload {
@@ -92,6 +97,11 @@ class NodeStore {
   // Payload accessors: null when the replica is absent or carries none.
   FileCertificateRef GetCertificate(const FileId& id) const;
   FileContentRef GetContent(const FileId& id) const;
+  // The payload of an entry of this store, or null when it carries none.
+  // Readers that already hold the entry use this instead of a second probe.
+  const ReplicaPayload* PayloadOf(const ReplicaEntry& entry) const {
+    return entry.payload == ReplicaEntry::kNoPayload ? nullptr : &payload_slab_[entry.payload];
+  }
 
   // Drops a replica, freeing its space. Returns its size, or nullopt.
   std::optional<uint64_t> RemoveReplica(const FileId& id);
@@ -104,8 +114,6 @@ class NodeStore {
   // as with the former unordered_map, in deterministic slot order.
   using ReplicaTable = FlatTable<FileId, ReplicaEntry, FileIdHash>;
   const ReplicaTable& replicas() const { return replicas_; }
-  using PayloadTable = FlatTable<FileId, ReplicaPayload, FileIdHash>;
-  const PayloadTable& payloads() const { return payloads_; }
 
   // --- diversion pointers ---
 
@@ -122,7 +130,9 @@ class NodeStore {
   // store-corruption a crashed-and-restarted disk could exhibit. Exists so
   // the simulation harness can demonstrate invariant detection and failing-
   // seed minimization on a guaranteed violation; never called by protocol
-  // code. Returns false if the replica was not present.
+  // code. Nothing is journaled, so the replica's insert record stays counted
+  // live until the next compaction. Returns false if the replica was not
+  // present.
   bool TestOnlyCorruptDropReplica(const FileId& id);
 
   // --- durability ---
@@ -159,7 +169,6 @@ class NodeStore {
   // called before the first insert.
   void SetCompactTables() {
     replicas_.set_initial_capacity(4);
-    payloads_.set_initial_capacity(4);
     pointers_.set_initial_capacity(4);
   }
 
@@ -177,12 +186,17 @@ class NodeStore {
   void ResetForRecovery();
   // Compacts the journal when its dead-byte threshold is crossed.
   void MaybeCompact();
+  // Drops the refs in an entry's slab slot at once and frees the slot.
+  void ReleasePayload(const ReplicaEntry& entry);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
   size_t primary_count_ = 0;
   ReplicaTable replicas_;
-  PayloadTable payloads_;  // only files whose replica carries cert/content
+  // Payloads of the replicas that carry cert/content, by ReplicaEntry::
+  // payload; freed slots are reused before the slab grows.
+  std::vector<ReplicaPayload> payload_slab_;
+  std::vector<uint32_t> free_payloads_;
   PointerTable pointers_;
   std::unique_ptr<NodeStoreJournal> journal_;
 };

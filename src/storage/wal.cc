@@ -10,16 +10,36 @@ namespace {
 
 constexpr char kCompactTmp[] = "compact.tmp";
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Framing constants: [u32 len][u32 crc32] header, then the u8 type.
+constexpr uint64_t kHeaderBytes = 8;
+constexpr uint64_t kInsertFixedBytes = kHeaderBytes + 1 + FileId::kBytes + 1 + 8 + 1 + 1;
+constexpr uint64_t kCertificateBytes = FileId::kBytes + sizeof(Sha1Digest) + 4 + 5 * 8;
+constexpr uint64_t kPointerRecordBytes = kHeaderBytes + 1 + FileId::kBytes + 8 + 8 + 1 + 8;
+
+// Slicing-by-8 tables: table 0 is the classic bytewise table, and entry i
+// of table k is the CRC of byte i followed by k zero bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+  }
+  return t;
+}
+
+uint32_t LoadU32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 void PutU32(std::string* out, uint32_t v) {
@@ -109,32 +129,47 @@ class Reader {
   size_t pos_ = 0;
 };
 
-std::string EncodeInsert(const FileId& id, const ReplicaEntry& entry,
-                         const ReplicaPayload* payload) {
-  std::string p;
-  PutFileId(&p, id);
-  p.push_back(static_cast<char>(entry.kind == ReplicaKind::kPrimary ? 0 : 1));
-  PutU64(&p, entry.size);
-  const FileCertificateRef cert = payload != nullptr ? payload->certificate : nullptr;
-  const FileContentRef content = payload != nullptr ? payload->content : nullptr;
-  p.push_back(cert != nullptr ? 1 : 0);
+// Opens a record at the end of `out`: a header placeholder, then the type.
+// The caller appends the payload and seals the record with EndFrame.
+size_t BeginFrame(std::string* out, NodeStoreJournal::RecordType type) {
+  size_t start = out->size();
+  out->append(kHeaderBytes, '\0');
+  out->push_back(static_cast<char>(type));
+  return start;
+}
+
+// Patches the length and CRC (over type + payload) of the record at `start`.
+void EndFrame(std::string* out, size_t start) {
+  std::string_view body(out->data() + start + kHeaderBytes, out->size() - start - kHeaderBytes);
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(body.size()));
+  PutU32(&header, Crc32(body));
+  out->replace(start, kHeaderBytes, header);
+}
+
+void PutInsert(std::string* out, const FileId& id, const ReplicaEntry& entry,
+               const ReplicaPayload* payload) {
+  PutFileId(out, id);
+  out->push_back(static_cast<char>(entry.kind == ReplicaKind::kPrimary ? 0 : 1));
+  PutU64(out, entry.size);
+  const FileCertificate* cert = payload != nullptr ? payload->certificate.get() : nullptr;
+  const std::string* content = payload != nullptr ? payload->content.get() : nullptr;
+  out->push_back(cert != nullptr ? 1 : 0);
   if (cert != nullptr) {
-    const FileCertificate& c = *cert;
-    PutFileId(&p, c.file_id);
-    PutDigest(&p, c.content_hash);
-    PutU32(&p, c.replication_factor);
-    PutU64(&p, c.salt);
-    PutU64(&p, c.creation_date);
-    PutU64(&p, c.owner.modulus);
-    PutU64(&p, c.owner.exponent);
-    PutU64(&p, c.signature.value);
+    PutFileId(out, cert->file_id);
+    PutDigest(out, cert->content_hash);
+    PutU32(out, cert->replication_factor);
+    PutU64(out, cert->salt);
+    PutU64(out, cert->creation_date);
+    PutU64(out, cert->owner.modulus);
+    PutU64(out, cert->owner.exponent);
+    PutU64(out, cert->signature.value);
   }
-  p.push_back(content != nullptr ? 1 : 0);
+  out->push_back(content != nullptr ? 1 : 0);
   if (content != nullptr) {
-    PutU64(&p, content->size());
-    p.append(*content);
+    PutU64(out, content->size());
+    out->append(*content);
   }
-  return p;
 }
 
 bool DecodeInsert(std::string_view payload, FileId* id, ReplicaEntry* entry,
@@ -170,14 +205,12 @@ bool DecodeInsert(std::string_view payload, FileId* id, ReplicaEntry* entry,
   return r.AtEnd();
 }
 
-std::string EncodePointer(const FileId& id, const DiversionPointer& ptr) {
-  std::string p;
-  PutFileId(&p, id);
-  PutU64(&p, Uint128High64(ptr.holder.value()));
-  PutU64(&p, Uint128Low64(ptr.holder.value()));
-  p.push_back(static_cast<char>(ptr.role == PointerRole::kDiverter ? 0 : 1));
-  PutU64(&p, ptr.size);
-  return p;
+void PutPointer(std::string* out, const FileId& id, const DiversionPointer& ptr) {
+  PutFileId(out, id);
+  PutU64(out, Uint128High64(ptr.holder.value()));
+  PutU64(out, Uint128Low64(ptr.holder.value()));
+  out->push_back(static_cast<char>(ptr.role == PointerRole::kDiverter ? 0 : 1));
+  PutU64(out, ptr.size);
 }
 
 bool DecodePointer(std::string_view payload, FileId* id, DiversionPointer* ptr) {
@@ -192,19 +225,6 @@ bool DecodePointer(std::string_view payload, FileId* id, DiversionPointer* ptr) 
   ptr->holder = NodeId(hi, lo);
   ptr->role = role == 0 ? PointerRole::kDiverter : PointerRole::kWitness;
   return true;
-}
-
-std::string Frame(NodeStoreJournal::RecordType type, const std::string& payload) {
-  std::string body;
-  body.reserve(1 + payload.size());
-  body.push_back(static_cast<char>(type));
-  body.append(payload);
-  std::string frame;
-  frame.reserve(8 + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  PutU32(&frame, Crc32(body));
-  frame.append(body);
-  return frame;
 }
 
 // Applies one decoded record to the store. Returns false on a structurally
@@ -289,10 +309,18 @@ uint64_t SegmentSeq(const std::string& name) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kT = MakeCrcTables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (char ch : data) {
-    c = kTable[(c ^ static_cast<uint8_t>(ch)) & 0xff] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = c ^ LoadU32(p);
+    uint32_t hi = LoadU32(p + 4);
+    c = kT[7][lo & 0xff] ^ kT[6][(lo >> 8) & 0xff] ^ kT[5][(lo >> 16) & 0xff] ^ kT[4][lo >> 24] ^
+        kT[3][hi & 0xff] ^ kT[2][(hi >> 8) & 0xff] ^ kT[1][(hi >> 16) & 0xff] ^ kT[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = kT[0][(c ^ *p) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -306,11 +334,27 @@ std::string NodeStoreJournal::SegmentName(uint64_t seq) {
   return buf;
 }
 
+void NodeStoreJournal::SetActiveSegment(uint64_t seq) {
+  active_seq_ = seq;
+  active_name_ = SegmentName(seq);
+}
+
+uint64_t NodeStoreJournal::InsertRecordBytes(const ReplicaPayload* payload) {
+  uint64_t bytes = kInsertFixedBytes;
+  if (payload != nullptr && payload->certificate != nullptr) {
+    bytes += kCertificateBytes;
+  }
+  if (payload != nullptr && payload->content != nullptr) {
+    bytes += 8 + payload->content->size();
+  }
+  return bytes;
+}
+
 std::unique_ptr<NodeStoreJournal> NodeStoreJournal::Create(StorageEnv& env, std::string dir,
                                                            const DurableOptions& opts) {
   auto journal =
       std::unique_ptr<NodeStoreJournal>(new NodeStoreJournal(env, std::move(dir), opts));
-  journal->active_seq_ = 1;
+  journal->SetActiveSegment(1);
   journal->segments_ = {1};
   return journal;
 }
@@ -382,12 +426,12 @@ std::unique_ptr<NodeStoreJournal> NodeStoreJournal::Recover(StorageEnv& env, std
   }
 
   if (seqs.empty()) {
-    journal->active_seq_ = 1;
+    journal->SetActiveSegment(1);
     journal->segments_ = {1};
   } else {
     // Rewrite the log as one snapshot of the recovered state: any torn tail
     // is discarded for good and replay of this directory starts clean.
-    journal->active_seq_ = seqs.back();
+    journal->SetActiveSegment(seqs.back());
     journal->segments_ = std::move(seqs);
     journal->Compact(store);
   }
@@ -397,103 +441,71 @@ std::unique_ptr<NodeStoreJournal> NodeStoreJournal::Recover(StorageEnv& env, std
   return journal;
 }
 
-void NodeStoreJournal::NoteRecord(RecordType type, const FileId& subject, uint64_t framed_bytes) {
-  total_bytes_ += framed_bytes;
-  switch (type) {
-    case RecordType::kInsert: {
-      if (uint64_t* prev = live_replica_rec_.Find(subject)) {
-        dead_bytes_ += *prev;
-        *prev = framed_bytes;
-      } else {
-        live_replica_rec_.TryEmplace(subject, framed_bytes);
-      }
-      break;
-    }
-    case RecordType::kRemove: {
-      if (uint64_t* prev = live_replica_rec_.Find(subject)) {
-        dead_bytes_ += *prev;
-        live_replica_rec_.Erase(subject);
-      }
-      dead_bytes_ += framed_bytes;  // tombstones vanish at the next snapshot
-      break;
-    }
-    case RecordType::kSetKind:
-      dead_bytes_ += framed_bytes;
-      break;
-    case RecordType::kInstallPointer: {
-      if (uint64_t* prev = live_pointer_rec_.Find(subject)) {
-        dead_bytes_ += *prev;
-        *prev = framed_bytes;
-      } else {
-        live_pointer_rec_.TryEmplace(subject, framed_bytes);
-      }
-      break;
-    }
-    case RecordType::kRemovePointer: {
-      if (uint64_t* prev = live_pointer_rec_.Find(subject)) {
-        dead_bytes_ += *prev;
-        live_pointer_rec_.Erase(subject);
-      }
-      dead_bytes_ += framed_bytes;
-      break;
-    }
-    case RecordType::kSnapshotBegin:
-      break;
-  }
+void NodeStoreJournal::BeginRecord(RecordType type) {
+  frame_.clear();
+  BeginFrame(&frame_, type);
 }
 
-void NodeStoreJournal::AppendRecord(RecordType type, const std::string& payload,
-                                    const FileId& subject) {
+void NodeStoreJournal::AppendRecord(uint64_t superseded_bytes, bool tombstone) {
   if (failed_) {
     return;
   }
-  std::string frame = Frame(type, payload);
-  if (active_bytes_ > 0 && active_bytes_ + frame.size() > opts_.segment_max_bytes) {
+  EndFrame(&frame_, 0);
+  if (active_bytes_ > 0 && active_bytes_ + frame_.size() > opts_.segment_max_bytes) {
     // Seal the full segment durably before opening the next one, so an
     // unsynced tail can never sit in the middle of the log.
-    if (!env_.Fsync(dir_, ActiveSegment())) {
+    if (!env_.Fsync(dir_, active_name_)) {
       failed_ = true;
       return;
     }
-    ++active_seq_;
+    SetActiveSegment(active_seq_ + 1);
     segments_.push_back(active_seq_);
     active_bytes_ = 0;
   }
-  if (!env_.Append(dir_, ActiveSegment(), frame)) {
+  if (!env_.Append(dir_, active_name_, frame_)) {
     failed_ = true;
     return;
   }
-  active_bytes_ += frame.size();
+  active_bytes_ += frame_.size();
   dirty_ = true;
-  NoteRecord(type, subject, frame.size());
+  total_bytes_ += frame_.size();
+  // Tombstones vanish at the next snapshot, so they are dead from the start.
+  dead_bytes_ += superseded_bytes + (tombstone ? frame_.size() : 0);
 }
 
 void NodeStoreJournal::AppendInsert(const FileId& id, const ReplicaEntry& entry,
                                     const ReplicaPayload* payload) {
-  AppendRecord(RecordType::kInsert, EncodeInsert(id, entry, payload), id);
+  // Never supersedes anything: StoreReplica refuses a FileId it already
+  // holds before it journals, so the subject has no live insert record.
+  BeginRecord(RecordType::kInsert);
+  PutInsert(&frame_, id, entry, payload);
+  AppendRecord(0, /*tombstone=*/false);
 }
 
-void NodeStoreJournal::AppendRemove(const FileId& id) {
-  std::string p;
-  PutFileId(&p, id);
-  AppendRecord(RecordType::kRemove, p, id);
+void NodeStoreJournal::AppendRemove(const FileId& id, uint64_t insert_record_bytes) {
+  BeginRecord(RecordType::kRemove);
+  PutFileId(&frame_, id);
+  AppendRecord(insert_record_bytes, /*tombstone=*/true);
 }
 
 void NodeStoreJournal::AppendSetKind(const FileId& id, ReplicaKind kind) {
-  std::string p;
-  PutFileId(&p, id);
-  p.push_back(static_cast<char>(kind == ReplicaKind::kPrimary ? 0 : 1));
-  AppendRecord(RecordType::kSetKind, p, id);
+  BeginRecord(RecordType::kSetKind);
+  PutFileId(&frame_, id);
+  frame_.push_back(static_cast<char>(kind == ReplicaKind::kPrimary ? 0 : 1));
+  AppendRecord(0, /*tombstone=*/true);
 }
 
-void NodeStoreJournal::AppendInstallPointer(const FileId& id, const DiversionPointer& ptr) {
-  AppendRecord(RecordType::kInstallPointer, EncodePointer(id, ptr), id);
+void NodeStoreJournal::AppendInstallPointer(const FileId& id, const DiversionPointer& ptr,
+                                            bool replaced) {
+  BeginRecord(RecordType::kInstallPointer);
+  PutPointer(&frame_, id, ptr);
+  AppendRecord(replaced ? kPointerRecordBytes : 0, /*tombstone=*/false);
 }
 
 void NodeStoreJournal::AppendRemovePointer(const FileId& id) {
-  std::string p;
-  PutFileId(&p, id);
-  AppendRecord(RecordType::kRemovePointer, p, id);
+  BeginRecord(RecordType::kRemovePointer);
+  PutFileId(&frame_, id);
+  AppendRecord(kPointerRecordBytes, /*tombstone=*/true);
 }
 
 bool NodeStoreJournal::Commit() {
@@ -503,7 +515,7 @@ bool NodeStoreJournal::Commit() {
   if (!dirty_) {
     return true;
   }
-  if (!env_.Fsync(dir_, ActiveSegment())) {
+  if (!env_.Fsync(dir_, active_name_)) {
     failed_ = true;
     return false;
   }
@@ -524,19 +536,18 @@ void NodeStoreJournal::Compact(const NodeStore& store) {
     return;
   }
   compacting_ = true;
-  live_replica_rec_.Clear();
-  live_pointer_rec_.Clear();
 
-  std::string blob = Frame(RecordType::kSnapshotBegin, "");
+  std::string blob;
+  EndFrame(&blob, BeginFrame(&blob, RecordType::kSnapshotBegin));
   for (const auto& [id, entry] : store.replicas()) {
-    std::string frame = Frame(RecordType::kInsert, EncodeInsert(id, entry, store.payloads().Find(id)));
-    live_replica_rec_.TryEmplace(id, frame.size());
-    blob.append(frame);
+    size_t start = BeginFrame(&blob, RecordType::kInsert);
+    PutInsert(&blob, id, entry, store.PayloadOf(entry));
+    EndFrame(&blob, start);
   }
   for (const auto& [id, ptr] : store.pointers()) {
-    std::string frame = Frame(RecordType::kInstallPointer, EncodePointer(id, ptr));
-    live_pointer_rec_.TryEmplace(id, frame.size());
-    blob.append(frame);
+    size_t start = BeginFrame(&blob, RecordType::kInstallPointer);
+    PutPointer(&blob, id, ptr);
+    EndFrame(&blob, start);
   }
 
   uint64_t snap_seq = active_seq_ + 1;
@@ -552,7 +563,7 @@ void NodeStoreJournal::Compact(const NodeStore& store) {
   for (uint64_t seq : segments_) {
     env_.Remove(dir_, SegmentName(seq));
   }
-  active_seq_ = snap_seq + 1;
+  SetActiveSegment(snap_seq + 1);
   segments_ = {snap_seq, active_seq_};
   active_bytes_ = 0;
   total_bytes_ = blob.size();

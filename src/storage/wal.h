@@ -29,9 +29,14 @@
 //
 // Compaction: when dead bytes (superseded or tombstone records) cross a
 // threshold, the journal writes a full snapshot to `compact.tmp`, fsyncs it,
-// renames it to the next segment number, and deletes the old segments. Every
-// step is crash-safe: an orphaned compact.tmp is ignored and deleted by the
-// next recovery, and until the rename lands the old segments are authoritative.
+// renames it to the next segment number, and deletes the old segments. The
+// journal keeps no per-file table to count dead bytes: each live replica or
+// pointer has exactly one live record, so the store passes the size of the
+// record an append supersedes (a removed replica's insert record, sized from
+// its entry and payload; a replaced or removed pointer's fixed-size record).
+// Every step is crash-safe: an orphaned compact.tmp is ignored and deleted by
+// the next recovery, and until the rename lands the old segments are
+// authoritative.
 #ifndef SRC_STORAGE_WAL_H_
 #define SRC_STORAGE_WAL_H_
 
@@ -41,13 +46,13 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/flat_table.h"
 #include "src/storage/node_store.h"
 #include "src/storage/storage_env.h"
 
 namespace past {
 
-// CRC-32 (IEEE 802.3 polynomial, table-driven) over `data`.
+// CRC-32 (IEEE 802.3 polynomial, table-driven, eight bytes per step) over
+// `data`.
 uint32_t Crc32(std::string_view data);
 
 struct DurableOptions {
@@ -93,10 +98,17 @@ class NodeStoreJournal {
 
   // `payload` may be null (size-only replica).
   void AppendInsert(const FileId& id, const ReplicaEntry& entry, const ReplicaPayload* payload);
-  void AppendRemove(const FileId& id);
+  // `insert_record_bytes`: InsertRecordBytes() of the replica being removed,
+  // whose live insert record this tombstone supersedes.
+  void AppendRemove(const FileId& id, uint64_t insert_record_bytes);
   void AppendSetKind(const FileId& id, ReplicaKind kind);
-  void AppendInstallPointer(const FileId& id, const DiversionPointer& ptr);
+  // `replaced`: the store overwrote a live pointer for `id`.
+  void AppendInstallPointer(const FileId& id, const DiversionPointer& ptr, bool replaced);
+  // Only for a pointer the store actually held.
   void AppendRemovePointer(const FileId& id);
+
+  // Framed size of the insert record of a replica carrying `payload`.
+  static uint64_t InsertRecordBytes(const ReplicaPayload* payload);
 
   // Fsyncs the active segment; true when every record appended so far is
   // durable. Cheap no-op when nothing was appended since the last Commit.
@@ -121,13 +133,14 @@ class NodeStoreJournal {
   NodeStoreJournal(StorageEnv& env, std::string dir, const DurableOptions& opts);
 
   static std::string SegmentName(uint64_t seq);
-  std::string ActiveSegment() const { return SegmentName(active_seq_); }
+  void SetActiveSegment(uint64_t seq);
 
-  // Frames `type`+`payload` and appends it to the active segment, rolling
-  // segments and updating the live/dead byte accounting.
-  void AppendRecord(RecordType type, const std::string& payload, const FileId& subject);
-  // Shared live/dead accounting for append and replay.
-  void NoteRecord(RecordType type, const FileId& subject, uint64_t framed_bytes);
+  // Starts framing a `type` record in frame_; the caller appends its payload.
+  void BeginRecord(RecordType type);
+  // Seals the record in frame_ and appends it to the active segment, rolling
+  // segments. `superseded_bytes` of earlier live records become dead, and so
+  // does the record itself when it is a `tombstone`.
+  void AppendRecord(uint64_t superseded_bytes, bool tombstone);
 
   StorageEnv& env_;
   std::string dir_;
@@ -135,13 +148,11 @@ class NodeStoreJournal {
 
   std::vector<uint64_t> segments_;  // sealed + active, ascending
   uint64_t active_seq_ = 0;
+  std::string active_name_;  // SegmentName(active_seq_)
   uint64_t active_bytes_ = 0;
   uint64_t total_bytes_ = 0;
   uint64_t dead_bytes_ = 0;
-  // Framed size of the live insert / install record per subject, so a
-  // superseding or removing record can move its predecessor to dead_bytes_.
-  FlatTable<FileId, uint64_t, FileIdHash> live_replica_rec_;
-  FlatTable<FileId, uint64_t, FileIdHash> live_pointer_rec_;
+  std::string frame_;  // the record being appended, framed in place
 
   bool dirty_ = false;
   bool failed_ = false;
