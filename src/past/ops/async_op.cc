@@ -24,8 +24,7 @@ Message OpCore::Direct(MessageType type, const NodeId& from, const NodeId& to,
   msg.file = file;
   msg.payload_bytes = payload_bytes;
   msg.hops = 1;
-  Topology& topo = net_.pastry_.topology();
-  msg.distance = (topo.Contains(from) && topo.Contains(to)) ? topo.Distance(from, to) : 0.0;
+  msg.distance = net_.pastry_.topology().DistanceOr(from, to, 0.0);
   return msg;
 }
 

@@ -12,8 +12,16 @@
 // is an array load, and the per-node footprint drops by the closures plus
 // the fattened entries.
 //
+// Proximity is keyed by index too. The locality heuristic compares an
+// owner with a candidate millions of times per overlay build (every routing
+// slot and neighborhood position a joining node considers), and an id-keyed
+// metric costs two topology hash probes per comparison; the index-keyed one
+// reads two entries of a dense coordinate array. Routing state therefore
+// compares and stores indices only: an id reaches it through intern (where
+// it is stored) or find (where it is only looked for).
+//
 // PastryNetwork provides the canonical implementation (backed by its
-// interning table, alive bits, and emulated topology). SimpleNodeDirectory
+// interning table, alive bits, and per-index coordinates). SimpleNodeDirectory
 // below is a self-contained registry for unit tests and standalone nodes.
 #ifndef SRC_PASTRY_DIRECTORY_H_
 #define SRC_PASTRY_DIRECTORY_H_
@@ -40,21 +48,29 @@ struct NodeDirectory {
   // are stable for the directory's lifetime.
   uint32_t (*intern)(void* ctx, const NodeId& id) = nullptr;
 
+  // The index of `id` if it was ever interned, kInvalidNodeIndex otherwise.
+  // Never interns: lookups for removal or membership must not grow the
+  // directory.
+  uint32_t (*find)(void* ctx, const NodeId& id) = nullptr;
+
   // The id interned at `index` (valid for any index returned by intern).
   const NodeId& (*resolve)(void* ctx, uint32_t index) = nullptr;
 
   // Liveness of the node interned at `index`.
   bool (*alive)(void* ctx, uint32_t index) = nullptr;
 
-  // Proximity distance between two nodes (1e9 when either is unknown to the
-  // topology). May be null: consumers then treat all nodes as equidistant,
-  // matching the historical "no proximity function" behavior.
-  double (*distance)(void* ctx, const NodeId& a, const NodeId& b) = nullptr;
+  // Proximity distance between the nodes interned at `a` and `b` (1e9 when
+  // either is not placed in the topology, e.g. a failed node). Read live on
+  // every call: callers must not cache it, since a member's distance jumps
+  // to 1e9 when it fails. May be null: consumers then treat all nodes as
+  // equidistant, matching the historical "no proximity function" behavior.
+  double (*distance)(void* ctx, uint32_t a, uint32_t b) = nullptr;
 };
 
 // A self-contained directory for tests, benches, and standalone PastryNode
 // instances: interns into its own table, everything defaults to alive, and
-// the distance metric is an optional std::function.
+// the distance metric is an optional id-keyed std::function (the thunk
+// resolves both indices before calling it).
 class SimpleNodeDirectory {
  public:
   using DistanceFn = std::function<double(const NodeId& a, const NodeId& b)>;
@@ -62,6 +78,7 @@ class SimpleNodeDirectory {
   SimpleNodeDirectory() {
     dir_.ctx = this;
     dir_.intern = &InternThunk;
+    dir_.find = &FindThunk;
     dir_.resolve = &ResolveThunk;
     dir_.alive = &AliveThunk;
     dir_.distance = nullptr;
@@ -88,14 +105,19 @@ class SimpleNodeDirectory {
   static uint32_t InternThunk(void* ctx, const NodeId& id) {
     return static_cast<SimpleNodeDirectory*>(ctx)->Intern(id);
   }
+  static uint32_t FindThunk(void* ctx, const NodeId& id) {
+    const uint32_t* idx = static_cast<SimpleNodeDirectory*>(ctx)->index_.Find(id);
+    return idx == nullptr ? kInvalidNodeIndex : *idx;
+  }
   static const NodeId& ResolveThunk(void* ctx, uint32_t index) {
     return static_cast<SimpleNodeDirectory*>(ctx)->ids_[index];
   }
   static bool AliveThunk(void* ctx, uint32_t index) {
     return static_cast<SimpleNodeDirectory*>(ctx)->alive_[index] != 0;
   }
-  static double DistanceThunk(void* ctx, const NodeId& a, const NodeId& b) {
-    return static_cast<SimpleNodeDirectory*>(ctx)->distance_(a, b);
+  static double DistanceThunk(void* ctx, uint32_t a, uint32_t b) {
+    auto* self = static_cast<SimpleNodeDirectory*>(ctx);
+    return self->distance_(self->ids_[a], self->ids_[b]);
   }
 
   NodeDirectory dir_;

@@ -15,7 +15,7 @@ LeafSet::LeafSet(const NodeId& owner, int capacity_per_side, const NodeDirectory
   }
 }
 
-bool LeafSet::InsertSide(int s, const NodeId& id) {
+bool LeafSet::InsertSide(int s, const NodeId& id, uint32_t& index) {
   const bool clockwise = (s == 0);
   NodeId* ids = side_ids(s);
   uint32_t* idx = side_idx(s);
@@ -50,20 +50,23 @@ bool LeafSet::InsertSide(int s, const NodeId& id) {
     ids[i] = ids[i - 1];
     idx[i] = idx[i - 1];
   }
+  if (index == kInvalidNodeIndex && dir_ != nullptr) {
+    index = dir_->intern(dir_->ctx, id);
+  }
   ids[pos] = id;
-  idx[pos] = dir_ != nullptr ? dir_->intern(dir_->ctx, id) : kInvalidNodeIndex;
+  idx[pos] = index;
   count_[s] = n + 1;
   return true;
 }
 
-bool LeafSet::Insert(const NodeId& id) {
+bool LeafSet::Insert(const NodeId& id, uint32_t index) {
   if (id == owner_) {
     return false;
   }
   // A node is a candidate for both sides; with >= l+1 nodes in the system the
   // capacity limits naturally make the sides disjoint.
-  bool inserted_larger = InsertSide(0, id);
-  bool inserted_smaller = InsertSide(1, id);
+  bool inserted_larger = InsertSide(0, id, index);
+  bool inserted_smaller = InsertSide(1, id, index);
   return inserted_larger || inserted_smaller;
 }
 

@@ -39,8 +39,9 @@ class LeafSet {
   int capacity_per_side() const { return capacity_per_side_; }
 
   // Considers `id` for membership; returns true if it was inserted (possibly
-  // evicting the farthest member on its side).
-  bool Insert(const NodeId& id);
+  // evicting the farthest member on its side). `index`, when the caller has
+  // it, must be id's interned index; otherwise id is interned on insertion.
+  bool Insert(const NodeId& id, uint32_t index = kInvalidNodeIndex);
 
   // Removes `id` from both sides. Returns true if it was present.
   bool Remove(const NodeId& id);
@@ -87,7 +88,7 @@ class LeafSet {
  private:
   // Inserts into one side kept sorted by directed distance. s: 0=larger
   // (clockwise), 1=smaller.
-  bool InsertSide(int s, const NodeId& id);
+  bool InsertSide(int s, const NodeId& id, uint32_t& index);
 
   NodeId* side_ids(int s) { return spill_ ? spill_->ids[s].data() : inline_ids_[s]; }
   const NodeId* side_ids(int s) const { return spill_ ? spill_->ids[s].data() : inline_ids_[s]; }

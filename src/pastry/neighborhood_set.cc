@@ -3,25 +3,25 @@
 namespace past {
 
 NeighborhoodSet::NeighborhoodSet(const NodeId& owner, int capacity, const NodeDirectory* dir)
-    : owner_(owner), dir_(dir), capacity_(capacity) {
+    : dir_(dir), owner_index_(dir->intern(dir->ctx, owner)), capacity_(capacity) {
   if (capacity_ > kInlineCapacity) {
     spill_ = std::make_unique<std::vector<uint32_t>>(static_cast<size_t>(capacity_),
                                                      kInvalidNodeIndex);
   }
 }
 
-bool NeighborhoodSet::Consider(const NodeId& id) {
-  if (id == owner_ || Contains(id)) {
+bool NeighborhoodSet::ConsiderIndex(uint32_t index) {
+  if (index == owner_index_ || ContainsIndex(index)) {
     return false;
   }
   // Without a proximity metric every node is equidistant (insertion order).
-  double d = DistanceTo(id);
+  double d = DistanceTo(index);
   uint32_t* a = data();
   int lo = 0;
   int hi = count_;
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (DistanceTo(dir_->resolve(dir_->ctx, a[mid])) < d) {
+    if (DistanceTo(a[mid]) < d) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -31,27 +31,26 @@ bool NeighborhoodSet::Consider(const NodeId& id) {
   if (count_ >= capacity_ && pos == count_) {
     return false;
   }
-  uint32_t interned = dir_->intern(dir_->ctx, id);
   if (count_ == capacity_) {
     // Insert at pos and evict the farthest member in one shift.
     for (int i = count_ - 1; i > pos; --i) {
       a[i] = a[i - 1];
     }
-    a[pos] = interned;
+    a[pos] = index;
   } else {
     for (int i = count_; i > pos; --i) {
       a[i] = a[i - 1];
     }
-    a[pos] = interned;
+    a[pos] = index;
     ++count_;
   }
   return true;
 }
 
-bool NeighborhoodSet::Remove(const NodeId& id) {
+bool NeighborhoodSet::RemoveIndex(uint32_t index) {
   uint32_t* a = data();
   for (int i = 0; i < count_; ++i) {
-    if (dir_->resolve(dir_->ctx, a[i]) == id) {
+    if (a[i] == index) {
       for (int j = i; j + 1 < count_; ++j) {
         a[j] = a[j + 1];
       }
@@ -62,10 +61,10 @@ bool NeighborhoodSet::Remove(const NodeId& id) {
   return false;
 }
 
-bool NeighborhoodSet::Contains(const NodeId& id) const {
+bool NeighborhoodSet::ContainsIndex(uint32_t index) const {
   const uint32_t* a = data();
   for (int i = 0; i < count_; ++i) {
-    if (dir_->resolve(dir_->ctx, a[i]) == id) {
+    if (a[i] == index) {
       return true;
     }
   }

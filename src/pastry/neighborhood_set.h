@@ -4,8 +4,9 @@
 //
 // Members are stored as interned directory indices in a fixed inline array
 // (M = 32 in the paper's evaluation) — 4 bytes per member instead of a
-// 16-byte id in a heap vector. Ids and distances are resolved through the
-// NodeDirectory on the cold paths that need them.
+// 16-byte id in a heap vector — and so is the owner. Membership is a u32
+// scan and proximity the directory's index-keyed metric; ids are resolved
+// only on the cold paths that need them.
 #ifndef SRC_PASTRY_NEIGHBORHOOD_SET_H_
 #define SRC_PASTRY_NEIGHBORHOOD_SET_H_
 
@@ -23,13 +24,21 @@ class NeighborhoodSet {
 
   // `dir` must be non-null: it owns the id <-> index mapping and the
   // proximity metric (dir->distance may be null: all nodes equidistant,
-  // giving insertion order).
+  // giving insertion order). The owner is interned here.
   NeighborhoodSet(const NodeId& owner, int capacity, const NodeDirectory* dir);
 
-  // Considers `id`; keeps the `capacity` proximally closest nodes.
-  bool Consider(const NodeId& id);
-  bool Remove(const NodeId& id);
-  bool Contains(const NodeId& id) const;
+  // Considers the node interned at `index`; keeps the `capacity` proximally
+  // closest nodes. Distances are read live, never cached: a member that
+  // fails moves to 1e9 at once.
+  bool ConsiderIndex(uint32_t index);
+  bool RemoveIndex(uint32_t index);
+  bool ContainsIndex(uint32_t index) const;
+
+  // The same for an id: Consider interns it (a lookup for any id an overlay
+  // already knows); Remove and Contains never intern.
+  bool Consider(const NodeId& id) { return ConsiderIndex(dir_->intern(dir_->ctx, id)); }
+  bool Remove(const NodeId& id) { return RemoveIndex(dir_->find(dir_->ctx, id)); }
+  bool Contains(const NodeId& id) const { return ContainsIndex(dir_->find(dir_->ctx, id)); }
 
   size_t size() const { return static_cast<size_t>(count_); }
 
@@ -41,14 +50,14 @@ class NeighborhoodSet {
   std::vector<NodeId> members() const;
 
  private:
-  double DistanceTo(const NodeId& n) const {
-    return dir_->distance != nullptr ? dir_->distance(dir_->ctx, owner_, n) : 0.0;
+  double DistanceTo(uint32_t index) const {
+    return dir_->distance != nullptr ? dir_->distance(dir_->ctx, owner_index_, index) : 0.0;
   }
   uint32_t* data() { return spill_ ? spill_->data() : inline_idx_; }
   const uint32_t* data() const { return spill_ ? spill_->data() : inline_idx_; }
 
-  NodeId owner_;
   const NodeDirectory* dir_;
+  uint32_t owner_index_;
   int capacity_;
   int count_ = 0;
   uint32_t inline_idx_[kInlineCapacity];

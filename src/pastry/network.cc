@@ -10,6 +10,7 @@ PastryNetwork::PastryNetwork(const PastryConfig& config, uint64_t seed)
     : config_(config), rng_(seed), topology_(rng_.NextU64()) {
   dir_.ctx = this;
   dir_.intern = &PastryNetwork::DirIntern;
+  dir_.find = &PastryNetwork::DirFind;
   dir_.resolve = &PastryNetwork::DirResolve;
   dir_.alive = &PastryNetwork::DirAlive;
   dir_.distance = &PastryNetwork::DirDistance;
@@ -30,6 +31,10 @@ uint32_t PastryNetwork::DirIntern(void* ctx, const NodeId& id) {
   return static_cast<PastryNetwork*>(ctx)->Intern(id);
 }
 
+uint32_t PastryNetwork::DirFind(void* ctx, const NodeId& id) {
+  return static_cast<PastryNetwork*>(ctx)->IndexOf(id);
+}
+
 const NodeId& PastryNetwork::DirResolve(void* ctx, uint32_t index) {
   return static_cast<PastryNetwork*>(ctx)->ids_by_index_[index];
 }
@@ -38,10 +43,15 @@ bool PastryNetwork::DirAlive(void* ctx, uint32_t index) {
   return static_cast<PastryNetwork*>(ctx)->alive_bits_[index] != 0;
 }
 
-double PastryNetwork::DirDistance(void* ctx, const NodeId& a, const NodeId& b) {
-  // Unregistered endpoints (dead nodes left the topology) are maximally far,
-  // so proximity comparisons never prefer them.
-  return static_cast<PastryNetwork*>(ctx)->topology_.DistanceOr(a, b, 1e9);
+double PastryNetwork::DirDistance(void* ctx, uint32_t a, uint32_t b) {
+  // Unplaced endpoints (dead nodes left the topology) are maximally far, so
+  // proximity comparisons never prefer them — Topology::DistanceOr's
+  // fallback, bit for bit, without its two table probes.
+  const auto* net = static_cast<const PastryNetwork*>(ctx);
+  if (net->alive_bits_[a] == 0 || net->alive_bits_[b] == 0) {
+    return 1e9;
+  }
+  return TorusDistance(net->locations_[a], net->locations_[b]);
 }
 
 NodeId PastryNetwork::RandomNodeId() {
@@ -54,8 +64,9 @@ NodeId PastryNetwork::RandomNodeId() {
 }
 
 PastryNetwork::NodeIndex PastryNetwork::Intern(const NodeId& id) {
-  // Known ids are the overwhelmingly common case (every Learn re-interns its
-  // argument), and answering them from Find keeps Intern non-mutating:
+  // Known ids are the common case (each node's routing state interns its
+  // owner, Learn(NodeId) its argument), and answering them from Find keeps
+  // Intern non-mutating:
   // TryEmplace may rehash even when the key exists (growth is checked before
   // the probe), which would invalidate index_ pointers held by callers up
   // the stack — node() during a batched-join flush, for one.
@@ -66,6 +77,7 @@ PastryNetwork::NodeIndex PastryNetwork::Intern(const NodeId& id) {
   if (inserted) {
     slots_.push_back(nullptr);
     alive_bits_.push_back(0);
+    locations_.push_back(Coordinate{});
     ids_by_index_.push_back(id);
     if (join_batch_active_) {
       pending_head_.push_back(kInvalidIndex);
@@ -75,14 +87,16 @@ PastryNetwork::NodeIndex PastryNetwork::Intern(const NodeId& id) {
   return *slot;
 }
 
-PastryNode* PastryNetwork::InstallNode(const NodeId& id) {
+PastryNetwork::NodeIndex PastryNetwork::InstallNode(const NodeId& id,
+                                                    const Coordinate& location) {
   NodeIndex idx = Intern(id);
   if (slots_[idx] != nullptr) {
     arena_.Destroy(slots_[idx]);
   }
   slots_[idx] = arena_.Create<PastryNode>(id, config_, &dir_, &arena_);
   alive_bits_[idx] = 1;
-  return slots_[idx];
+  locations_[idx] = location;
+  return idx;
 }
 
 NodeId PastryNetwork::CreateNode() {
@@ -105,50 +119,63 @@ bool PastryNetwork::Join(const NodeId& id, const Coordinate& location) {
     seed = topology_.NearestTo(location);
   }
 
-  topology_.PlaceNear(id, location, 0.0);
-  PastryNode* x = InstallNode(id);
+  const NodeIndex x_index = InstallNode(id, topology_.PlaceNear(id, location, 0.0));
+  PastryNode* x = slots_[x_index];
 
   if (have_seed) {
     // Route the special join message from the seed toward the new id; the
     // path supplies routing rows, its terminus Z supplies the leaf set, and
-    // the seed supplies the neighborhood set (paper section 2.1).
+    // the seed supplies the neighborhood set (paper section 2.1). The copies
+    // walk each donor's interned indices and the alive bits in place.
     RouteResult route = Route(seed, id);
     PastryNode* z = this->node(route.destination());
 
-    for (const NodeId& member : z->leaf_set().All()) {
-      if (IsAlive(member)) {
-        x->leaf_set().Insert(member);
+    auto copy_leaves = [&](std::span<const NodeId> ids, std::span<const uint32_t> idx) {
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (alive_bits_[idx[i]] != 0) {
+          x->leaf_set().Insert(ids[i], idx[i]);
+        }
       }
-    }
+    };
+    copy_leaves(z->leaf_set().larger(), z->leaf_set().larger_indices());
+    copy_leaves(z->leaf_set().smaller(), z->leaf_set().smaller_indices());
     x->leaf_set().Insert(z->id());
 
+    // A donor may be x itself (a recovering node that stale state still
+    // routes through); every candidate it offers is then its own incumbent,
+    // so the walk never mutates the table it reads. Members on both leaf
+    // sides are offered twice; the second offer cannot change the slot.
+    RoutingTable& table = x->routing_table();
+    auto offer = [&](uint32_t candidate) {
+      if (alive_bits_[candidate] != 0) {
+        table.ConsiderIndex(candidate);
+      }
+    };
     for (const NodeId& visited : route.path) {
-      PastryNode* p = this->node(visited);
-      if (p == nullptr) {
-        continue;
+      // Every node on the route is live, hence interned and installed.
+      const NodeIndex visited_index = IndexOf(visited);
+      const PastryNode* p = node_at(visited_index);
+      x->LearnIndex(visited_index);
+      p->routing_table().ForEachIndex(offer);
+      for (uint32_t member : p->leaf_set().larger_indices()) {
+        offer(member);
       }
-      x->Learn(p->id());
-      for (const NodeId& entry : p->routing_table().Entries()) {
-        if (IsAlive(entry)) {
-          x->routing_table().Consider(entry);
-        }
-      }
-      for (const NodeId& member : p->leaf_set().All()) {
-        if (IsAlive(member)) {
-          x->routing_table().Consider(member);
-        }
+      for (uint32_t member : p->leaf_set().smaller_indices()) {
+        offer(member);
       }
     }
 
-    PastryNode* a = this->node(seed);
-    x->neighborhood().Consider(a->id());
-    for (const NodeId& neighbor : a->neighborhood().members()) {
-      if (IsAlive(neighbor)) {
-        x->neighborhood().Consider(neighbor);
+    const NodeIndex seed_index = IndexOf(seed);
+    const NeighborhoodSet& seed_hood = node_at(seed_index)->neighborhood();
+    x->neighborhood().ConsiderIndex(seed_index);
+    for (size_t i = 0; i < seed_hood.size(); ++i) {
+      uint32_t neighbor = seed_hood.member_index(i);
+      if (alive_bits_[neighbor] != 0) {
+        x->neighborhood().ConsiderIndex(neighbor);
       }
     }
 
-    AnnounceNewNode(*x);
+    AnnounceNewNode(x_index);
   }
 
   ring_.Insert(id);
@@ -156,32 +183,31 @@ bool PastryNetwork::Join(const NodeId& id, const Coordinate& location) {
   return true;
 }
 
-void PastryNetwork::AnnounceNewNode(PastryNode& node) {
+void PastryNetwork::AnnounceNewNode(NodeIndex newcomer) {
+  const PastryNode& node = *slots_[newcomer];
   // The arriving node transmits its state to every node it now references;
   // each of them folds the newcomer into its own state. In batch mode the
   // Learn is queued on the target instead of applied — same per-target
-  // order, applied before the target's state is next read.
-  std::vector<NodeId> targets = node.leaf_set().All();
-  for (const NodeId& entry : node.routing_table().Entries()) {
-    targets.push_back(entry);
-  }
-  for (const NodeId& member : node.neighborhood().members()) {
-    targets.push_back(member);
+  // order, applied before the target's state is next read. Each target gets
+  // one Learn that touches only its own state, so the order across targets
+  // (here: index order) does not matter.
+  std::vector<NodeIndex> targets(node.leaf_set().larger_indices().begin(),
+                                 node.leaf_set().larger_indices().end());
+  targets.insert(targets.end(), node.leaf_set().smaller_indices().begin(),
+                 node.leaf_set().smaller_indices().end());
+  node.routing_table().ForEachIndex([&](uint32_t entry) { targets.push_back(entry); });
+  for (size_t i = 0; i < node.neighborhood().size(); ++i) {
+    targets.push_back(node.neighborhood().member_index(i));
   }
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-  for (const NodeId& t : targets) {
-    const NodeIndex* found = index_.Find(t);
-    if (found == nullptr) {
-      continue;
-    }
-    const NodeIndex ti = *found;  // value copy: Learn below probes index_
+  for (const NodeIndex ti : targets) {
     if (slots_[ti] == nullptr || alive_bits_[ti] == 0) {
       continue;
     }
     if (join_batch_active_) {
       uint32_t link = static_cast<uint32_t>(pending_pool_.size());
-      pending_pool_.push_back(PendingLearn{kInvalidIndex, node.id()});
+      pending_pool_.push_back(PendingLearn{kInvalidIndex, newcomer});
       if (pending_tail_[ti] == kInvalidIndex) {
         pending_head_[ti] = link;
       } else {
@@ -189,7 +215,7 @@ void PastryNetwork::AnnounceNewNode(PastryNode& node) {
       }
       pending_tail_[ti] = link;
     } else {
-      slots_[ti]->Learn(node.id());
+      slots_[ti]->LearnIndex(newcomer);
     }
     stats_.RecordMessage(64);
   }
@@ -231,11 +257,9 @@ void PastryNetwork::FlushPending(NodeIndex index) {
   pending_tail_[index] = kInvalidIndex;
   PastryNode* w = slots_[index];
   while (cur != kInvalidIndex) {
-    // Copy out: Learn may intern a new id, growing pending_pool_'s siblings
-    // is impossible but keeping a reference across a mutation is fragile.
     PendingLearn entry = pending_pool_[cur];
     if (w != nullptr) {
-      w->Learn(entry.newcomer);
+      w->LearnIndex(entry.newcomer);
     }
     cur = entry.next;
   }
@@ -279,7 +303,9 @@ void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
   // IsAlive, routing Forgets dead entries on contact, and
   // RepairRoutingTables() batch-repairs lazily — the paper's keep-alive
   // model. Small rings (< 4l nodes) degenerate to the full scan.
-  if (ring_.empty()) {
+  // An id never interned is referenced by no node.
+  const NodeIndex failed_index = IndexOf(failed);
+  if (ring_.empty() || failed_index == kInvalidIndex) {
     return;
   }
   const size_t n = ring_.size();
@@ -288,8 +314,9 @@ void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
   std::vector<NodeId> affected;
   auto consider = [&](const NodeId& id) {
     PastryNode* w = node(id);
-    if (w != nullptr && (w->leaf_set().Contains(failed) || w->routing_table().Remove(failed) ||
-                         w->neighborhood().Contains(failed))) {
+    if (w != nullptr && (w->leaf_set().Contains(failed) ||
+                         w->routing_table().RemoveIndex(failed_index) ||
+                         w->neighborhood().ContainsIndex(failed_index))) {
       affected.push_back(id);
     }
   };

@@ -16,7 +16,11 @@
 //
 // The network is also the NodeDirectory for all of its nodes: interning,
 // liveness, and proximity are C function pointers over the flat arrays, so a
-// PastryNode carries no per-node std::function closures. Nodes themselves
+// PastryNode carries no per-node std::function closures. Proximity reads a
+// dense per-index coordinate array beside the alive bits (the topology's
+// id-keyed table stays the source for NearestTo and routing distances), so
+// the locality heuristic's millions of owner/candidate comparisons per
+// overlay build are array loads, not hash probes. Nodes themselves
 // are carved from a network-owned Arena, and so are their routing rows and
 // the FlatTable backing stores — at a million nodes this keeps allocator
 // metadata and per-allocation padding from dominating RSS.
@@ -200,8 +204,8 @@ class PastryNetwork {
     if (found == nullptr) {
       return nullptr;
     }
-    // Copy before flushing: the flushed Learns re-intern known ids, and an
-    // intern may rehash index_, invalidating `found`.
+    // Copy before flushing: an intern during the flush may rehash index_,
+    // invalidating `found`.
     NodeIndex idx = *found;
     if (join_batch_active_) {
       FlushPending(idx);
@@ -257,7 +261,7 @@ class PastryNetwork {
 
  private:
   NodeId RandomNodeId();
-  void AnnounceNewNode(PastryNode& node);
+  void AnnounceNewNode(NodeIndex newcomer);
   void RepairAfterFailure(const NodeId& failed);
   void NotifyJoined(const NodeId& id);
   void NotifyFailed(const NodeId& id);
@@ -265,18 +269,19 @@ class PastryNetwork {
   // Interns `id`: returns its stable dense index, appending an empty slot
   // (no node, dead) on first sight.
   NodeIndex Intern(const NodeId& id);
-  // Interns `id` and constructs a live arena-backed node in its slot,
-  // destroying any stale previous incarnation.
-  PastryNode* InstallNode(const NodeId& id);
+  // Interns `id` and constructs a live arena-backed node in its slot at
+  // `location`, destroying any stale previous incarnation. Returns its index.
+  NodeIndex InstallNode(const NodeId& id, const Coordinate& location);
 
   // Applies (and clears) the queued join announcements for one node.
   void FlushPending(NodeIndex index);
 
   // NodeDirectory trampolines; ctx is the PastryNetwork.
   static uint32_t DirIntern(void* ctx, const NodeId& id);
+  static uint32_t DirFind(void* ctx, const NodeId& id);
   static const NodeId& DirResolve(void* ctx, uint32_t index);
   static bool DirAlive(void* ctx, uint32_t index);
-  static double DirDistance(void* ctx, const NodeId& a, const NodeId& b);
+  static double DirDistance(void* ctx, uint32_t a, uint32_t b);
 
   PastryConfig config_;
   Rng rng_;
@@ -290,6 +295,10 @@ class PastryNetwork {
   FlatTable<NodeId, NodeIndex, NodeIdHash> index_;
   std::vector<PastryNode*> slots_;     // by NodeIndex; arena-owned
   std::vector<uint8_t> alive_bits_;    // by NodeIndex
+  // By NodeIndex: where Join last placed the node. A node is placed in the
+  // topology exactly while its alive bit is set (Join places it,
+  // FailNodeSilently removes it), so the alive bit doubles as "placed".
+  std::vector<Coordinate> locations_;
   std::vector<NodeId> ids_by_index_;   // by NodeIndex; resolve() storage
   NodeDirectory dir_;
   // Sparse: most networks have no malicious nodes; the hot path only checks
@@ -304,7 +313,7 @@ class PastryNetwork {
   // populated while a join batch is active.
   struct PendingLearn {
     uint32_t next;
-    NodeId newcomer;
+    NodeIndex newcomer;
   };
   bool join_batch_active_ = false;
   std::vector<PendingLearn> pending_pool_;

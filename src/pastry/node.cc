@@ -13,19 +13,23 @@ PastryNode::PastryNode(const NodeId& id, const PastryConfig& config, const NodeD
       leaf_set_(id, config.leaf_set_size / 2, dir),
       neighborhood_(id, config.neighborhood_size, dir) {}
 
-void PastryNode::Learn(const NodeId& other) {
+void PastryNode::LearnIndex(uint32_t index) {
+  const NodeId other = dir_->resolve(dir_->ctx, index);
   if (other == id_) {
     return;
   }
-  leaf_set_.Insert(other);
-  routing_table_.Consider(other);
-  neighborhood_.Consider(other);
+  leaf_set_.Insert(other, index);
+  routing_table_.ConsiderIndex(index);
+  neighborhood_.ConsiderIndex(index);
 }
 
 void PastryNode::Forget(const NodeId& other) {
   leaf_set_.Remove(other);
-  routing_table_.Remove(other);
-  neighborhood_.Remove(other);
+  uint32_t index = dir_->find(dir_->ctx, other);
+  if (index != kInvalidNodeIndex) {
+    routing_table_.RemoveIndex(index);
+    neighborhood_.RemoveIndex(index);
+  }
 }
 
 NodeId PastryNode::ClosestAliveLeaf(const NodeId& key, std::vector<NodeId>* deferred_dead) {
@@ -82,14 +86,7 @@ std::vector<NodeId> PastryNode::ValidCandidates(const NodeId& key) {
       consider(ids[i], idx[i]);
     }
   }
-  for (int r = 0; r < routing_table_.rows(); ++r) {
-    for (int c = 0; c < routing_table_.columns(); ++c) {
-      uint32_t idx = routing_table_.GetIndex(r, c);
-      if (idx != kInvalidNodeIndex) {
-        consider(dir_->resolve(dir_->ctx, idx), idx);
-      }
-    }
-  }
+  routing_table_.ForEachIndex([&](uint32_t idx) { consider(dir_->resolve(dir_->ctx, idx), idx); });
   for (size_t i = 0; i < neighborhood_.size(); ++i) {
     uint32_t idx = neighborhood_.member_index(i);
     consider(dir_->resolve(dir_->ctx, idx), idx);

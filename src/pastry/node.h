@@ -42,7 +42,9 @@ class PastryNode {
   const NeighborhoodSet& neighborhood() const { return neighborhood_; }
 
   // Considers `other` for all three state components.
-  void Learn(const NodeId& other);
+  void Learn(const NodeId& other) { LearnIndex(dir_->intern(dir_->ctx, other)); }
+  // Same for the node interned at `index`.
+  void LearnIndex(uint32_t index);
 
   // Drops `other` from all state (failed node).
   void Forget(const NodeId& other);

@@ -8,6 +8,7 @@ RoutingTable::RoutingTable(const NodeId& owner, int b, const NodeDirectory* dir,
     : owner_(owner),
       dir_(dir),
       arena_(arena),
+      owner_index_(dir->intern(dir->ctx, owner)),
       b_(b),
       rows_(NodeId::NumDigits(b)),
       columns_(1 << b) {
@@ -60,70 +61,48 @@ std::optional<NodeId> RoutingTable::Get(int row, int column) const {
   return dir_->resolve(dir_->ctx, idx);
 }
 
-std::optional<std::pair<int, int>> RoutingTable::SlotFor(const NodeId& id) const {
-  int shared = owner_.SharedPrefixLength(id, b_);
-  if (shared >= rows_) {
-    return std::nullopt;  // id == owner
+uint32_t* RoutingTable::EntryFor(uint32_t index, bool allocate) {
+  if (index == owner_index_) {
+    return nullptr;
   }
-  return std::make_pair(shared, id.Digit(shared, b_));
+  const NodeId& id = dir_->resolve(dir_->ctx, index);
+  int row = owner_.SharedPrefixLength(id, b_);  // < rows_: id is not the owner
+  uint32_t* slots = allocate ? EnsureRow(row) : row_slots_[row];
+  return slots == nullptr ? nullptr : &slots[id.Digit(row, b_)];
 }
 
-bool RoutingTable::Consider(const NodeId& id) {
-  auto slot = SlotFor(id);
-  if (!slot) {
+bool RoutingTable::ConsiderIndex(uint32_t index) {
+  uint32_t* entry = EntryFor(index, /*allocate=*/true);
+  if (entry == nullptr || *entry == index) {
     return false;
   }
-  uint32_t* slots = EnsureRow(slot->first);
-  uint32_t& entry = slots[slot->second];
-  if (entry == kInvalidNodeIndex) {
-    entry = dir_->intern(dir_->ctx, id);
+  if (*entry == kInvalidNodeIndex) {
+    *entry = index;
     ++populated_;
     return true;
   }
-  const NodeId& incumbent = dir_->resolve(dir_->ctx, entry);
-  if (incumbent == id) {
-    return false;
-  }
-  if (dir_->distance != nullptr && dir_->distance(dir_->ctx, owner_, id) <
-                                       dir_->distance(dir_->ctx, owner_, incumbent)) {
-    entry = dir_->intern(dir_->ctx, id);
+  if (dir_->distance != nullptr && dir_->distance(dir_->ctx, owner_index_, index) <
+                                       dir_->distance(dir_->ctx, owner_index_, *entry)) {
+    *entry = index;
     return true;
   }
   return false;
 }
 
-bool RoutingTable::Remove(const NodeId& id) {
-  auto slot = SlotFor(id);
-  if (!slot) {
+bool RoutingTable::RemoveIndex(uint32_t index) {
+  uint32_t* entry = EntryFor(index, /*allocate=*/false);
+  if (entry == nullptr || *entry != index) {
     return false;
   }
-  uint32_t* slots = row_slots_[slot->first];
-  if (slots == nullptr) {
-    return false;
-  }
-  uint32_t& entry = slots[slot->second];
-  if (entry != kInvalidNodeIndex && dir_->resolve(dir_->ctx, entry) == id) {
-    entry = kInvalidNodeIndex;
-    --populated_;
-    return true;
-  }
-  return false;
+  *entry = kInvalidNodeIndex;
+  --populated_;
+  return true;
 }
 
 std::vector<NodeId> RoutingTable::Entries() const {
   std::vector<NodeId> out;
   out.reserve(populated_);
-  for (int r = 0; r < rows_; ++r) {
-    const uint32_t* slots = row_slots_[r];
-    if (slots == nullptr) {
-      continue;
-    }
-    for (int c = 0; c < columns_; ++c) {
-      if (slots[c] != kInvalidNodeIndex) {
-        out.push_back(dir_->resolve(dir_->ctx, slots[c]));
-      }
-    }
-  }
+  ForEachIndex([&](uint32_t index) { out.push_back(dir_->resolve(dir_->ctx, index)); });
   return out;
 }
 

@@ -10,12 +10,13 @@
 // index arrays carved from an optional Arena: a populated b=4 row costs 64
 // bytes instead of the 384+ of a std::vector<std::optional<NodeId>>, and the
 // proximity metric lives in the shared NodeDirectory instead of a per-node
-// std::function closure.
+// std::function closure. The table keeps its owner's index too, so the
+// proximity preference reads the index-keyed metric and every membership
+// test is a u32 compare.
 #ifndef SRC_PASTRY_ROUTING_TABLE_H_
 #define SRC_PASTRY_ROUTING_TABLE_H_
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -27,8 +28,9 @@ namespace past {
 class RoutingTable {
  public:
   // `dir` owns interning and the proximity metric (dir->distance null means
-  // no proximity preference — an incumbent entry is never displaced).
-  // `arena`, when given, backs the row storage and must outlive the table.
+  // no proximity preference — an incumbent entry is never displaced). The
+  // owner is interned here. `arena`, when given, backs the row storage and
+  // must outlive the table.
   RoutingTable(const NodeId& owner, int b, const NodeDirectory* dir, Arena* arena = nullptr);
   ~RoutingTable();
 
@@ -52,13 +54,38 @@ class RoutingTable {
     return slots == nullptr ? kInvalidNodeIndex : slots[column];
   }
 
-  // Offers `id` as a candidate. It is placed in its unique (row, column) slot
-  // if the slot is empty or `id` is closer (by proximity) than the incumbent.
-  // Returns true if the table changed.
-  bool Consider(const NodeId& id);
+  // Offers the node interned at `index` as a candidate. It is placed in its
+  // unique (row, column) slot if the slot is empty or it is closer (by
+  // proximity) than the incumbent. Returns true if the table changed.
+  bool ConsiderIndex(uint32_t index);
+  // Same for `id`, which is interned first (a lookup for any id an overlay
+  // already knows).
+  bool Consider(const NodeId& id) { return ConsiderIndex(dir_->intern(dir_->ctx, id)); }
 
-  // Removes `id` wherever it appears. Returns true if found.
-  bool Remove(const NodeId& id);
+  // Removes the node interned at `index` from its slot. Returns true if
+  // found.
+  bool RemoveIndex(uint32_t index);
+  // Same for `id`; an id never interned is in no slot.
+  bool Remove(const NodeId& id) {
+    uint32_t index = dir_->find(dir_->ctx, id);
+    return index != kInvalidNodeIndex && RemoveIndex(index);
+  }
+
+  // Calls f(index) for every populated entry, in (row, column) order.
+  template <typename F>
+  void ForEachIndex(F&& f) const {
+    for (int r = 0; r < rows_; ++r) {
+      const uint32_t* slots = row_slots_[r];
+      if (slots == nullptr) {
+        continue;
+      }
+      for (int c = 0; c < columns_; ++c) {
+        if (slots[c] != kInvalidNodeIndex) {
+          f(slots[c]);
+        }
+      }
+    }
+  }
 
   // All populated entries.
   std::vector<NodeId> Entries() const;
@@ -71,8 +98,10 @@ class RoutingTable {
   size_t size() const { return populated_; }
 
  private:
-  // The slot `id` belongs to, or nullopt for the owner itself.
-  std::optional<std::pair<int, int>> SlotFor(const NodeId& id) const;
+  // The (row, column) slot the node interned at `index` belongs to, or null
+  // for the owner itself and, when `allocate` is false, for a row never
+  // allocated.
+  uint32_t* EntryFor(uint32_t index, bool allocate);
 
   // Rows are allocated on first use: with random nodeIds only the first
   // ~log_16(N) rows ever populate (about 5 at 100k nodes), so eagerly
@@ -85,6 +114,7 @@ class RoutingTable {
   NodeId owner_;
   const NodeDirectory* dir_;
   Arena* arena_;
+  uint32_t owner_index_;
   int b_;
   int rows_;
   int columns_;
