@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       if (route.hops() == 0) {
         continue;
       }
-      double direct = network.topology().Distance(origin, route.destination());
+      double direct = network.DistanceOr(origin, route.destination(), 0.0);
       if (direct <= 1e-9) {
         continue;
       }
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
       std::vector<NodeId> holders =
           network.overlay().KClosestLive(ins.file_id.ToRoutingKey(), 5);
       std::sort(holders.begin(), holders.end(), [&](const NodeId& a, const NodeId& b) {
-        return network.overlay().topology().Distance(origin, a) <
-               network.overlay().topology().Distance(origin, b);
+        return network.overlay().DistanceOr(origin, a, 0.0) <
+               network.overlay().DistanceOr(origin, b, 0.0);
       });
       client.set_access_node(origin);
       LookupResult r = client.Lookup(ins.file_id);

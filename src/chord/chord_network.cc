@@ -7,7 +7,11 @@
 namespace past {
 
 ChordNetwork::ChordNetwork(int successor_list_length, uint64_t seed)
-    : successor_list_length_(successor_list_length), rng_(seed), topology_(rng_.NextU64()) {}
+    : successor_list_length_(successor_list_length), rng_(seed) {
+  // The draw that once seeded a placement RNG; kept so every seed's node-id
+  // stream stays unchanged.
+  rng_.NextU64();
+}
 
 NodeId ChordNetwork::CreateNode() {
   NodeId id;
@@ -22,8 +26,7 @@ bool ChordNetwork::Join(const NodeId& id, const Coordinate& location) {
   if (nodes_.count(id) != 0) {
     return false;
   }
-  topology_.PlaceNear(id, location, 0.0);
-  auto node = std::make_unique<ChordNode>(id, successor_list_length_);
+  auto node = std::make_unique<ChordNode>(id, WrapToTorus(location), successor_list_length_);
   ChordNode* x = node.get();
   nodes_[id] = std::move(node);
 
@@ -170,7 +173,7 @@ ChordRouteResult ChordNetwork::FindSuccessor(const NodeId& from, const NodeId& k
     }
     if (ChordNode::InInterval(key, current, *successor)) {
       // The key's owner is our successor.
-      double d = topology_.Distance(current, *successor);
+      double d = Distance(current, *successor);
       stats_.RecordHop(d);
       result.distance += d;
       result.path.push_back(*successor);
@@ -181,7 +184,7 @@ ChordRouteResult ChordNetwork::FindSuccessor(const NodeId& from, const NodeId& k
     if (!next || *next == current) {
       next = successor;  // fall back to linear traversal
     }
-    double d = topology_.Distance(current, *next);
+    double d = Distance(current, *next);
     stats_.RecordHop(d);
     stats_.RecordMessage(64);
     result.distance += d;
@@ -190,6 +193,10 @@ ChordRouteResult ChordNetwork::FindSuccessor(const NodeId& from, const NodeId& k
   }
   PAST_LOG(kWarning) << "chord lookup exceeded hop bound for " << key.ToHex();
   return result;
+}
+
+double ChordNetwork::Distance(const NodeId& a, const NodeId& b) const {
+  return TorusDistance(node(a)->location(), node(b)->location());
 }
 
 ChordNode* ChordNetwork::node(const NodeId& id) {

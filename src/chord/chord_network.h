@@ -18,7 +18,6 @@
 
 #include "src/chord/chord_node.h"
 #include "src/common/rng.h"
-#include "src/net/topology.h"
 #include "src/net/transport_stats.h"
 
 namespace past {
@@ -36,7 +35,6 @@ class ChordNetwork {
  public:
   ChordNetwork(int successor_list_length, uint64_t seed);
 
-  Topology& topology() { return topology_; }
   TransportStats& stats() { return stats_; }
 
   // --- membership ---
@@ -64,6 +62,9 @@ class ChordNetwork {
 
   // --- queries / oracles ---
 
+  // Proximity distance between two joined nodes.
+  double Distance(const NodeId& a, const NodeId& b) const;
+
   ChordNode* node(const NodeId& id);
   const ChordNode* node(const NodeId& id) const;
   size_t live_count() const { return ring_.size(); }
@@ -81,7 +82,6 @@ class ChordNetwork {
 
   int successor_list_length_;
   Rng rng_;
-  Topology topology_;
   TransportStats stats_;
   std::unordered_map<NodeId, std::unique_ptr<ChordNode>, NodeIdHash> nodes_;
   std::map<uint128, NodeId> ring_;

@@ -4,8 +4,10 @@
 
 namespace past {
 
-ChordNode::ChordNode(const NodeId& id, int successor_list_length)
-    : id_(id), successor_list_length_(static_cast<size_t>(successor_list_length)) {}
+ChordNode::ChordNode(const NodeId& id, const Coordinate& location, int successor_list_length)
+    : id_(id),
+      location_(location),
+      successor_list_length_(static_cast<size_t>(successor_list_length)) {}
 
 void ChordNode::SetSuccessors(std::vector<NodeId> successors) {
   successors_ = std::move(successors);

@@ -4,9 +4,9 @@
 // "makes no explicit effort to achieve good network locality". This
 // implementation exists to quantify that comparison (bench_overlay_chord).
 //
-// State per node: a predecessor, a successor list of length r, and a finger
-// table where finger[i] is the first node whose id follows this node's id +
-// 2^i on the 2^128 ring.
+// State per node: its proximity coordinate, a predecessor, a successor list
+// of length r, and a finger table where finger[i] is the first node whose id
+// follows this node's id + 2^i on the 2^128 ring.
 #ifndef SRC_CHORD_CHORD_NODE_H_
 #define SRC_CHORD_CHORD_NODE_H_
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/node_id.h"
+#include "src/net/topology.h"
 
 namespace past {
 
@@ -22,9 +23,11 @@ class ChordNode {
  public:
   static constexpr int kFingerBits = 128;
 
-  ChordNode(const NodeId& id, int successor_list_length);
+  ChordNode(const NodeId& id, const Coordinate& location, int successor_list_length);
 
   const NodeId& id() const { return id_; }
+  // Where the node sits on the emulated torus (its proximity coordinate).
+  const Coordinate& location() const { return location_; }
 
   // --- successor structure ---
 
@@ -56,6 +59,7 @@ class ChordNode {
 
  private:
   NodeId id_;
+  Coordinate location_;
   size_t successor_list_length_;
   std::vector<NodeId> successors_;
   std::optional<NodeId> predecessor_;

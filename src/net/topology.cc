@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace past {
 
@@ -14,9 +13,18 @@ double TorusDistance(const Coordinate& a, const Coordinate& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-Topology::Topology(uint64_t seed) : rng_(seed) {
-  cells_.resize(static_cast<size_t>(kGridDim) * kGridDim);
+Coordinate WrapToTorus(const Coordinate& c) {
+  auto wrap = [](double v) {
+    v = std::fmod(v, 1.0);
+    if (v < 0.0) {
+      v += 1.0;
+    }
+    return v;
+  };
+  return Coordinate{wrap(c.x), wrap(c.y)};
 }
+
+Topology::Topology() { cells_.resize(static_cast<size_t>(kGridDim) * kGridDim); }
 
 int Topology::CellCoord(double v) {
   int c = static_cast<int>(v * kGridDim);
@@ -29,80 +37,23 @@ int Topology::CellCoord(double v) {
   return c;
 }
 
-void Topology::GridInsert(const NodeId& id, const Coordinate& c) {
-  cells_[static_cast<size_t>(CellOf(c))].push_back(GridEntry{id, c});
+Coordinate Topology::Place(const NodeId& id, const Coordinate& location) {
+  Coordinate c = WrapToTorus(location);
+  CellOf(c).push_back(GridEntry{id, c});
+  ++size_;
+  return c;
 }
 
-void Topology::GridRemove(const NodeId& id, const Coordinate& c) {
-  std::vector<GridEntry>& cell = cells_[static_cast<size_t>(CellOf(c))];
+void Topology::Remove(const NodeId& id, const Coordinate& location) {
+  std::vector<GridEntry>& cell = CellOf(location);
   for (size_t i = 0; i < cell.size(); ++i) {
     if (cell[i].id == id) {
       cell[i] = cell.back();
       cell.pop_back();
+      --size_;
       return;
     }
   }
-}
-
-void Topology::Register(const NodeId& id, const Coordinate& c) {
-  if (const Coordinate* old = locations_.Find(id)) {
-    GridRemove(id, *old);
-  }
-  locations_.InsertOrAssign(id, c);
-  GridInsert(id, c);
-}
-
-Coordinate Topology::PlaceUniform(const NodeId& id) {
-  Coordinate c{rng_.NextDouble(), rng_.NextDouble()};
-  Register(id, c);
-  return c;
-}
-
-Coordinate Topology::PlaceNear(const NodeId& id, const Coordinate& center, double spread) {
-  auto wrap = [](double v) {
-    v = std::fmod(v, 1.0);
-    if (v < 0.0) {
-      v += 1.0;
-    }
-    return v;
-  };
-  Coordinate c{wrap(center.x + spread * rng_.NextGaussian()),
-               wrap(center.y + spread * rng_.NextGaussian())};
-  Register(id, c);
-  return c;
-}
-
-void Topology::Remove(const NodeId& id) {
-  if (const Coordinate* old = locations_.Find(id)) {
-    GridRemove(id, *old);
-    locations_.Erase(id);
-  }
-}
-
-bool Topology::Contains(const NodeId& id) const { return locations_.Contains(id); }
-
-const Coordinate& Topology::LocationOf(const NodeId& id) const {
-  const Coordinate* c = locations_.Find(id);
-  if (c == nullptr) {
-    throw std::out_of_range("Topology::LocationOf: unknown node " + id.ToHex());
-  }
-  return *c;
-}
-
-double Topology::Distance(const NodeId& a, const NodeId& b) const {
-  return TorusDistance(LocationOf(a), LocationOf(b));
-}
-
-double Topology::DistanceOr(const NodeId& a, const NodeId& b, double fallback) const {
-  const Coordinate* ca = locations_.Find(a);
-  if (ca == nullptr) {
-    return fallback;
-  }
-  const Coordinate* cb = locations_.Find(b);
-  if (cb == nullptr) {
-    return fallback;
-  }
-  return TorusDistance(*ca, *cb);
 }
 
 void Topology::ScanCell(int cx, int cy, const Coordinate& point, NodeId& best,
@@ -120,7 +71,7 @@ void Topology::ScanCell(int cx, int cy, const Coordinate& point, NodeId& best,
 
 NodeId Topology::NearestTo(const Coordinate& point) const {
   NodeId best;
-  if (locations_.empty()) {
+  if (size_ == 0) {
     return best;
   }
   double best_distance = std::numeric_limits<double>::infinity();

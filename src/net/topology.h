@@ -5,26 +5,25 @@
 // heuristics need a scalar proximity metric between any two nodes (IP hops,
 // geographic distance, ...). We model endpoints as points on a 2-D unit
 // torus: distance is Euclidean with wrap-around, which gives a well-behaved
-// metric with no edge effects. Geographic client clustering (the 8 NLANR
-// proxy sites) is modeled by placing cluster centers and sampling member
-// coordinates around them.
+// metric with no edge effects.
 //
-// Storage is flat: coordinates live in an open-addressing table, and a
+// Topology itself is only the spatial index a joining Pastry node uses to
+// find its proximally nearest seed. Each overlay stores its nodes'
+// coordinates itself (PastryNetwork by dense node index, ChordNode per
+// node); the grid here holds a copy of each placed endpoint's coordinate
+// for the cell scan, and callers name the location again on Remove. A
 // uniform grid over the torus indexes endpoints by cell so NearestTo is an
 // expanding-ring search instead of a full scan — the scan made network
 // construction O(n^2) (one NearestTo per join) and dominated 100k-node
 // builds. Ties in NearestTo break toward the smaller NodeId, which makes the
-// result independent of hash-iteration order (the old linear scan's implicit
-// tie-break).
+// result independent of insertion order.
 #ifndef SRC_NET_TOPOLOGY_H_
 #define SRC_NET_TOPOLOGY_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "src/common/flat_table.h"
 #include "src/common/node_id.h"
-#include "src/common/rng.h"
 
 namespace past {
 
@@ -36,35 +35,25 @@ struct Coordinate {
 // Euclidean distance on the unit torus.
 double TorusDistance(const Coordinate& a, const Coordinate& b);
 
+// `c` with each axis wrapped into [0, 1).
+Coordinate WrapToTorus(const Coordinate& c);
+
 class Topology {
  public:
-  explicit Topology(uint64_t seed);
+  Topology();
 
-  // Registers an endpoint at a uniformly random location.
-  Coordinate PlaceUniform(const NodeId& id);
+  // Indexes `id` at `location` wrapped into [0, 1), and returns the wrapped
+  // coordinate. `id` must not be placed already.
+  Coordinate Place(const NodeId& id, const Coordinate& location);
 
-  // Registers an endpoint clustered around `center` with Gaussian spread.
-  Coordinate PlaceNear(const NodeId& id, const Coordinate& center, double spread);
+  // Unindexes `id`, which Place put at `location` (its return value).
+  void Remove(const NodeId& id, const Coordinate& location);
 
-  void Remove(const NodeId& id);
-
-  bool Contains(const NodeId& id) const;
-  const Coordinate& LocationOf(const NodeId& id) const;
-
-  // Proximity metric between two registered endpoints.
-  double Distance(const NodeId& a, const NodeId& b) const;
-
-  // Distance(a, b) when both endpoints are registered, `fallback` otherwise.
-  // One table probe per endpoint — half the cost of the Contains+Contains+
-  // LocationOf+LocationOf sequence it replaces on the routing-table Consider
-  // hot path.
-  double DistanceOr(const NodeId& a, const NodeId& b, double fallback) const;
-
-  // The registered endpoint closest to `point` (grid expanding-ring search;
-  // ties by smaller NodeId). Default NodeId if the topology is empty.
+  // The placed endpoint closest to `point` (grid expanding-ring search;
+  // ties by smaller NodeId). Default NodeId if nothing is placed.
   NodeId NearestTo(const Coordinate& point) const;
 
-  size_t size() const { return locations_.size(); }
+  size_t size() const { return size_; }
 
  private:
   // 64x64 cells => ~24 endpoints per cell at 100k nodes; NearestTo usually
@@ -77,17 +66,15 @@ class Topology {
   };
 
   static int CellCoord(double v);
-  int CellOf(const Coordinate& c) const { return CellCoord(c.x) * kGridDim + CellCoord(c.y); }
-  void GridInsert(const NodeId& id, const Coordinate& c);
-  void GridRemove(const NodeId& id, const Coordinate& c);
-  void Register(const NodeId& id, const Coordinate& c);
+  std::vector<GridEntry>& CellOf(const Coordinate& c) {
+    return cells_[static_cast<size_t>(CellCoord(c.x) * kGridDim + CellCoord(c.y))];
+  }
   // Scans one cell, updating the running best under the (distance, id) order.
   void ScanCell(int cx, int cy, const Coordinate& point, NodeId& best, double& best_distance,
                 bool& found) const;
 
-  Rng rng_;
-  FlatTable<NodeId, Coordinate, NodeIdHash> locations_;
   std::vector<std::vector<GridEntry>> cells_;
+  size_t size_ = 0;
 };
 
 }  // namespace past

@@ -24,7 +24,7 @@ Message OpCore::Direct(MessageType type, const NodeId& from, const NodeId& to,
   msg.file = file;
   msg.payload_bytes = payload_bytes;
   msg.hops = 1;
-  msg.distance = net_.pastry_.topology().DistanceOr(from, to, 0.0);
+  msg.distance = net_.pastry_.DistanceOr(from, to, 0.0);
   return msg;
 }
 

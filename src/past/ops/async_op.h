@@ -81,10 +81,9 @@ class OpCore {
  protected:
   explicit OpCore(PastNetwork& net) : net_(net), transport_(net.transport()) {}
 
-  // Builds a direct (one-hop) message between two nodes, with the proximity
-  // distance looked up from the emulated topology. Endpoints that have left
-  // the topology (failed nodes) get distance 0 — the message is normally
-  // dropped or ignored anyway.
+  // Builds a direct (one-hop) message between two nodes, with their
+  // proximity distance. A failed endpoint gets distance 0 — the message is
+  // normally dropped or ignored anyway.
   Message Direct(MessageType type, const NodeId& from, const NodeId& to, const FileId& file,
                  uint64_t payload_bytes);
 

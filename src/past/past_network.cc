@@ -513,12 +513,12 @@ std::optional<PastNetwork::NearRootServe> PastNetwork::ServeNearRoot(const NodeI
   const PastNode* pn = storage_node(dest);
   const DiversionPointer* ptr = pn == nullptr ? nullptr : pn->store().GetPointer(file);
   if (PointerResolves(ptr, file)) {
-    return NearRootServe{ptr->holder, true, pastry_.topology().Distance(dest, ptr->holder)};
+    return NearRootServe{ptr->holder, true, pastry_.DistanceOr(dest, ptr->holder, 0.0)};
   }
   for (const NodeId& t : KClosestFromLeafSet(dest, key, config_.k)) {
     const PastNode* candidate = storage_node(t);
     if (candidate != nullptr && candidate->store().HasReplica(file)) {
-      return NearRootServe{t, false, pastry_.topology().Distance(dest, t)};
+      return NearRootServe{t, false, pastry_.DistanceOr(dest, t, 0.0)};
     }
   }
   return std::nullopt;

@@ -15,13 +15,14 @@
 // Proximity is keyed by index too. The locality heuristic compares an
 // owner with a candidate millions of times per overlay build (every routing
 // slot and neighborhood position a joining node considers), and an id-keyed
-// metric costs two topology hash probes per comparison; the index-keyed one
-// reads two entries of a dense coordinate array. Routing state therefore
-// compares and stores indices only: an id reaches it through intern (where
-// it is stored) or find (where it is only looked for).
+// metric costs two hash probes per comparison; the index-keyed one reads two
+// entries of a dense coordinate array. Routing state therefore compares and
+// stores indices only: an id reaches it through intern (where it is stored)
+// or find (where it is only looked for).
 //
 // PastryNetwork provides the canonical implementation (backed by its
-// interning table, alive bits, and per-index coordinates). SimpleNodeDirectory
+// interning table, alive bits, and per-index coordinates, the one place a
+// Pastry node's coordinate is stored). SimpleNodeDirectory
 // below is a self-contained registry for unit tests and standalone nodes.
 #ifndef SRC_PASTRY_DIRECTORY_H_
 #define SRC_PASTRY_DIRECTORY_H_
@@ -60,7 +61,7 @@ struct NodeDirectory {
   bool (*alive)(void* ctx, uint32_t index) = nullptr;
 
   // Proximity distance between the nodes interned at `a` and `b` (1e9 when
-  // either is not placed in the topology, e.g. a failed node). Read live on
+  // either is dead, e.g. a failed node). Read live on
   // every call: callers must not cache it, since a member's distance jumps
   // to 1e9 when it fails. May be null: consumers then treat all nodes as
   // equidistant, matching the historical "no proximity function" behavior.

@@ -38,7 +38,6 @@ void KeepAliveDriver::RunRound() {
   // reference.
   std::vector<NodeId> probed;  // first-probe order, for deterministic sweeps
   std::unordered_map<NodeId, bool, NodeIdHash> responded;
-  Topology& topo = network_.topology();
   for (const NodeId& id : network_.live_nodes()) {
     const PastryNode* prober = network_.node(id);
     if (prober == nullptr) {
@@ -55,8 +54,7 @@ void KeepAliveDriver::RunRound() {
       // The same 16-byte probe PastryNetwork::DetectAndRepair() accounts.
       probe.payload_bytes = 16;
       probe.hops = 1;
-      probe.distance =
-          (topo.Contains(id) && topo.Contains(member)) ? topo.Distance(id, member) : 0.0;
+      probe.distance = network_.DistanceOr(id, member, 0.0);
       transport_.Send(probe, [this, id, member, &responded](const Delivery&) {
         if (!network_.IsAlive(member)) {
           return;  // a dead node receives nothing and answers nothing

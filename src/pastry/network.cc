@@ -7,7 +7,10 @@
 namespace past {
 
 PastryNetwork::PastryNetwork(const PastryConfig& config, uint64_t seed)
-    : config_(config), rng_(seed), topology_(rng_.NextU64()) {
+    : config_(config), rng_(seed) {
+  // The draw that once seeded the topology's placement RNG; kept so every
+  // seed's node-id stream stays unchanged.
+  rng_.NextU64();
   dir_.ctx = this;
   dir_.intern = &PastryNetwork::DirIntern;
   dir_.find = &PastryNetwork::DirFind;
@@ -44,14 +47,25 @@ bool PastryNetwork::DirAlive(void* ctx, uint32_t index) {
 }
 
 double PastryNetwork::DirDistance(void* ctx, uint32_t a, uint32_t b) {
-  // Unplaced endpoints (dead nodes left the topology) are maximally far, so
-  // proximity comparisons never prefer them — Topology::DistanceOr's
-  // fallback, bit for bit, without its two table probes.
-  const auto* net = static_cast<const PastryNetwork*>(ctx);
-  if (net->alive_bits_[a] == 0 || net->alive_bits_[b] == 0) {
-    return 1e9;
+  // Dead endpoints are maximally far, so proximity comparisons never prefer
+  // them.
+  return static_cast<const PastryNetwork*>(ctx)->DistanceAt(a, b, 1e9);
+}
+
+double PastryNetwork::DistanceAt(NodeIndex a, NodeIndex b, double fallback) const {
+  if (alive_bits_[a] == 0 || alive_bits_[b] == 0) {
+    return fallback;
   }
-  return TorusDistance(net->locations_[a], net->locations_[b]);
+  return TorusDistance(locations_[a], locations_[b]);
+}
+
+double PastryNetwork::DistanceOr(const NodeId& a, const NodeId& b, double fallback) const {
+  const NodeIndex ia = IndexOf(a);
+  const NodeIndex ib = IndexOf(b);
+  if (ia == kInvalidIndex || ib == kInvalidIndex) {
+    return fallback;
+  }
+  return DistanceAt(ia, ib, fallback);
 }
 
 NodeId PastryNetwork::RandomNodeId() {
@@ -112,14 +126,14 @@ bool PastryNetwork::Join(const NodeId& id, const Coordinate& location) {
   }
 
   // Find the proximally nearest live node to bootstrap from, before the new
-  // node occupies its own place in the topology.
+  // node occupies its own place in the seed grid.
   NodeId seed;
   bool have_seed = !ring_.empty();
   if (have_seed) {
-    seed = topology_.NearestTo(location);
+    seed = seed_grid_.NearestTo(location);
   }
 
-  const NodeIndex x_index = InstallNode(id, topology_.PlaceNear(id, location, 0.0));
+  const NodeIndex x_index = InstallNode(id, seed_grid_.Place(id, location));
   PastryNode* x = slots_[x_index];
 
   if (have_seed) {
@@ -284,7 +298,7 @@ void PastryNetwork::FailNodeSilently(const NodeId& id) {
   }
   alive_bits_[*idx] = 0;
   ring_.Erase(id);
-  topology_.Remove(id);
+  seed_grid_.Remove(id, locations_[*idx]);
 }
 
 void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
@@ -435,7 +449,8 @@ RouteResult PastryNetwork::Route(const NodeId& from, const NodeId& key, const St
   Rng* rng = options.rng != nullptr ? options.rng : &rng_;
 
   RouteResult result;
-  if (!IsAlive(from)) {
+  NodeIndex current_index = IndexOf(from);
+  if (current_index == kInvalidIndex || alive_bits_[current_index] == 0) {
     return result;
   }
   NodeId current = from;
@@ -452,14 +467,13 @@ RouteResult PastryNetwork::Route(const NodeId& from, const NodeId& key, const St
   const bool any_malicious = !malicious_.empty();
   // Stats accounting is batched: hops and distance accumulate in the result
   // and land in the collector exactly once per route (RecordRoute), keeping
-  // per-hop work down to the forwarding decision itself. The origin's
-  // location is carried across hops so each hop costs one location probe.
-  const Coordinate* current_loc = &topology_.LocationOf(current);
+  // per-hop work down to the forwarding decision itself. Each hop resolves
+  // the next node's index once; its node slot and location are array reads.
   // Scratch for deferred-forget mode, reused across hops; each batch of dead
   // references is paired with the node that observed them.
   std::vector<NodeId> hop_dead;
   for (int hop = 0; hop < max_hops; ++hop) {
-    PastryNode* n = node(current);
+    PastryNode* n = node_at(current_index);
     std::optional<NodeId> next;
     if (options.deferred_forgets != nullptr) {
       hop_dead.clear();
@@ -473,9 +487,10 @@ RouteResult PastryNetwork::Route(const NodeId& from, const NodeId& key, const St
     if (!next) {
       break;  // current node is the destination
     }
-    const Coordinate* next_loc = &topology_.LocationOf(*next);
-    result.distance += TorusDistance(*current_loc, *next_loc);
-    current_loc = next_loc;
+    // NextHop only returns live nodes, which are interned.
+    const NodeIndex next_index = IndexOf(*next);
+    result.distance += TorusDistance(locations_[current_index], locations_[next_index]);
+    current_index = next_index;
     current = *next;
     result.path.push_back(current);
     // A malicious node accepts the message and silently drops it; the

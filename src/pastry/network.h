@@ -16,11 +16,12 @@
 //
 // The network is also the NodeDirectory for all of its nodes: interning,
 // liveness, and proximity are C function pointers over the flat arrays, so a
-// PastryNode carries no per-node std::function closures. Proximity reads a
-// dense per-index coordinate array beside the alive bits (the topology's
-// id-keyed table stays the source for NearestTo and routing distances), so
+// PastryNode carries no per-node std::function closures. Each node's
+// coordinate lives once, in a dense per-index array beside the alive bits:
 // the locality heuristic's millions of owner/candidate comparisons per
-// overlay build are array loads, not hash probes. Nodes themselves
+// overlay build, routing's per-hop distance and the id-keyed DistanceOr all
+// read it there. The seed grid (Topology) only indexes live nodes by
+// location for Join's nearest-seed search. Nodes themselves
 // are carved from a network-owned Arena, and so are their routing rows and
 // the FlatTable backing stores — at a million nodes this keeps allocator
 // metadata and per-allocation padding from dominating RSS.
@@ -108,8 +109,6 @@ class PastryNetwork {
   PastryNetwork& operator=(const PastryNetwork&) = delete;
 
   const PastryConfig& config() const { return config_; }
-  Topology& topology() { return topology_; }
-  const Topology& topology() const { return topology_; }
   TransportStats& stats() { return stats_; }
   const TransportStats& stats() const { return stats_; }
   Rng& rng() { return rng_; }
@@ -194,6 +193,11 @@ class PastryNetwork {
   bool IsMalicious(const NodeId& id) const;
 
   // --- queries ---
+
+  // Proximity distance between two live nodes; `fallback` when either is
+  // dead or was never interned. The directory's index-keyed metric is the
+  // same kernel with fallback 1e9.
+  double DistanceOr(const NodeId& a, const NodeId& b, double fallback) const;
 
   bool IsAlive(const NodeId& id) const {
     const NodeIndex* idx = index_.Find(id);
@@ -282,10 +286,12 @@ class PastryNetwork {
   static const NodeId& DirResolve(void* ctx, uint32_t index);
   static bool DirAlive(void* ctx, uint32_t index);
   static double DirDistance(void* ctx, uint32_t a, uint32_t b);
+  double DistanceAt(NodeIndex a, NodeIndex b, double fallback) const;
 
   PastryConfig config_;
   Rng rng_;
-  Topology topology_;
+  // Live nodes by location; Join's NearestTo picks the bootstrap seed here.
+  Topology seed_grid_;
   TransportStats stats_;
   // Backing store for nodes, routing rows, and (via set_arena) FlatTables.
   // Declared before the slot array so it outlives nothing that references
@@ -295,9 +301,9 @@ class PastryNetwork {
   FlatTable<NodeId, NodeIndex, NodeIdHash> index_;
   std::vector<PastryNode*> slots_;     // by NodeIndex; arena-owned
   std::vector<uint8_t> alive_bits_;    // by NodeIndex
-  // By NodeIndex: where Join last placed the node. A node is placed in the
-  // topology exactly while its alive bit is set (Join places it,
-  // FailNodeSilently removes it), so the alive bit doubles as "placed".
+  // By NodeIndex: where Join last placed the node, the only copy of each
+  // node's coordinate. A dead node's entry is stale; readers check its
+  // alive bit first.
   std::vector<Coordinate> locations_;
   std::vector<NodeId> ids_by_index_;   // by NodeIndex; resolve() storage
   NodeDirectory dir_;

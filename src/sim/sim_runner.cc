@@ -1,6 +1,9 @@
 #include "src/sim/sim_runner.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <memory>
@@ -135,7 +138,7 @@ class Execution {
         DoCut(ev, index, /*permanent=*/false);
         break;
       case SimEventClass::kRecover:
-        DoCrashRecover(ev, index);
+        DoCrashRecover(ev);
         break;
     }
   }
@@ -216,8 +219,10 @@ class Execution {
     ++result_.joins;
   }
 
-  void DoCut(const ScheduledEvent& ev, size_t index, bool permanent) {
-    // Keep enough of the ring alive that k-closest sets stay meaningful.
+  // Cuts off a live node that is not cut off already, chosen by `ev.pick`,
+  // and returns it. Cuts nothing (nullopt) once that would leave too little
+  // of the ring reachable for k-closest sets to stay meaningful.
+  std::optional<NodeId> CutOffLiveNode(const ScheduledEvent& ev) {
     size_t min_live = std::max<size_t>(2 * config_.k + 2, config_.num_nodes / 2);
     std::vector<NodeId> eligible;
     for (const NodeId& id : net_->overlay().live_nodes()) {
@@ -226,16 +231,24 @@ class Execution {
       }
     }
     if (eligible.size() <= min_live) {
-      return;
+      return std::nullopt;
     }
     NodeId victim = eligible[ev.pick % eligible.size()];
     transport_->Partition(victim);
     cut_off_.insert(victim);
     churned_ = true;
+    return victim;
+  }
+
+  void DoCut(const ScheduledEvent& ev, size_t index, bool permanent) {
+    std::optional<NodeId> victim = CutOffLiveNode(ev);
+    if (!victim) {
+      return;
+    }
     if (permanent) {
       ++result_.crashes;
     } else {
-      heal_at_[victim] = index + 2 + ev.aux % 6;
+      heal_at_[*victim] = index + 2 + ev.aux % 6;
       ++result_.partitions;
     }
   }
@@ -244,28 +257,17 @@ class Execution {
   // durable prefix plus a torn slice of the unsynced tail — and is cut off
   // exactly like a crash. At the next checkpoint, after failure detection
   // reaped it, it rejoins with whatever its directory replays to.
-  void DoCrashRecover(const ScheduledEvent& ev, size_t index) {
-    (void)index;
-    size_t min_live = std::max<size_t>(2 * config_.k + 2, config_.num_nodes / 2);
-    std::vector<NodeId> eligible;
-    for (const NodeId& id : net_->overlay().live_nodes()) {
-      if (!transport_->IsPartitioned(id)) {
-        eligible.push_back(id);
-      }
-    }
-    if (eligible.size() <= min_live) {
+  void DoCrashRecover(const ScheduledEvent& ev) {
+    std::optional<NodeId> victim = CutOffLiveNode(ev);
+    if (!victim) {
       return;
     }
-    NodeId victim = eligible[ev.pick % eligible.size()];
-    const PastNode* pn = net_->storage_node(victim);
+    const PastNode* pn = net_->storage_node(*victim);
     uint64_t capacity = pn != nullptr ? pn->store().capacity() : config_.capacity_per_node;
-    transport_->Partition(victim);
-    cut_off_.insert(victim);
-    churned_ = true;
     if (env_ != nullptr) {
-      env_->CrashDir(victim.ToHex(), /*torn=*/ev.aux % 96);
+      env_->CrashDir(victim->ToHex(), /*torn=*/ev.aux % 96);
     }
-    pending_recovery_.push_back(PendingRecovery{victim, capacity});
+    pending_recovery_.push_back(PendingRecovery{*victim, capacity});
     ++result_.recoveries;
   }
 
@@ -676,8 +678,27 @@ std::optional<SimConfig> ParseSimConfig(const std::string& text) {
     std::string key = body.substr(0, eq);
     std::string value = body.substr(eq + 1);
     any = true;
-    auto as_u64 = [&value]() { return std::strtoull(value.c_str(), nullptr, 10); };
-    auto as_double = [&value]() { return std::strtod(value.c_str(), nullptr); };
+    // A number must parse in full: "abc" or "4M" makes the file malformed
+    // rather than reading as 0 or 4.
+    bool malformed = false;
+    auto as_u64 = [&value, &malformed]() -> uint64_t {
+      char* end = nullptr;
+      errno = 0;
+      uint64_t v = std::strtoull(value.c_str(), &end, 10);
+      if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])) ||
+          *end != '\0' || errno == ERANGE) {
+        malformed = true;
+      }
+      return v;
+    };
+    auto as_double = [&value, &malformed]() {
+      char* end = nullptr;
+      double v = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !std::isfinite(v)) {
+        malformed = true;
+      }
+      return v;
+    };
     if (key == "seed") {
       config.seed = as_u64();
     } else if (key == "num_nodes") {
@@ -758,9 +779,14 @@ std::optional<SimConfig> ParseSimConfig(const std::string& text) {
       }
     }
     // Unknown keys are ignored for forward compatibility.
+    if (malformed) {
+      return std::nullopt;
+    }
   }
+  // Zero capacity or k would divide by zero (DoJoin) or empty every replica
+  // set.
   if (!any || config.num_nodes == 0 || config.num_clients == 0 ||
-      config.checkpoint_every == 0) {
+      config.checkpoint_every == 0 || config.capacity_per_node == 0 || config.k == 0) {
     return std::nullopt;
   }
   return config;

@@ -30,11 +30,11 @@ TEST(ChordIntervalTest, WrapsAroundRing) {
 }
 
 TEST(ChordNodeTest, FingerStartsDouble) {
-  ChordNode node(Id(0), 4);
+  ChordNode node(Id(0), Coordinate{}, 4);
   EXPECT_EQ(node.FingerStart(0), Id(1));
   EXPECT_EQ(node.FingerStart(10), Id(1024));
   // Wraparound at the top bit.
-  ChordNode high(NodeId(MakeUint128(1ULL << 63, 0) * 2 - 1), 4);  // 2^127-ish
+  ChordNode high(NodeId(MakeUint128(1ULL << 63, 0) * 2 - 1), Coordinate{}, 4);  // 2^127-ish
   NodeId wrapped = high.FingerStart(127);
   EXPECT_LT(wrapped.value(), high.id().value());
 }
@@ -143,7 +143,7 @@ TEST(ChordLocalityTest, NoProximityBiasUnlikePastry) {
     NodeId a = nodes[rng.NextBelow(nodes.size())];
     NodeId b = nodes[rng.NextBelow(nodes.size())];
     if (a != b) {
-      random_distance += network.topology().Distance(a, b);
+      random_distance += network.Distance(a, b);
     }
   }
   double avg_hop = hop_distance / static_cast<double>(hops);

@@ -401,17 +401,18 @@ TEST(SortedRingTest, ClosestMatchesKClosestOne) {
 
 TEST(TopologyTest, NearestToMatchesLinearScan) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Topology topology(seed);
+    Topology topology;
     Rng rng(seed * 977);
     std::vector<std::pair<NodeId, Coordinate>> placed;
     for (int i = 0; i < 400; ++i) {
       NodeId id(rng.NextU64(), rng.NextU64());
-      placed.emplace_back(id, topology.PlaceUniform(id));
+      Coordinate location{rng.NextDouble(), rng.NextDouble()};
+      placed.emplace_back(id, topology.Place(id, location));
     }
     // Interleave removals so the grid's per-cell lists see churn.
     for (int i = 0; i < 100; ++i) {
       size_t victim = rng.NextBelow(placed.size());
-      topology.Remove(placed[victim].first);
+      topology.Remove(placed[victim].first, placed[victim].second);
       placed.erase(placed.begin() + static_cast<long>(victim));
     }
     for (int probe = 0; probe < 200; ++probe) {

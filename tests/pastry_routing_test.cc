@@ -164,7 +164,7 @@ TEST(PastryLocalityTest, RoutingTablePrefersNearbyEntries) {
   for (const NodeId& id : nodes) {
     const PastryNode* node = network.node(id);
     for (const NodeId& entry : node->routing_table().Row(0)) {
-      entry_distance += network.topology().Distance(id, entry);
+      entry_distance += network.DistanceOr(id, entry, 0.0);
       ++entry_count;
     }
   }
@@ -177,7 +177,7 @@ TEST(PastryLocalityTest, RoutingTablePrefersNearbyEntries) {
     if (a == b) {
       continue;
     }
-    random_distance += network.topology().Distance(a, b);
+    random_distance += network.DistanceOr(a, b, 0.0);
   }
   ASSERT_GT(entry_count, 0);
   double avg_entry = entry_distance / entry_count;

@@ -6,12 +6,14 @@
 // candidate, which neighbors a node keeps) would slip past it; these
 // digests catch it.
 //
-// Also checks the directory's index-keyed proximity metric against the
-// topology's id-keyed one, bit for bit, for live and failed endpoints.
+// Also checks the directory's index-keyed proximity metric and the network's
+// id-keyed DistanceOr against coordinates the test records as it joins each
+// node, bit for bit, for live, failed and never-interned endpoints.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -100,11 +102,21 @@ TEST(PastryStateDigestTest, UnbatchedBuildWithFailuresAndRecoveries) {
   EXPECT_EQ(StateDigest(net), "3610725b594793a595388e4958473b0efdd43e77");
 }
 
-TEST(PastryProximityTest, IndexDistanceMatchesTopologyForLiveAndDeadNodes) {
+TEST(PastryProximityTest, DistancesMatchRecordedCoordinatesForLiveAndDeadNodes) {
   PastryConfig config;
   PastryNetwork net(config, 2004);
-  net.BuildInitialNetwork(300);
   Rng rng(2005);
+  std::unordered_map<NodeId, Coordinate, NodeIdHash> placed;
+  auto join = [&](const NodeId& id) {
+    Coordinate location{rng.NextDouble(), rng.NextDouble()};
+    ASSERT_TRUE(net.Join(id, location));
+    placed[id] = location;
+  };
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 300; ++i) {
+    ids.emplace_back(rng.NextU64(), rng.NextU64());
+    join(ids.back());
+  }
   std::vector<NodeId> failed;
   for (int i = 0; i < 30; ++i) {
     std::vector<NodeId> live = net.live_nodes();
@@ -112,28 +124,46 @@ TEST(PastryProximityTest, IndexDistanceMatchesTopologyForLiveAndDeadNodes) {
     net.FailNode(victim);
     failed.push_back(victim);
   }
+  // Rejoin a third of them somewhere new: the recorded coordinate moves too.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(net.RecoverNode(failed[static_cast<size_t>(i) * 3]));
+    join(failed[static_cast<size_t>(i) * 3]);
   }
   const NodeDirectory* dir = net.directory();
   ASSERT_NE(dir->distance, nullptr);
+  auto same_bits = [](double want, double got) {
+    return std::memcmp(&want, &got, sizeof(double)) == 0;
+  };
+  const double fallback = -1.0;
   size_t dead_pairs = 0;
   for (int i = 0; i < 5000; ++i) {
     auto a = static_cast<PastryNetwork::NodeIndex>(rng.NextBelow(net.node_count()));
     auto b = static_cast<PastryNetwork::NodeIndex>(rng.NextBelow(net.node_count()));
     const NodeId& ida = dir->resolve(dir->ctx, a);
     const NodeId& idb = dir->resolve(dir->ctx, b);
-    double want = net.topology().DistanceOr(ida, idb, 1e9);
-    double got = dir->distance(dir->ctx, a, b);
-    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
-        << "pair " << a << "," << b << ": " << got << " != " << want;
-    if (!net.alive_at(a) || !net.alive_at(b)) {
+    const bool live = net.alive_at(a) && net.alive_at(b);
+    const double torus = TorusDistance(placed.at(ida), placed.at(idb));
+    const double by_index = dir->distance(dir->ctx, a, b);
+    const double by_id = net.DistanceOr(ida, idb, fallback);
+    EXPECT_TRUE(same_bits(live ? torus : 1e9, by_index))
+        << "pair " << a << "," << b << ": " << by_index;
+    EXPECT_TRUE(same_bits(live ? torus : fallback, by_id))
+        << "pair " << a << "," << b << ": " << by_id;
+    if (!live) {
       ++dead_pairs;
     }
   }
   // Both kinds of pair were sampled: 20 of 300 ids stay dead.
   EXPECT_GT(dead_pairs, 0u);
   EXPECT_LT(dead_pairs, 5000u);
+
+  // An id never interned takes the fallback against any endpoint.
+  const NodeId stranger(rng.NextU64(), rng.NextU64());
+  ASSERT_EQ(net.IndexOf(stranger), PastryNetwork::kInvalidIndex);
+  const NodeId live_id = net.live_nodes().front();
+  EXPECT_TRUE(same_bits(fallback, net.DistanceOr(stranger, live_id, fallback)));
+  EXPECT_TRUE(same_bits(fallback, net.DistanceOr(live_id, stranger, fallback)));
+  EXPECT_TRUE(same_bits(fallback, net.DistanceOr(stranger, stranger, fallback)));
+  EXPECT_EQ(net.IndexOf(stranger), PastryNetwork::kInvalidIndex);
 }
 
 }  // namespace

@@ -232,6 +232,22 @@ TEST(Simulation, ParseRejectsMalformedRepro) {
   EXPECT_FALSE(ParseSimConfig("# only comments\n").has_value());
   EXPECT_FALSE(ParseSimConfig("seed=1\nnot a key value line\n").has_value());
   EXPECT_FALSE(ParseSimConfig("seed=1\nenabled=insert,warp\n").has_value());
+  // Zero capacity or k: a join would divide by zero, a store hold nothing.
+  EXPECT_FALSE(ParseSimConfig("seed=1\ncapacity_per_node=0\nnum_events=60\n").has_value());
+  EXPECT_FALSE(ParseSimConfig("seed=1\nk=0\n").has_value());
+  // Numbers must parse in full, not read as their valid prefix (or 0).
+  for (const char* bad : {"capacity_per_node=abc", "capacity_per_node=4M", "seed=", "seed=-1",
+                          "seed= 5", "seed=99999999999999999999", "k=3.5", "num_nodes=0x20",
+                          "drop_probability=0.1x", "drop_probability=", "delay_ms=nan",
+                          "corrupt_at_event=never", "max_events=all"}) {
+    EXPECT_FALSE(ParseSimConfig(std::string("seed=1\n") + bad + "\n").has_value()) << bad;
+  }
+  // The serialized form still round-trips, scientific doubles included.
+  std::optional<SimConfig> exact =
+      ParseSimConfig("seed=1\ncapacity_per_node=4000000\ndelay_ms=1e-05\n");
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->capacity_per_node, 4'000'000u);
+  EXPECT_DOUBLE_EQ(exact->faults.delay_ms, 1e-05);
   // Unknown keys are tolerated for forward compatibility.
   std::optional<SimConfig> lenient = ParseSimConfig("seed=9\nfuture_knob=3\n");
   ASSERT_TRUE(lenient.has_value());

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/common/rng.h"
 #include "src/net/topology.h"
 
 namespace past {
@@ -21,45 +22,79 @@ TEST(TorusDistanceTest, MaximumIsHalfDiagonal) {
 }
 
 TEST(TopologyTest, PlaceAndDistance) {
-  Topology topo(1);
+  Topology topo;
+  Rng rng(1);
   NodeId a(1, 0), b(2, 0);
-  topo.PlaceUniform(a);
-  topo.PlaceUniform(b);
-  EXPECT_TRUE(topo.Contains(a));
-  double d = topo.Distance(a, b);
+  Coordinate ca = topo.Place(a, {rng.NextDouble(), rng.NextDouble()});
+  Coordinate cb = topo.Place(b, {rng.NextDouble(), rng.NextDouble()});
+  EXPECT_EQ(topo.size(), 2u);
+  double d = TorusDistance(ca, cb);
   EXPECT_GE(d, 0.0);
-  EXPECT_DOUBLE_EQ(d, topo.Distance(b, a));
+  EXPECT_DOUBLE_EQ(d, TorusDistance(cb, ca));
+  EXPECT_EQ(topo.NearestTo(ca), a);
+  EXPECT_EQ(topo.NearestTo(cb), b);
 }
 
-TEST(TopologyTest, ClusteredPlacementIsNearCenter) {
-  Topology topo(2);
-  Coordinate center{0.5, 0.5};
-  double total = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    NodeId id(static_cast<uint64_t>(i), 1);
-    Coordinate c = topo.PlaceNear(id, center, 0.02);
-    total += TorusDistance(c, center);
-  }
-  // Mean distance of a 2-D Gaussian with sigma 0.02 is ~0.025.
-  EXPECT_LT(total / 100.0, 0.08);
+TEST(TopologyTest, PlaceWrapsIntoUnitTorus) {
+  Topology topo;
+  NodeId a(1, 1);
+  Coordinate c = topo.Place(a, {1.25, -0.25});
+  EXPECT_DOUBLE_EQ(c.x, 0.25);
+  EXPECT_DOUBLE_EQ(c.y, 0.75);
+  Coordinate in_range = WrapToTorus({0.5, 0.0});
+  EXPECT_DOUBLE_EQ(in_range.x, 0.5);
+  EXPECT_DOUBLE_EQ(in_range.y, 0.0);
+  EXPECT_EQ(topo.NearestTo({0.26, 0.74}), a);
 }
 
 TEST(TopologyTest, NearestToFindsClosest) {
-  Topology topo(3);
+  Topology topo;
   NodeId near(1, 1), far(2, 2);
-  topo.PlaceNear(near, {0.1, 0.1}, 0.0);
-  topo.PlaceNear(far, {0.9, 0.9}, 0.0);
+  topo.Place(near, {0.1, 0.1});
+  topo.Place(far, {0.9, 0.9});
   EXPECT_EQ(topo.NearestTo({0.12, 0.12}), near);
   EXPECT_EQ(topo.NearestTo({0.88, 0.88}), far);
 }
 
+TEST(TopologyTest, NearestToBreaksTiesTowardSmallerId) {
+  // Two endpoints equidistant from the probe, in different cells, placed in
+  // both orders: the smaller id wins either way.
+  for (bool small_first : {true, false}) {
+    Topology topo;
+    NodeId small(1, 0), large(2, 0);
+    if (small_first) {
+      topo.Place(small, {0.25, 0.5});
+      topo.Place(large, {0.75, 0.5});
+    } else {
+      topo.Place(large, {0.75, 0.5});
+      topo.Place(small, {0.25, 0.5});
+    }
+    EXPECT_EQ(topo.NearestTo({0.5, 0.5}), small) << "small_first " << small_first;
+  }
+}
+
 TEST(TopologyTest, RemoveForgetsNode) {
-  Topology topo(4);
-  NodeId a(1, 1);
-  topo.PlaceUniform(a);
-  topo.Remove(a);
-  EXPECT_FALSE(topo.Contains(a));
-  EXPECT_THROW(topo.LocationOf(a), std::out_of_range);
+  Topology topo;
+  Rng rng(4);
+  NodeId a(1, 1), b(2, 2), c(3, 3);
+  Coordinate ca = topo.Place(a, {rng.NextDouble(), rng.NextDouble()});
+  // b shares a's cell and location; c sits across the torus.
+  Coordinate cb = topo.Place(b, ca);
+  Coordinate cc = topo.Place(c, {ca.x + 0.5, ca.y + 0.5});
+  EXPECT_EQ(topo.NearestTo(ca), a);
+  topo.Remove(a, ca);
+  EXPECT_EQ(topo.size(), 2u);
+  EXPECT_EQ(topo.NearestTo(ca), b);
+  topo.Remove(b, cb);
+  EXPECT_EQ(topo.NearestTo(ca), c);
+  // Removing an id that is not placed changes nothing.
+  topo.Remove(b, cb);
+  EXPECT_EQ(topo.size(), 1u);
+  EXPECT_EQ(topo.NearestTo(ca), c);
+  // An emptied topology answers the default id.
+  topo.Remove(c, cc);
+  EXPECT_EQ(topo.size(), 0u);
+  EXPECT_EQ(topo.NearestTo(ca), NodeId());
 }
 
 }  // namespace
