@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/common/node_id.h"
-#include "src/net/topology.h"
+#include "src/net/coordinate.h"
 
 namespace past {
 

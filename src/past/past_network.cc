@@ -151,13 +151,10 @@ NodeId PastNetwork::AddStorageNodeNear(uint64_t capacity_bytes, const Coordinate
 
   Coordinate location = center;
   if (spread > 0.0) {
-    // Sample a clustered location deterministically from our own rng.
-    auto wrap = [](double v) {
-      v = v - static_cast<int64_t>(v);
-      return v < 0.0 ? v + 1.0 : v;
-    };
-    location = Coordinate{wrap(center.x + spread * rng_.NextGaussian()),
-                          wrap(center.y + spread * rng_.NextGaussian())};
+    // Sample a clustered location deterministically from our own rng; Join
+    // wraps it onto the torus.
+    location = Coordinate{center.x + spread * rng_.NextGaussian(),
+                          center.y + spread * rng_.NextGaussian()};
   }
   pastry_.Join(id, location);
   return id;

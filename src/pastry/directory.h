@@ -20,18 +20,14 @@
 // stores indices only: an id reaches it through intern (where it is stored)
 // or find (where it is only looked for).
 //
-// PastryNetwork provides the canonical implementation (backed by its
-// interning table, alive bits, and per-index coordinates, the one place a
-// Pastry node's coordinate is stored). SimpleNodeDirectory
-// below is a self-contained registry for unit tests and standalone nodes.
+// PastryNetwork provides the implementation (backed by its interning table,
+// alive bits, and per-index coordinates, the one place a Pastry node's
+// coordinate is stored).
 #ifndef SRC_PASTRY_DIRECTORY_H_
 #define SRC_PASTRY_DIRECTORY_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "src/common/flat_table.h"
 #include "src/common/node_id.h"
 
 namespace past {
@@ -66,66 +62,6 @@ struct NodeDirectory {
   // to 1e9 when it fails. May be null: consumers then treat all nodes as
   // equidistant, matching the historical "no proximity function" behavior.
   double (*distance)(void* ctx, uint32_t a, uint32_t b) = nullptr;
-};
-
-// A self-contained directory for tests, benches, and standalone PastryNode
-// instances: interns into its own table, everything defaults to alive, and
-// the distance metric is an optional id-keyed std::function (the thunk
-// resolves both indices before calling it).
-class SimpleNodeDirectory {
- public:
-  using DistanceFn = std::function<double(const NodeId& a, const NodeId& b)>;
-
-  SimpleNodeDirectory() {
-    dir_.ctx = this;
-    dir_.intern = &InternThunk;
-    dir_.find = &FindThunk;
-    dir_.resolve = &ResolveThunk;
-    dir_.alive = &AliveThunk;
-    dir_.distance = nullptr;
-  }
-  explicit SimpleNodeDirectory(DistanceFn distance) : SimpleNodeDirectory() {
-    distance_ = std::move(distance);
-    dir_.distance = &DistanceThunk;
-  }
-
-  const NodeDirectory* view() const { return &dir_; }
-
-  uint32_t Intern(const NodeId& id) {
-    auto [slot, inserted] = index_.TryEmplace(id, static_cast<uint32_t>(ids_.size()));
-    if (inserted) {
-      ids_.push_back(id);
-      alive_.push_back(1);
-    }
-    return *slot;
-  }
-
-  void SetAlive(const NodeId& id, bool alive) { alive_[Intern(id)] = alive ? 1 : 0; }
-
- private:
-  static uint32_t InternThunk(void* ctx, const NodeId& id) {
-    return static_cast<SimpleNodeDirectory*>(ctx)->Intern(id);
-  }
-  static uint32_t FindThunk(void* ctx, const NodeId& id) {
-    const uint32_t* idx = static_cast<SimpleNodeDirectory*>(ctx)->index_.Find(id);
-    return idx == nullptr ? kInvalidNodeIndex : *idx;
-  }
-  static const NodeId& ResolveThunk(void* ctx, uint32_t index) {
-    return static_cast<SimpleNodeDirectory*>(ctx)->ids_[index];
-  }
-  static bool AliveThunk(void* ctx, uint32_t index) {
-    return static_cast<SimpleNodeDirectory*>(ctx)->alive_[index] != 0;
-  }
-  static double DistanceThunk(void* ctx, uint32_t a, uint32_t b) {
-    auto* self = static_cast<SimpleNodeDirectory*>(ctx);
-    return self->distance_(self->ids_[a], self->ids_[b]);
-  }
-
-  NodeDirectory dir_;
-  FlatTable<NodeId, uint32_t, NodeIdHash> index_;
-  std::vector<NodeId> ids_;
-  std::vector<uint8_t> alive_;
-  DistanceFn distance_;
 };
 
 }  // namespace past

@@ -1,8 +1,9 @@
 // Cross-checks for the flattened hot structures against their pointer-based
 // reference counterparts: FlatTable vs std::unordered_map, SortedRing vs a
-// std::map two-cursor walk, and the grid-indexed Topology::NearestTo vs a
-// linear scan. Each check runs a randomized op sequence over a seed bank so
-// the structures agree on every intermediate state, not just the final one.
+// std::map two-cursor walk. (PastryNetwork's seed grid is checked against a
+// linear scan in topology_test.cc.) Each check runs a randomized op sequence
+// over a seed bank so the structures agree on every intermediate state, not
+// just the final one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include "src/common/flat_table.h"
 #include "src/common/node_id.h"
 #include "src/common/rng.h"
-#include "src/net/topology.h"
 #include "src/pastry/ring.h"
 
 namespace past {
@@ -394,41 +394,6 @@ TEST(SortedRingTest, ClosestMatchesKClosestOne) {
           << "seed " << seed << " step " << i;
     }
     random_ring.EndBulkLoad();
-  }
-}
-
-// --- Topology grid NearestTo vs linear scan ---
-
-TEST(TopologyTest, NearestToMatchesLinearScan) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Topology topology;
-    Rng rng(seed * 977);
-    std::vector<std::pair<NodeId, Coordinate>> placed;
-    for (int i = 0; i < 400; ++i) {
-      NodeId id(rng.NextU64(), rng.NextU64());
-      Coordinate location{rng.NextDouble(), rng.NextDouble()};
-      placed.emplace_back(id, topology.Place(id, location));
-    }
-    // Interleave removals so the grid's per-cell lists see churn.
-    for (int i = 0; i < 100; ++i) {
-      size_t victim = rng.NextBelow(placed.size());
-      topology.Remove(placed[victim].first, placed[victim].second);
-      placed.erase(placed.begin() + static_cast<long>(victim));
-    }
-    for (int probe = 0; probe < 200; ++probe) {
-      Coordinate point{rng.NextDouble(), rng.NextDouble()};
-      NodeId best;
-      double best_distance = -1.0;
-      for (const auto& [id, location] : placed) {
-        double d = TorusDistance(location, point);
-        if (best_distance < 0.0 || d < best_distance ||
-            (d == best_distance && id < best)) {
-          best = id;
-          best_distance = d;
-        }
-      }
-      ASSERT_EQ(topology.NearestTo(point), best) << "seed " << seed << " probe " << probe;
-    }
   }
 }
 

@@ -2,8 +2,8 @@
 
 #include <map>
 
-#include "src/pastry/directory.h"
 #include "src/pastry/neighborhood_set.h"
+#include "tests/simple_node_directory.h"
 
 namespace past {
 namespace {

@@ -3,8 +3,8 @@
 // rather than a live overlay.
 #include <gtest/gtest.h>
 
-#include "src/pastry/directory.h"
 #include "src/pastry/node.h"
+#include "tests/simple_node_directory.h"
 
 namespace past {
 namespace {

@@ -5,8 +5,8 @@
 #include <map>
 
 #include "src/common/rng.h"
-#include "src/pastry/directory.h"
 #include "src/pastry/routing_table.h"
+#include "tests/simple_node_directory.h"
 
 namespace past {
 namespace {
