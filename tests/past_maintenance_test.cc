@@ -152,5 +152,36 @@ TEST(PastMaintenanceDisabledTest, NoRepairWhenDisabled) {
   EXPECT_EQ(network.CountLiveReplicas(r.file_id), 2u);
 }
 
+// A node that fails and rejoins under its old id must rebuild a full leaf
+// set. Other nodes still hold routing-table entries for that id; if the id
+// were live again before the join message is routed, those entries would
+// steer the route to the joining node itself, which would copy its own empty
+// leaf set and then claim keys far from its id.
+TEST(PastRejoinTest, RejoinedNodeRebuildsItsLeafSet) {
+  PastConfig config;
+  config.enable_maintenance = true;
+  PastryConfig pastry;
+  PastNetwork net(config, pastry, 3);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 300; ++i) {
+    ids.push_back(net.AddStorageNode(30'000'000));
+  }
+  PastClient client(net, ids[0], 1ULL << 40, 99);
+  for (int f = 0; f < 3'000; ++f) {
+    client.Insert("r" + std::to_string(f), 4'000);
+  }
+  for (int round = 0; round < 40; ++round) {
+    const NodeId& id = ids[static_cast<size_t>(10 + round)];
+    net.FailStorageNode(id);
+    for (int f = 0; f < 200; ++f) {
+      client.Insert("s" + std::to_string(round) + "-" + std::to_string(f), 4'000);
+    }
+    ASSERT_TRUE(net.RejoinStorageNode(id, 30'000'000).ok);
+    EXPECT_EQ(net.overlay().node(id)->leaf_set().All().size(),
+              static_cast<size_t>(pastry.leaf_set_size))
+        << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace past

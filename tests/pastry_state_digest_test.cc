@@ -99,7 +99,10 @@ TEST(PastryStateDigestTest, UnbatchedBuildWithFailuresAndRecoveries) {
     ASSERT_TRUE(net.RecoverNode(failed[static_cast<size_t>(i) * 2]));
   }
   ASSERT_EQ(net.live_count(), 480u);
-  EXPECT_EQ(StateDigest(net), "3610725b594793a595388e4958473b0efdd43e77");
+  // Each RecoverNode routes its join message while the recovering id is
+  // still dead, so the stale routing-table entries other nodes hold for it
+  // do not steer the route; the digest pins that order.
+  EXPECT_EQ(StateDigest(net), "0bf8ac6d599b3a191beca16082d49219c0007e6b");
 }
 
 TEST(PastryProximityTest, DistancesMatchRecordedCoordinatesForLiveAndDeadNodes) {
