@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   BenchStopwatch stopwatch;
   CommandLine cli(argc, argv);
   ExperimentConfig base = BenchConfig(cli);
-  base.cache_mode = CacheMode::kGreedyDualSize;
+  base.past.cache_mode = CacheMode::kGreedyDualSize;
   const uint64_t refs = static_cast<uint64_t>(cli.GetInt("--refs", 250000));
   if (!cli.Has("--paper-scale")) {
     base.catalog_size = static_cast<uint32_t>(cli.GetInt("--files", 25000));
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   std::vector<ExperimentConfig> configs;
   for (double c : c_values) {
     ExperimentConfig config = base;
-    config.cache_fraction_c = c;
+    config.past.cache_fraction_c = c;
     configs.push_back(config);
   }
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);

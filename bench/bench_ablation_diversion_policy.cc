@@ -1,6 +1,9 @@
 // Ablation: how much does the choice of diversion target matter? The paper's
 // policy picks the leaf-set node with maximal remaining free space
-// (section 3.3.1); we compare against random and first-fit selection.
+// (section 3.3.1); we compare against random and first-fit selection. Each
+// row is one k-closest PlacementKind (src/storage/policies.h): kclosest,
+// kclosest-random and kclosest-first-fit differ only in the diversion
+// target, never in the primary rule.
 //
 // Expected: max-free-space achieves the best utilization/failure trade-off;
 // random spreads poorly and fails earlier.
@@ -18,16 +21,16 @@ int main(int argc, char** argv) {
 
   struct Policy {
     const char* name;
-    DiversionSelection selection;
+    PlacementKind kind;
   };
   const std::vector<Policy> policies = {
-      Policy{"max-free-space (paper)", DiversionSelection::kMaxFreeSpace},
-      Policy{"random", DiversionSelection::kRandom},
-      Policy{"first-fit", DiversionSelection::kFirstFit}};
+      Policy{"max-free-space (paper)", PlacementKind::kKClosestDiversion},
+      Policy{"random", PlacementKind::kKClosestRandom},
+      Policy{"first-fit", PlacementKind::kKClosestFirstFit}};
   std::vector<ExperimentConfig> configs;
   for (const Policy& p : policies) {
     ExperimentConfig config = base;
-    config.diversion_selection = p.selection;
+    config.past.placement.kind = p.kind;
     configs.push_back(config);
   }
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::vector<ExperimentConfig> configs;
   for (int l : l_values) {
     ExperimentConfig config = base;
-    config.leaf_set_size = l;
+    config.pastry.leaf_set_size = l;
     configs.push_back(config);
   }
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);

@@ -15,10 +15,10 @@ int main(int argc, char** argv) {
   PrintHeader("Baseline: no replica/file diversion vs full storage management", base);
 
   ExperimentConfig off = base;
-  off.t_pri = 1.0;
-  off.t_div = 0.0;
-  off.replica_diversion = false;
-  off.file_diversion = false;
+  off.past.policy.t_pri = 1.0;
+  off.past.policy.t_div = 0.0;
+  off.past.enable_replica_diversion = false;
+  off.past.enable_file_diversion = false;
   ExperimentResult no_diversion = RunExperiment(off);
 
   ExperimentResult with_diversion = RunExperiment(base);

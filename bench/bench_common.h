@@ -46,8 +46,8 @@ inline ExperimentConfig BenchConfig(const CommandLine& cli) {
     config.catalog_size = 1863055;
   }
   config.seed = static_cast<uint64_t>(cli.GetInt("--seed", 42));
-  config.t_pri = cli.GetDouble("--tpri", 0.1);
-  config.t_div = cli.GetDouble("--tdiv", 0.05);
+  config.past.policy.t_pri = cli.GetDouble("--tpri", 0.1);
+  config.past.policy.t_div = cli.GetDouble("--tdiv", 0.05);
   config.demand_factor = cli.GetDouble("--demand", 1.53);
   // Observability: dump the aggregated metrics registry / per-op JSONL trace
   // at end of run. With several RunExperiment calls per bench, each run
@@ -61,7 +61,7 @@ inline ExperimentConfig BenchConfig(const CommandLine& cli) {
 inline void PrintHeader(const char* what, const ExperimentConfig& config) {
   std::printf("# %s\n", what);
   std::printf("# nodes=%zu files=%u k=%u b=%d l=%d seed=%llu\n", config.num_nodes,
-              config.catalog_size, config.k, config.b, config.leaf_set_size,
+              config.catalog_size, config.past.k, config.pastry.b, config.pastry.leaf_set_size,
               static_cast<unsigned long long>(config.seed));
 }
 

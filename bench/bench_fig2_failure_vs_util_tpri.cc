@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   std::vector<ExperimentConfig> configs;
   for (double t_pri : tpri_values) {
     ExperimentConfig config = base;
-    config.t_pri = t_pri;
-    config.t_div = 0.05;
+    config.past.policy.t_pri = t_pri;
+    config.past.policy.t_div = 0.05;
     configs.push_back(config);
   }
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   std::vector<ExperimentConfig> configs;
   for (const Mode& m : modes) {
     ExperimentConfig config = base;
-    config.cache_mode = m.mode;
+    config.past.cache_mode = m.mode;
     configs.push_back(config);
   }
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);

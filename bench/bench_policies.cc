@@ -5,12 +5,16 @@
 // global cache hit ratio and modeled p50/p95 fetch latency.
 //
 // Flags (besides the common --nodes/--files/--refs/--seed/--jobs):
-//   --placement kclosest|residual|random|all   (default all)
+//   --placement kclosest|residual|random|all   (default all; the other
+//                                               PlacementKinds exit 2)
 //   --workload flash|diurnal|drift|regional|all (default all)
 //   --insertion-cap X                           cache insertion-cost cap in
 //                                               [0, 1] (default 0.5)
+//   --residual-shed-load N                      recent-load level at which a
+//                                               residual primary sheds
+//                                               (default 64; 0 = never)
 //   --smoke                                     tiny scale for CI
-#include <cstring>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 
@@ -32,8 +36,8 @@ int main(int argc, char** argv) {
     base.catalog_size = static_cast<uint32_t>(cli.GetInt("--files", 15000));
     base.total_references = static_cast<uint64_t>(cli.GetInt("--refs", 150000));
   }
-  base.cache_mode = CacheMode::kGreedyDualSize;
-  base.cache_insertion_cost_cap = cli.GetDouble("--insertion-cap", 0.5);
+  base.past.cache_mode = CacheMode::kGreedyDualSize;
+  base.past.cache_insertion_cost_cap = cli.GetDouble("--insertion-cap", 0.5);
   base.adversarial = true;
   const std::string placement_flag = cli.GetString("--placement", "all");
   const std::string workload_flag = cli.GetString("--workload", "all");
@@ -42,13 +46,21 @@ int main(int argc, char** argv) {
   SuiteOptions suite = BenchSuiteOptions(cli);
   cli.ExitOnUnknownFlags();
   ValidateOrDie(base);
-  PrintHeader("Policy ablation: placement x adversarial workload", base);
 
+  // The grid's placement kinds; the k-closest diversion variants are
+  // bench_ablation_diversion_policy's rows.
+  constexpr PlacementKind kPlacements[] = {PlacementKind::kKClosestDiversion,
+                                           PlacementKind::kResidualPerformance,
+                                           PlacementKind::kRandomizedCacheSize};
   std::optional<PlacementKind> only_placement;
   if (placement_flag != "all") {
     only_placement = PlacementKindFromName(placement_flag.c_str());
-    if (!only_placement.has_value()) {
-      std::fprintf(stderr, "error: unknown --placement %s\n", placement_flag.c_str());
+    if (!only_placement.has_value() ||
+        std::find(std::begin(kPlacements), std::end(kPlacements), *only_placement) ==
+            std::end(kPlacements)) {
+      std::fprintf(stderr,
+                   "error: --placement must be kclosest, residual, random or all (got %s)\n",
+                   placement_flag.c_str());
       return 2;
     }
   }
@@ -62,15 +74,14 @@ int main(int argc, char** argv) {
     only_workload = kind;
   }
 
+  PrintHeader("Policy ablation: placement x adversarial workload", base);
+
   // The full grid is workload-major. A cell runs with seed base + 2 * its
   // index in the full grid, whichever cells the filters select, so a
   // filtered run prints the same row for a cell as the full grid does.
   constexpr AdversarialKind kWorkloads[] = {AdversarialKind::kFlashCrowd, AdversarialKind::kDiurnal,
                                             AdversarialKind::kZipfDrift,
                                             AdversarialKind::kRegionalFailure};
-  constexpr PlacementKind kPlacements[] = {PlacementKind::kKClosestDiversion,
-                                           PlacementKind::kResidualPerformance,
-                                           PlacementKind::kRandomizedCacheSize};
   struct Cell {
     AdversarialKind workload;
     PlacementKind placement;
@@ -88,8 +99,7 @@ int main(int argc, char** argv) {
       ExperimentConfig config = base;
       config.seed = base.seed + 2 * index;
       config.adversarial_kind = w;
-      config.placement = p;
-      config.residual_shed_load = residual_shed_load;
+      config.past.placement = {p, residual_shed_load};
       cells.push_back({w, p});
       configs.push_back(config);
     }

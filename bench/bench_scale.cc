@@ -55,8 +55,6 @@ ScaleConfig ConfigFromCli(const CommandLine& cli) {
   config.sweep_period = static_cast<size_t>(cli.GetInt("--sweep-period", 0));
   config.node_capacity = static_cast<uint64_t>(cli.GetInt("--capacity", 50'000'000));
   config.mean_file_size = static_cast<uint64_t>(cli.GetInt("--mean-size", 100'000));
-  config.join_cohort = static_cast<size_t>(
-      cli.GetInt("--join-cohort", static_cast<int64_t>(config.join_cohort)));
   if (cli.Has("--mean-field")) {
     // Churn + periodic repair so the post-sweep window is Binomial: crashes
     // kill ~5% of the network per epoch, a sweep restores full replication,

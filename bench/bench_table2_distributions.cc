@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     for (const CapacityDistribution* dist : {&CapacityD1(), &CapacityD2(), &CapacityD3(),
                                              &CapacityD4()}) {
       ExperimentConfig config = base;
-      config.leaf_set_size = l;
+      config.pastry.leaf_set_size = l;
       config.capacity = *dist;
       configs.push_back(config);
       cells.emplace_back(l, dist);

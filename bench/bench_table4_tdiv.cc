@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   std::vector<ExperimentConfig> configs;
   for (double t_div : tdiv_values) {
     ExperimentConfig config = base;
-    config.t_pri = 0.1;
-    config.t_div = t_div;
+    config.past.policy.t_pri = 0.1;
+    config.past.policy.t_div = t_div;
     configs.push_back(config);
   }
   std::vector<ExperimentResult> results = RunExperimentSuite(configs, suite);

@@ -60,6 +60,11 @@ int64_t CommandLine::GetInt(const std::string& flag, int64_t default_value) cons
   if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
     ExitOnBadValue(flag, "needs an integer, got '" + *v + "'");
   }
+  if (value < 0) {
+    // Every caller casts the value to an unsigned count or seed, where -1
+    // would read as 2^64 - 1.
+    ExitOnBadValue(flag, "needs a non-negative integer, got '" + *v + "'");
+  }
   return value;
 }
 

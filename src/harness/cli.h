@@ -5,8 +5,8 @@
 // typo, or a flag the bench no longer has) fails the run instead of leaving
 // the default in place without a word. A valued flag with no value (the
 // next word is missing or starts with `--`), a valued flag given more than
-// once, or a GetInt/GetDouble value that is not a number, exits 2 from the
-// query itself. A bare run has no
+// once, a GetInt/GetDouble value that is not a number, or a negative GetInt
+// value, exits 2 from the query itself. A bare run has no
 // flags, so `for b in build/bench/*; do $b; done` always works. The
 // google-benchmark binaries (bench_micro_*) parse their own flags and do not
 // use this class.

@@ -62,43 +62,8 @@ std::vector<std::string> ExperimentConfig::Validate() const {
   if (num_nodes == 0) {
     fail("num_nodes must be positive");
   }
-  if (leaf_set_size < 2 || leaf_set_size % 2 != 0) {
-    fail("leaf_set_size must be a positive even number (got " +
-         std::to_string(leaf_set_size) + ")");
-  }
-  if (b < 1 || b > 8) {
-    fail("b must be in [1, 8] (got " + std::to_string(b) + ")");
-  }
-  if (k == 0) {
-    fail("k must be positive");
-  } else if (static_cast<int>(k) > leaf_set_size / 2 + 1) {
-    // The insert protocol computes the k closest from one leaf set, which is
-    // only sound when k <= l/2 + 1 (paper section 2.2).
-    fail("k must satisfy k <= leaf_set_size/2 + 1 (got k=" + std::to_string(k) +
-         ", leaf_set_size=" + std::to_string(leaf_set_size) + ")");
-  }
-  if (t_pri <= 0.0 || t_pri > 1.0) {
-    fail("t_pri must be in (0, 1]");
-  }
-  if (t_div < 0.0 || t_div > 1.0) {
-    fail("t_div must be in [0, 1]");
-  }
-  if (replica_diversion && t_div > t_pri) {
-    // t_div is the threshold applied to diverted replicas, meant to be at
-    // most as permissive as t_pri (paper section 3.3.1; Table 4's most
-    // permissive setting is t_div == t_pri). A larger t_div would accept
-    // diverted replicas that the primary itself would have refused.
-    fail("t_div must not exceed t_pri when replica diversion is on (got t_div=" +
-         std::to_string(t_div) + " > t_pri=" + std::to_string(t_pri) + ")");
-  }
-  if (cache_mode != CacheMode::kNone && (cache_fraction_c <= 0.0 || cache_fraction_c > 1.0)) {
-    fail("cache_fraction_c must be in (0, 1]");
-  }
-  if (!(cache_insertion_cost_cap >= 0.0 && cache_insertion_cost_cap <= 1.0)) {
-    // FileCache reads any cap <= 0 as "no cap": a negative value would turn
-    // the flash-crowd guard off without a word.
-    fail("cache_insertion_cost_cap must be in [0, 1] (got " +
-         std::to_string(cache_insertion_cost_cap) + ")");
+  for (std::string& error : ValidatePastConfig(past, pastry)) {
+    fail(error);
   }
   if (demand_factor <= 0.0) {
     fail("demand_factor must be positive");
@@ -146,7 +111,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   std::vector<uint64_t> raw = SampleCapacities(config.capacity, config.num_nodes, 1.0, rng);
   double raw_total = std::accumulate(raw.begin(), raw.end(), 0.0);
   double target_total =
-      static_cast<double>(insert_bytes) * config.k / std::max(config.demand_factor, 1e-9);
+      static_cast<double>(insert_bytes) * config.past.k / std::max(config.demand_factor, 1e-9);
   double scale = raw_total > 0.0 ? target_total / raw_total : 1.0;
   std::vector<uint64_t> capacities(raw.size());
   for (size_t i = 0; i < raw.size(); ++i) {
@@ -154,25 +119,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   // Build the PAST deployment with geographically clustered nodes.
-  PastConfig past_config;
-  past_config.k = config.k;
-  past_config.policy.t_pri = config.t_pri;
-  past_config.policy.t_div = config.t_div;
-  past_config.enable_replica_diversion = config.replica_diversion;
-  past_config.enable_file_diversion = config.file_diversion;
-  past_config.diversion_selection = config.diversion_selection;
-  past_config.placement = config.placement;
-  past_config.residual_shed_load = config.residual_shed_load;
-  past_config.cache_mode = config.cache_mode;
-  past_config.cache_fraction_c = config.cache_fraction_c;
-  past_config.cache_insertion_cost_cap = config.cache_insertion_cost_cap;
+  PastConfig past_config = config.past;
   past_config.enable_maintenance = false;  // no churn during trace replay
-
-  PastryConfig pastry_config;
-  pastry_config.b = config.b;
-  pastry_config.leaf_set_size = config.leaf_set_size;
-
-  PastNetwork network(past_config, pastry_config, config.seed);
+  PastNetwork network(past_config, config.pastry, config.seed);
 
   std::shared_ptr<obs::JsonlTraceSink> trace_sink;
   if (!config.trace_jsonl_path.empty()) {

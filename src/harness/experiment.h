@@ -27,29 +27,13 @@ struct ExperimentConfig {
   // every bench finishes in minutes on one core (pass --paper-scale to the
   // bench binaries for full size).
   size_t num_nodes = 500;
-  int leaf_set_size = 32;
-  int b = 4;
-  uint32_t k = 5;
 
-  // Storage management parameters.
-  double t_pri = 0.1;
-  double t_div = 0.05;
-  bool replica_diversion = true;
-  bool file_diversion = true;
-  DiversionSelection diversion_selection = DiversionSelection::kMaxFreeSpace;
-
-  // Placement policy (src/storage/policies.h). The default reproduces the
-  // paper's k-closest + replica-diversion behavior bit for bit.
-  PlacementKind placement = PlacementKind::kKClosestDiversion;
-  // ResidualPerformance load-shedding threshold (0 = never shed).
-  uint64_t residual_shed_load = 0;
-
-  // Caching.
-  CacheMode cache_mode = CacheMode::kNone;
-  double cache_fraction_c = 1.0;
-  // Flash-crowd eviction guard: cap on the fraction of the cache budget one
-  // insertion may evict (0 = unlimited; see FileCache).
-  double cache_insertion_cost_cap = 0.0;
+  // The deployment's PAST parameters (k, thresholds, diversion switches,
+  // placement, caching) and Pastry parameters (b, leaf-set size), at the
+  // paper's defaults. RunExperiment builds the network from these with
+  // past.enable_maintenance forced off: a trace replay has no churn.
+  PastConfig past;
+  PastryConfig pastry;
 
   // Adversarial workload: when `adversarial` is set, the trace comes from
   // GenerateAdversarialTrace(adversarial_kind) instead of `workload`, and a
@@ -81,10 +65,10 @@ struct ExperimentConfig {
   std::string metrics_json_path;
   std::string trace_jsonl_path;
 
-  // Checks parameter consistency (thresholds, replication factor vs. leaf
-  // set, cache fraction, scale knobs). Returns human-readable errors; empty
-  // means the config is runnable. RunExperiment and the bench binaries call
-  // this before building anything.
+  // Checks parameter consistency (ValidatePastConfig over past and pastry,
+  // plus the scale knobs). Returns human-readable errors; empty means the
+  // config is runnable. RunExperiment and the bench binaries call this
+  // before building anything.
   std::vector<std::string> Validate() const;
 };
 

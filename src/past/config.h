@@ -3,14 +3,13 @@
 #define SRC_PAST_CONFIG_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "src/pastry/config.h"
 #include "src/storage/policies.h"
 
 namespace past {
-
-// DiversionSelection now lives in src/storage/policies.h next to the
-// PlacementPolicy layer it parameterizes; it is re-exported here through the
-// include above.
 
 enum class CacheMode {
   kNone,
@@ -26,6 +25,11 @@ struct PastConfig {
   // Replica / file diversion thresholds (paper defaults).
   StoragePolicy policy;
 
+  // Replica placement rule (src/storage/policies.h). The default is the
+  // paper's k-closest-with-diversion scheme; the other kinds are ablated by
+  // bench_policies and bench_ablation_diversion_policy.
+  PlacementPolicy placement;
+
   // Enables replica diversion into the leaf set (section 3.3).
   bool enable_replica_diversion = true;
 
@@ -38,19 +42,6 @@ struct PastConfig {
   // node's current cache capacity.
   CacheMode cache_mode = CacheMode::kNone;
   double cache_fraction_c = 1.0;
-
-  // Diversion target selection policy (ablation; paper uses kMaxFreeSpace).
-  // Consumed by the KClosestDiversion placement policy.
-  DiversionSelection diversion_selection = DiversionSelection::kMaxFreeSpace;
-
-  // Replica placement strategy (src/storage/policies.h). The default
-  // reproduces the paper's k-closest-with-diversion scheme bit-identically;
-  // the alternatives are ablated by bench_policies.
-  PlacementKind placement = PlacementKind::kKClosestDiversion;
-
-  // ResidualPerformance placement: recent-load level at which a primary
-  // sheds the replica into the leaf set. 0 disables shedding.
-  uint64_t residual_shed_load = 0;
 
   // Flash-crowd guard: a file is admitted to a node's cache only if making
   // room for it would evict at most this fraction of the cache budget
@@ -67,6 +58,11 @@ struct PastConfig {
   // committed fingerprints depend on the default order.
   bool compact_store_tables = false;
 };
+
+// Checks a deployment's PAST and Pastry parameters, alone and against each
+// other (thresholds, replication factor vs. leaf set, cache knobs). Returns
+// human-readable errors; empty means the pair is runnable.
+std::vector<std::string> ValidatePastConfig(const PastConfig& past, const PastryConfig& pastry);
 
 }  // namespace past
 

@@ -15,8 +15,7 @@ namespace past {
 namespace {
 
 // Adapts the network's seeded Rng onto the placement-entropy interface so
-// policy draws are part of the deterministic replay (the kRandom diversion
-// selection consumes exactly the draw the pre-refactor inline code did).
+// placement draws are part of the deterministic replay.
 class RngPlacementEntropy : public PlacementEntropy {
  public:
   explicit RngPlacementEntropy(Rng& rng) : rng_(rng) {}
@@ -39,20 +38,12 @@ class NotHoldingFile : public DiversionEligibility {
   const FileId& file_;
 };
 
-PlacementOptions PlacementOptionsFrom(const PastConfig& config) {
-  PlacementOptions options;
-  options.diversion_selection = config.diversion_selection;
-  options.residual_shed_load = config.residual_shed_load;
-  return options;
-}
-
 }  // namespace
 
 PastNetwork::PastNetwork(const PastConfig& config, const PastryConfig& pastry_config,
                          uint64_t seed)
     : config_(config), pastry_config_(pastry_config), pastry_(pastry_config, seed),
       rng_(seed ^ 0x9e3779b97f4a7c15ULL),
-      placement_(MakePlacementPolicy(config.placement, PlacementOptionsFrom(config))),
       transport_(std::make_unique<InlineTransport>(&pastry_.stats())) {
   pastry_.AddObserver(this);
   ins_.insert_attempts = &metrics_.GetCounter("past.insert.attempts");
@@ -381,10 +372,9 @@ PlacementCandidate PastNetwork::MakePlacementCandidate(const PastNode& node,
   return candidate;
 }
 
-bool PastNetwork::ShouldStorePrimary(const PastNode& node, uint64_t size) {
-  RngPlacementEntropy entropy(rng_);
-  return placement_->ShouldStorePrimary(MakePlacementCandidate(node, size),
-                                        node.WouldAcceptPrimary(size), size, entropy);
+bool PastNetwork::ShouldStorePrimary(const PastNode& node, uint64_t size) const {
+  return config_.placement.ShouldStorePrimary(MakePlacementCandidate(node, size),
+                                              node.WouldAcceptPrimary(size));
 }
 
 std::optional<NodeId> PastNetwork::ChooseDiversionTarget(const NodeId& primary,
@@ -426,7 +416,7 @@ std::optional<NodeId> PastNetwork::ChooseDiversionTarget(const NodeId& primary,
   NotHoldingFile eligibility(stores, file_id);
   RngPlacementEntropy entropy(rng_);
   std::optional<size_t> pick =
-      placement_->ChooseDiversionTarget(candidates, eligibility, size, entropy);
+      config_.placement.ChooseDiversionTarget(candidates, eligibility, entropy);
   if (!pick || *pick >= candidates.size()) {
     return std::nullopt;
   }

@@ -220,11 +220,11 @@ class PastNetwork : public MembershipObserver {
   std::vector<NodeId> KClosestFromLeafSet(const NodeId& root, const NodeId& key,
                                           size_t k) const;
 
-  // Placement-policy verdict for storing a primary replica of `size` bytes
-  // at `node` (one of the k closest). Wraps the node's threshold test with
-  // the configured PlacementPolicy; under the default KClosestDiversion the
+  // Placement verdict for storing a primary replica of `size` bytes at
+  // `node` (one of the k closest). Wraps the node's threshold test with the
+  // configured PlacementPolicy; under every kind but the residual one the
   // answer is exactly WouldAcceptPrimary.
-  bool ShouldStorePrimary(const PastNode& node, uint64_t size);
+  bool ShouldStorePrimary(const PastNode& node, uint64_t size) const;
 
   // Snapshot of one node's placement-relevant state.
   PlacementCandidate MakePlacementCandidate(const PastNode& node, uint64_t size) const;
@@ -323,10 +323,6 @@ class PastNetwork : public MembershipObserver {
   PastryConfig pastry_config_;
   PastryNetwork pastry_;
   Rng rng_;
-  // The replica placement strategy (src/storage/policies.h); all placement
-  // decisions — primary accept and diversion-target choice — route through
-  // it, drawing entropy exclusively from rng_.
-  std::unique_ptr<PlacementPolicy> placement_;
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<OpEngine> engine_;
   // Flat open-addressing table (no per-entry heap nodes); iteration is slot

@@ -77,17 +77,6 @@ struct ScaleConfig {
   size_t jobs = 1;
   uint64_t seed = 1;
 
-  // Joins per announcement cohort during BuildNetwork: within a cohort the
-  // "newcomer tells everyone it knows" Learn storm is queued per target and
-  // applied on that target's next read (see PastryNetwork join batching).
-  // Observationally identical for every value — the 20-seed fingerprint
-  // bank pins {1, 16, 1024} to the same goldens — but larger cohorts turn
-  // the dominant build cost from random-access Learns into batched passes
-  // (at 100k nodes, 1024 builds ~19% faster than 256; returns diminish
-  // past that). 1 bypasses the machinery entirely (the historical eager
-  // path).
-  size_t join_cohort = 1024;
-
   size_t epochs = 6;
   size_t inserts_per_epoch = 2'000;
   size_t lookups_per_epoch = 2'000;

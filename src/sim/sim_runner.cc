@@ -38,6 +38,16 @@ constexpr int kReclaimFinalizeRounds = 3;
 
 std::string Short(const FileId& id) { return id.ToHex().substr(0, 10); }
 
+// The PAST parameters a run deploys (Pastry runs at its defaults): the
+// config's k, GDS caching, and maintenance on membership changes.
+PastConfig DeployedPastConfig(const SimConfig& config) {
+  PastConfig past;
+  past.k = config.k;
+  past.cache_mode = CacheMode::kGreedyDualSize;
+  past.enable_maintenance = true;
+  return past;
+}
+
 // One complete simulation: deployment, clients, schedule execution, and the
 // checkpoint protocol. Constructed fresh per Run so minimization replays are
 // hermetic.
@@ -49,10 +59,6 @@ class Execution {
     schedule_ = ChurnScheduler(config_.seed, config_.schedule).Generate();
     result_.schedule_fingerprint = ScheduleFingerprint(schedule_);
 
-    PastConfig pconfig;
-    pconfig.k = config_.k;
-    pconfig.cache_mode = CacheMode::kGreedyDualSize;
-    pconfig.enable_maintenance = true;
     if (config_.durable_store) {
       // Small thresholds so soak-length runs actually roll and compact
       // segments; the env injects no faults of its own (kRecover events
@@ -61,8 +67,9 @@ class Execution {
       durable_opts_.segment_max_bytes = 32 * 1024;
       durable_opts_.compact_min_bytes = 16 * 1024;
     }
-    deployment_ = BuildDeployment(config_.num_nodes, config_.capacity_per_node, pconfig,
-                                  config_.seed ^ 0x5eedc0deULL, env_.get(), durable_opts_);
+    deployment_ = BuildDeployment(config_.num_nodes, config_.capacity_per_node,
+                                  DeployedPastConfig(config_), config_.seed ^ 0x5eedc0deULL,
+                                  env_.get(), durable_opts_);
     net_ = deployment_.network.get();
 
     SimTransport::Options options;
@@ -783,10 +790,11 @@ std::optional<SimConfig> ParseSimConfig(const std::string& text) {
       return std::nullopt;
     }
   }
-  // Zero capacity or k would divide by zero (DoJoin) or empty every replica
-  // set.
+  // Zero capacity would divide by zero (DoJoin). A k of zero, or one larger
+  // than l/2 + 1, leaves the k closest unsound (ValidatePastConfig).
   if (!any || config.num_nodes == 0 || config.num_clients == 0 ||
-      config.checkpoint_every == 0 || config.capacity_per_node == 0 || config.k == 0) {
+      config.checkpoint_every == 0 || config.capacity_per_node == 0 ||
+      !ValidatePastConfig(DeployedPastConfig(config), PastryConfig{}).empty()) {
     return std::nullopt;
   }
   return config;

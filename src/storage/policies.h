@@ -1,5 +1,5 @@
-// Storage management policies (paper section 3.3.1) and the pluggable
-// placement layer built on top of them.
+// Storage management policies (paper section 3.3.1) and the placement
+// layer built on top of them.
 //
 // Two levels of decision live here:
 //
@@ -12,29 +12,30 @@
 //    room for the many small files and defers insert failures to high
 //    utilization.
 //
-//  * PlacementPolicy — the network-level strategy deciding *where* replicas
+//  * PlacementPolicy — the network-level rule deciding *where* replicas
 //    land: whether a k-closest node stores the primary itself, and which
-//    leaf-set member receives a diverted replica. The paper's scheme
-//    (k-closest with replica diversion by maximal free space) is one
-//    implementation; alternatives are ablated by bench_policies.
+//    leaf-set member receives a diverted replica. It is a plain value, one
+//    PlacementKind plus the residual kind's shedding level; the paper's
+//    scheme (k-closest with replica diversion by maximal free space) is the
+//    default kind, and the others are ablated by bench_policies and
+//    bench_ablation_diversion_policy.
 //
-// Determinism rules for PlacementPolicy implementations:
-//  * Decisions must be pure functions of the candidate lists handed in, the
+// Determinism rules for placement decisions:
+//  * Decisions are pure functions of the candidate lists handed in, the
 //    answers of the provided DiversionEligibility probe, and draws taken
 //    through the provided PlacementEntropy — never from any other source of
 //    randomness — so a run is exactly reproducible from its seed and the
 //    scale engine's --jobs N replay stays bit-identical.
 //  * Candidates arrive in the caller's deterministic order (leaf-set
-//    iteration order); a policy that ranks must break ties by position so
-//    two nodes with equal scores resolve identically on every replay.
-//  * Implementations must not retain state between calls; all load/capacity
-//    signals ride in the PlacementCandidate snapshot.
+//    iteration order); a kind that ranks breaks ties by position so two
+//    nodes with equal scores resolve identically on every replay.
+//  * No state is kept between calls; all load/capacity signals ride in the
+//    PlacementCandidate snapshot.
 #ifndef SRC_STORAGE_POLICIES_H_
 #define SRC_STORAGE_POLICIES_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 
@@ -70,16 +71,6 @@ struct StoragePolicy {
   }
 };
 
-// How a diverting node picks the leaf-set member to hold a diverted replica
-// under the default KClosestDiversion placement. The paper's policy is
-// "maximal remaining free space"; the alternatives exist for the ablation
-// bench.
-enum class DiversionSelection {
-  kMaxFreeSpace,  // paper policy
-  kRandom,        // random eligible node
-  kFirstFit,      // first eligible node that would accept
-};
-
 // A snapshot of one node's placement-relevant state, taken by the caller at
 // decision time. `recent_load` is the node's served-operation tally since
 // the last maintenance decay (see PastNode::NoteServedOp), backed by the
@@ -113,38 +104,17 @@ class DiversionEligibility {
   virtual bool Eligible(size_t i) = 0;
 };
 
-// Strategy interface for replica placement. Both entry points mirror the
-// two decision sites in the insert protocol (and its scale-engine replay):
-// should the k-closest node `self` hold the primary, and — when it does not
-// — which eligible leaf-set member takes the diverted replica.
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-
-  virtual const char* name() const = 0;
-
-  // Whether `self` (one of the k numerically closest) should store the
-  // primary replica. `policy_accepts` is the StoragePolicy threshold
-  // verdict for `self`; implementations may only tighten it (returning true
-  // when the threshold rejects would overcommit the store).
-  virtual bool ShouldStorePrimary(const PlacementCandidate& self, bool policy_accepts,
-                                  uint64_t size, PlacementEntropy& entropy) const = 0;
-
-  // Picks the diverted-replica target among `candidates`: every live
-  // leaf-set member of the diverting node outside the k closest, in the
-  // caller's deterministic order. Only candidates for which `eligibility`
-  // answers true may be picked. Returns an index into `candidates`, or
-  // nullopt when none is eligible or the policy declines diversion.
-  virtual std::optional<size_t> ChooseDiversionTarget(
-      std::span<const PlacementCandidate> candidates, DiversionEligibility& eligibility,
-      uint64_t size, PlacementEntropy& entropy) const = 0;
-};
-
 enum class PlacementKind {
   // The paper's scheme: every k-closest node that passes the threshold test
-  // stores the primary; diversion targets follow DiversionSelection.
-  // Bit-identical to the pre-refactor inlined logic.
+  // stores the primary, and a diverted replica goes to the eligible node
+  // with maximal remaining free space.
   kKClosestDiversion,
+  // The paper's primary rule with a uniformly random eligible diversion
+  // target (ablation).
+  kKClosestRandom,
+  // The paper's primary rule with the first eligible diversion target that
+  // would accept the replica, else the first eligible one (ablation).
+  kKClosestFirstFit,
   // RPDP-style residual-performance placement: a hot primary sheds the
   // replica into the leaf set, and diversion targets are ranked by residual
   // capacity discounted by recent load.
@@ -156,20 +126,36 @@ enum class PlacementKind {
 };
 
 const char* PlacementKindName(PlacementKind kind);
-// Parses the names accepted by bench_policies --placement
-// ("kclosest", "residual", "random"); nullopt for anything else.
+// Parses the names PlacementKindName prints ("kclosest", "kclosest-random",
+// "kclosest-first-fit", "residual", "random"); nullopt for anything else.
 std::optional<PlacementKind> PlacementKindFromName(const char* name);
 
-struct PlacementOptions {
-  DiversionSelection diversion_selection = DiversionSelection::kMaxFreeSpace;
-  // ResidualPerformance: a primary whose recent_load is at or above this
+// The replica placement rule. Both entry points mirror the two decision
+// sites in the insert protocol (and its scale-engine replay): should the
+// k-closest node `self` hold the primary, and — when it does not — which
+// eligible leaf-set member takes the diverted replica.
+struct PlacementPolicy {
+  PlacementKind kind = PlacementKind::kKClosestDiversion;
+  // kResidualPerformance: a primary whose recent_load is at or above this
   // sheds the replica into the leaf set even when the threshold test
-  // passes. 0 disables shedding.
-  uint64_t residual_shed_load = 0;
-};
+  // passes. 0 disables shedding; the other kinds ignore it.
+  uint64_t shed_load = 0;
 
-std::unique_ptr<PlacementPolicy> MakePlacementPolicy(PlacementKind kind,
-                                                     const PlacementOptions& options);
+  // Whether `self` (one of the k numerically closest) should store the
+  // primary replica. `policy_accepts` is the StoragePolicy threshold
+  // verdict for `self`; a kind may only tighten it (returning true when the
+  // threshold rejects would overcommit the store).
+  bool ShouldStorePrimary(const PlacementCandidate& self, bool policy_accepts) const;
+
+  // Picks the diverted-replica target among `candidates`: every live
+  // leaf-set member of the diverting node outside the k closest, in the
+  // caller's deterministic order. Only candidates for which `eligibility`
+  // answers true may be picked. Returns an index into `candidates`, or
+  // nullopt when none is eligible.
+  std::optional<size_t> ChooseDiversionTarget(std::span<const PlacementCandidate> candidates,
+                                              DiversionEligibility& eligibility,
+                                              PlacementEntropy& entropy) const;
+};
 
 }  // namespace past
 

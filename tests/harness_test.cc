@@ -36,10 +36,10 @@ TEST(HarnessTest, NoDiversionBaselineIsWorse) {
   ExperimentResult diverted = RunExperiment(with);
 
   ExperimentConfig without = SmallConfig();
-  without.t_pri = 1.0;
-  without.t_div = 0.0;
-  without.replica_diversion = false;
-  without.file_diversion = false;
+  without.past.policy.t_pri = 1.0;
+  without.past.policy.t_div = 0.0;
+  without.past.enable_replica_diversion = false;
+  without.past.enable_file_diversion = false;
   ExperimentResult baseline = RunExperiment(without);
 
   // The paper's headline: without diversion, far more failures and much
@@ -66,11 +66,11 @@ TEST(HarnessTest, CachingExperimentProducesHitsAndFewerHops) {
   ExperimentConfig cached = SmallConfig();
   cached.catalog_size = 3000;
   cached.total_references = 30000;
-  cached.cache_mode = CacheMode::kGreedyDualSize;
+  cached.past.cache_mode = CacheMode::kGreedyDualSize;
   ExperimentResult with_cache = RunExperiment(cached);
 
   ExperimentConfig uncached = cached;
-  uncached.cache_mode = CacheMode::kNone;
+  uncached.past.cache_mode = CacheMode::kNone;
   ExperimentResult without_cache = RunExperiment(uncached);
 
   EXPECT_GT(with_cache.lookups, 0u);
@@ -98,7 +98,7 @@ TEST(HarnessTest, CacheTotalsPinnedPerPolicy) {
     ExperimentConfig config = SmallConfig();
     config.catalog_size = 3000;
     config.total_references = 30000;
-    config.cache_mode = pin.mode;
+    config.past.cache_mode = pin.mode;
     ExperimentResult result = RunExperiment(config);
     EXPECT_EQ(result.metrics.CounterValue("node.cache.hits"), pin.hits);
     EXPECT_EQ(result.metrics.CounterValue("node.cache.misses"), pin.misses);
@@ -115,33 +115,27 @@ TEST(HarnessTest, CacheTotalsPinnedPerPolicy) {
 TEST(HarnessTest, PlacementTotalsPinnedPerPolicy) {
   struct Pin {
     const char* name;
-    PlacementKind placement;
-    DiversionSelection selection;
-    uint64_t shed_load;
+    PlacementPolicy placement;
     uint64_t inserted, failed;
     double replica_diversion, file_diversion, utilization;
   };
   // Recorded before the diversion-target choice moved into rank order.
   const Pin pins[] = {
-      {"kclosest/max-free", PlacementKind::kKClosestDiversion,
-       DiversionSelection::kMaxFreeSpace, 0, 44741, 3259, 0.1496926756219128,
-       0.0016763147895666167, 0.9999590572935011},
-      {"kclosest/random", PlacementKind::kKClosestDiversion, DiversionSelection::kRandom, 0,
-       42306, 5694, 0.13330496856237886, 0.16860492601522242, 0.91488284642124595},
-      {"kclosest/first-fit", PlacementKind::kKClosestDiversion, DiversionSelection::kFirstFit, 0,
-       41387, 6613, 0.18017735037572186, 0.025539420591006837, 0.98772394365888161},
-      {"residual/shed-64", PlacementKind::kResidualPerformance,
-       DiversionSelection::kMaxFreeSpace, 64, 47758, 242, 0.98546840319946394,
-       0.0017588676242723733, 0.97548093711830908},
-      {"random", PlacementKind::kRandomizedCacheSize, DiversionSelection::kMaxFreeSpace, 0,
-       42835, 5165, 0.14253297537060813, 0.12620520602311194, 0.94623728051775435},
+      {"kclosest/max-free", {PlacementKind::kKClosestDiversion, 0}, 44741, 3259,
+       0.1496926756219128, 0.0016763147895666167, 0.9999590572935011},
+      {"kclosest/random", {PlacementKind::kKClosestRandom, 0}, 42306, 5694,
+       0.13330496856237886, 0.16860492601522242, 0.91488284642124595},
+      {"kclosest/first-fit", {PlacementKind::kKClosestFirstFit, 0}, 41387, 6613,
+       0.18017735037572186, 0.025539420591006837, 0.98772394365888161},
+      {"residual/shed-64", {PlacementKind::kResidualPerformance, 64}, 47758, 242,
+       0.98546840319946394, 0.0017588676242723733, 0.97548093711830908},
+      {"random", {PlacementKind::kRandomizedCacheSize, 0}, 42835, 5165, 0.14253297537060813,
+       0.12620520602311194, 0.94623728051775435},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.name);
     ExperimentConfig config = SmallConfig();
-    config.placement = pin.placement;
-    config.diversion_selection = pin.selection;
-    config.residual_shed_load = pin.shed_load;
+    config.past.placement = pin.placement;
     ASSERT_EQ(config.demand_factor, 1.53);
     ExperimentResult result = RunExperiment(config);
     EXPECT_EQ(result.files_inserted, pin.inserted);
@@ -231,13 +225,27 @@ TEST(CommandLineTest, RejectsValuesThatAreNotNumbers) {
   const char* argv[] = {"bench", "--jobs", "two", "--nodes", "60x", "--tpri", "0.2.1",
                         "--seed", "-7", "--tdiv", "5e-2"};
   CommandLine cli(11, const_cast<char**>(argv));
-  EXPECT_EQ(cli.GetInt("--seed", 42), -7);
+  // Every bench casts an integer flag to an unsigned count or seed.
+  EXPECT_EXIT(cli.GetInt("--seed", 42), ::testing::ExitedWithCode(2),
+              "error: --seed needs a non-negative integer, got '-7'");
   EXPECT_DOUBLE_EQ(cli.GetDouble("--tdiv", 0.05), 0.05);
   EXPECT_EXIT(cli.GetInt("--jobs", 1), ::testing::ExitedWithCode(2),
               "error: --jobs needs an integer, got 'two'");
   EXPECT_EXIT(cli.GetInt("--nodes", 300), ::testing::ExitedWithCode(2), "error: --nodes");
   EXPECT_EXIT(cli.GetDouble("--tpri", 0.1), ::testing::ExitedWithCode(2),
               "error: --tpri needs a number, got '0.2.1'");
+}
+
+TEST(CommandLineTest, RejectsNegativeCounts) {
+  // As a size_t, --nodes -1 would ask for 2^64 - 1 nodes and --jobs -1 for
+  // SIZE_MAX worker threads; both exit before any bench reads them.
+  const char* argv[] = {"bench", "--nodes", "-1", "--jobs", "-1", "--seed", "0"};
+  CommandLine cli(7, const_cast<char**>(argv));
+  EXPECT_EXIT(cli.GetInt("--nodes", 300), ::testing::ExitedWithCode(2),
+              "error: --nodes needs a non-negative integer, got '-1'");
+  EXPECT_EXIT(cli.GetInt("--jobs", 1), ::testing::ExitedWithCode(2),
+              "error: --jobs needs a non-negative integer");
+  EXPECT_EQ(cli.GetInt("--seed", 42), 0);
 }
 
 TEST(CommandLineTest, RejectsAFlagInPlaceOfAValue) {

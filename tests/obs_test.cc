@@ -244,12 +244,12 @@ TEST(ObsHarnessTest, ConfigValidateReportsHumanReadableErrors) {
 
   ExperimentConfig bad;
   bad.num_nodes = 0;
-  bad.k = 40;           // exceeds what a leaf set of 32 can certify
-  bad.t_pri = 0.1;
-  bad.t_div = 0.5;      // t_div must not exceed t_pri
-  bad.cache_mode = CacheMode::kGreedyDualSize;
-  bad.cache_fraction_c = 0.0;
-  bad.cache_insertion_cost_cap = -1.0;  // would silently disable the guard
+  bad.past.k = 40;  // exceeds what a leaf set of 32 can certify
+  bad.past.policy.t_pri = 0.1;
+  bad.past.policy.t_div = 0.5;  // t_div must not exceed t_pri
+  bad.past.cache_mode = CacheMode::kGreedyDualSize;
+  bad.past.cache_fraction_c = 0.0;
+  bad.past.cache_insertion_cost_cap = -1.0;  // would silently disable the guard
   std::vector<std::string> errors = bad.Validate();
   EXPECT_GE(errors.size(), 5u);
   bool mentions_k = false;
@@ -266,7 +266,7 @@ TEST(ObsHarnessTest, ConfigValidateReportsHumanReadableErrors) {
   EXPECT_TRUE(mentions_cap);
 
   ExperimentConfig over_cap = ok;
-  over_cap.cache_insertion_cost_cap = 1.5;
+  over_cap.past.cache_insertion_cost_cap = 1.5;
   EXPECT_EQ(over_cap.Validate().size(), 1u);
 
   EXPECT_THROW(RunExperiment(bad), std::invalid_argument);

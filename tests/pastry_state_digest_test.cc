@@ -83,6 +83,36 @@ TEST(PastryStateDigestTest, BatchedCohortBuild) {
   EXPECT_EQ(StateDigest(net), "f5c95497a1472a55b956973d03e76f677d91cf3f");
 }
 
+// Batched join announcements are observationally identical to the eager
+// per-join schedule: an unbatched build bypasses the queueing machinery
+// entirely, a flush every 16 joins exercises repeated intra-build flushes,
+// and a single flush at the end covers a cohort larger than the build. All
+// three must reach the same full Pastry state for every seed.
+TEST(PastryStateDigestTest, JoinCohortInvariantAcrossSeeds) {
+  constexpr size_t kNodes = 260;
+  auto build = [&](uint64_t seed, size_t cohort) {
+    PastryNetwork net(PastryConfig{}, seed);
+    if (cohort > 1) {
+      net.BeginJoinBatch();
+    }
+    for (size_t i = 0; i < kNodes; ++i) {
+      net.CreateNode();
+      if (cohort > 1 && (i + 1) % cohort == 0) {
+        net.FlushJoinBatch();
+      }
+    }
+    if (cohort > 1) {
+      net.EndJoinBatch();
+    }
+    return StateDigest(net);
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::string eager = build(seed, 1);
+    EXPECT_EQ(build(seed, 16), eager) << "seed " << seed;
+    EXPECT_EQ(build(seed, 1024), eager) << "seed " << seed;
+  }
+}
+
 TEST(PastryStateDigestTest, UnbatchedBuildWithFailuresAndRecoveries) {
   PastryConfig config;
   PastryNetwork net(config, 2002);

@@ -1,8 +1,8 @@
-// PlacementPolicy unit tests: the k-closest default must reproduce the
+// PlacementPolicy unit tests: the k-closest kinds must reproduce the
 // paper's decision rules exactly (first-max free space, one draw for
-// kRandom), and the alternative policies' scoring/shedding semantics are
+// kclosest-random), and the other kinds' scoring/shedding semantics are
 // pinned here so bench_policies ablations stay meaningful across refactors.
-// A differential test checks every policy's diversion choice against the
+// A differential test checks every kind's diversion choice against the
 // filter-then-pick reference, draw for draw, and counts its eligibility
 // probes.
 #include <gtest/gtest.h>
@@ -83,15 +83,17 @@ PlacementCandidate Candidate(uint64_t free_bytes, uint64_t capacity = 0, uint64_
   return c;
 }
 
-std::unique_ptr<PlacementPolicy> Make(PlacementKind kind, PlacementOptions options = {}) {
-  return MakePlacementPolicy(kind, options);
-}
-
 TEST(PlacementKindTest, NamesRoundTrip) {
-  for (PlacementKind kind :
-       {PlacementKind::kKClosestDiversion, PlacementKind::kResidualPerformance,
-        PlacementKind::kRandomizedCacheSize}) {
-    std::optional<PlacementKind> parsed = PlacementKindFromName(PlacementKindName(kind));
+  const std::pair<PlacementKind, const char*> kinds[] = {
+      {PlacementKind::kKClosestDiversion, "kclosest"},
+      {PlacementKind::kKClosestRandom, "kclosest-random"},
+      {PlacementKind::kKClosestFirstFit, "kclosest-first-fit"},
+      {PlacementKind::kResidualPerformance, "residual"},
+      {PlacementKind::kRandomizedCacheSize, "random"},
+  };
+  for (const auto& [kind, name] : kinds) {
+    EXPECT_STREQ(PlacementKindName(kind), name);
+    std::optional<PlacementKind> parsed = PlacementKindFromName(name);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
@@ -100,20 +102,20 @@ TEST(PlacementKindTest, NamesRoundTrip) {
 }
 
 TEST(KClosestDiversionTest, PrimaryFollowsThresholdVerdictWithoutDraws) {
-  auto policy = Make(PlacementKind::kKClosestDiversion);
-  ScriptedEntropy entropy;
-  EXPECT_TRUE(policy->ShouldStorePrimary(Candidate(1000), true, 100, entropy));
-  EXPECT_FALSE(policy->ShouldStorePrimary(Candidate(1000), false, 100, entropy));
-  EXPECT_EQ(entropy.calls(), 0u);
+  // The primary rule takes no entropy at all; a load that would make a
+  // residual primary shed changes nothing here.
+  PlacementPolicy policy{PlacementKind::kKClosestDiversion, 10};
+  EXPECT_TRUE(policy.ShouldStorePrimary(Candidate(1000, 0, 50), true));
+  EXPECT_FALSE(policy.ShouldStorePrimary(Candidate(1000), false));
 }
 
 TEST(KClosestDiversionTest, MaxFreeSpaceKeepsFirstMaximum) {
-  auto policy = Make(PlacementKind::kKClosestDiversion);
+  PlacementPolicy policy{PlacementKind::kKClosestDiversion};
   AllEligible all;
   ScriptedEntropy entropy;
   std::vector<PlacementCandidate> eligible = {Candidate(5), Candidate(9), Candidate(9),
                                               Candidate(3)};
-  std::optional<size_t> pick = policy->ChooseDiversionTarget(eligible, all, 100, entropy);
+  std::optional<size_t> pick = policy.ChooseDiversionTarget(eligible, all, entropy);
   ASSERT_TRUE(pick.has_value());
   // std::max_element semantics: ties resolve to the earliest candidate, so
   // replays are independent of how the tie arose.
@@ -122,64 +124,58 @@ TEST(KClosestDiversionTest, MaxFreeSpaceKeepsFirstMaximum) {
 }
 
 TEST(KClosestDiversionTest, RandomSelectionConsumesExactlyOneDraw) {
-  PlacementOptions options;
-  options.diversion_selection = DiversionSelection::kRandom;
-  auto policy = Make(PlacementKind::kKClosestDiversion, options);
+  PlacementPolicy policy{PlacementKind::kKClosestRandom};
   AllEligible all;
   ScriptedEntropy entropy({2});
   std::vector<PlacementCandidate> eligible = {Candidate(1), Candidate(2), Candidate(3),
                                               Candidate(4)};
-  std::optional<size_t> pick = policy->ChooseDiversionTarget(eligible, all, 100, entropy);
+  std::optional<size_t> pick = policy.ChooseDiversionTarget(eligible, all, entropy);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 2u);
   EXPECT_EQ(entropy.calls(), 1u);
 }
 
 TEST(KClosestDiversionTest, FirstFitScansInCallerOrder) {
-  PlacementOptions options;
-  options.diversion_selection = DiversionSelection::kFirstFit;
-  auto policy = Make(PlacementKind::kKClosestDiversion, options);
+  PlacementPolicy policy{PlacementKind::kKClosestFirstFit};
   AllEligible all;
   ScriptedEntropy entropy;
   std::vector<PlacementCandidate> eligible = {
       Candidate(1, 0, 0, false), Candidate(2, 0, 0, false), Candidate(3, 0, 0, true),
       Candidate(4, 0, 0, true)};
-  EXPECT_EQ(policy->ChooseDiversionTarget(eligible, all, 100, entropy), std::optional<size_t>(2));
+  EXPECT_EQ(policy.ChooseDiversionTarget(eligible, all, entropy), std::optional<size_t>(2));
 }
 
 TEST(ResidualPerformanceTest, HotPrimaryShedsIntoLeafSet) {
-  PlacementOptions options;
-  options.residual_shed_load = 10;
-  auto policy = Make(PlacementKind::kResidualPerformance, options);
+  PlacementPolicy policy{PlacementKind::kResidualPerformance, 10};
   ScriptedEntropy entropy;
-  EXPECT_TRUE(policy->ShouldStorePrimary(Candidate(1000, 0, 9), true, 100, entropy));
-  EXPECT_FALSE(policy->ShouldStorePrimary(Candidate(1000, 0, 10), true, 100, entropy));
+  EXPECT_TRUE(policy.ShouldStorePrimary(Candidate(1000, 0, 9), true));
+  EXPECT_FALSE(policy.ShouldStorePrimary(Candidate(1000, 0, 10), true));
   // Shedding only tightens the threshold verdict, never overrides a reject.
-  EXPECT_FALSE(policy->ShouldStorePrimary(Candidate(1000, 0, 0), false, 100, entropy));
+  EXPECT_FALSE(policy.ShouldStorePrimary(Candidate(1000, 0, 0), false));
 }
 
 TEST(ResidualPerformanceTest, ZeroShedLoadDisablesShedding) {
-  auto policy = Make(PlacementKind::kResidualPerformance);
+  PlacementPolicy policy{PlacementKind::kResidualPerformance};
   ScriptedEntropy entropy;
-  EXPECT_TRUE(policy->ShouldStorePrimary(Candidate(1000, 0, 1'000'000), true, 100, entropy));
+  EXPECT_TRUE(policy.ShouldStorePrimary(Candidate(1000, 0, 1'000'000), true));
 }
 
 TEST(ResidualPerformanceTest, DiversionRanksFreeBytesPerUnitLoad) {
-  auto policy = Make(PlacementKind::kResidualPerformance);
+  PlacementPolicy policy{PlacementKind::kResidualPerformance};
   AllEligible all;
   ScriptedEntropy entropy;
   // A: 1000 free / (1+9) load = 100. B: 500 free / (1+0) = 500. B wins even
   // though A has more raw space — load discounts it.
   std::vector<PlacementCandidate> eligible = {Candidate(1000, 0, 9), Candidate(500, 0, 0)};
-  EXPECT_EQ(policy->ChooseDiversionTarget(eligible, all, 100, entropy), std::optional<size_t>(1));
+  EXPECT_EQ(policy.ChooseDiversionTarget(eligible, all, entropy), std::optional<size_t>(1));
   // Equal scores keep the earliest candidate (replay order stability).
   std::vector<PlacementCandidate> tied = {Candidate(400, 0, 0), Candidate(400, 0, 0)};
-  EXPECT_EQ(policy->ChooseDiversionTarget(tied, all, 100, entropy), std::optional<size_t>(0));
+  EXPECT_EQ(policy.ChooseDiversionTarget(tied, all, entropy), std::optional<size_t>(0));
   EXPECT_EQ(entropy.calls(), 0u);
 }
 
 TEST(RandomizedCacheSizeTest, DrawsProportionalToCapacity) {
-  auto policy = Make(PlacementKind::kRandomizedCacheSize);
+  PlacementPolicy policy{PlacementKind::kRandomizedCacheSize};
   AllEligible all;
   std::vector<PlacementCandidate> eligible = {Candidate(0, 10), Candidate(0, 30),
                                               Candidate(0, 60)};
@@ -191,7 +187,7 @@ TEST(RandomizedCacheSizeTest, DrawsProportionalToCapacity) {
   };
   for (const Case& c : std::vector<Case>{{0, 0}, {9, 0}, {10, 1}, {39, 1}, {40, 2}, {99, 2}}) {
     ScriptedEntropy entropy({c.draw});
-    std::optional<size_t> pick = policy->ChooseDiversionTarget(eligible, all, 100, entropy);
+    std::optional<size_t> pick = policy.ChooseDiversionTarget(eligible, all, entropy);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(*pick, c.expect) << "draw " << c.draw;
     EXPECT_EQ(entropy.calls(), 1u);
@@ -199,39 +195,36 @@ TEST(RandomizedCacheSizeTest, DrawsProportionalToCapacity) {
 }
 
 TEST(RandomizedCacheSizeTest, ZeroTotalCapacityFallsBackToUniform) {
-  auto policy = Make(PlacementKind::kRandomizedCacheSize);
+  PlacementPolicy policy{PlacementKind::kRandomizedCacheSize};
   AllEligible all;
   std::vector<PlacementCandidate> eligible = {Candidate(0, 0), Candidate(0, 0),
                                               Candidate(0, 0)};
   ScriptedEntropy entropy({1});
-  EXPECT_EQ(policy->ChooseDiversionTarget(eligible, all, 100, entropy), std::optional<size_t>(1));
+  EXPECT_EQ(policy.ChooseDiversionTarget(eligible, all, entropy), std::optional<size_t>(1));
   EXPECT_EQ(entropy.calls(), 1u);
 }
 
 TEST(KClosestDiversionTest, MaxFreeSpaceSkipsHoldersInRankOrder) {
-  auto policy = Make(PlacementKind::kKClosestDiversion);
+  PlacementPolicy policy{PlacementKind::kKClosestDiversion};
   ScriptedEntropy entropy;
   std::vector<PlacementCandidate> candidates = {Candidate(5), Candidate(9), Candidate(7),
                                                 Candidate(9)};
   // Candidates 1 and 3 tie on the most free space and both hold the file, so
   // the pick falls to the next rank, candidate 2; candidate 0 is never asked.
   MaskEligibility holders({false, true, false, true});
-  EXPECT_EQ(policy->ChooseDiversionTarget(candidates, holders, 100, entropy),
+  EXPECT_EQ(policy.ChooseDiversionTarget(candidates, holders, entropy),
             std::optional<size_t>(2));
   EXPECT_EQ(holders.probes(), (std::vector<int>{0, 1, 1, 1}));
 }
 
 TEST(KClosestDiversionTest, NoEligibleCandidateDeclinesWithoutDrawing) {
-  for (DiversionSelection selection : {DiversionSelection::kMaxFreeSpace,
-                                       DiversionSelection::kRandom,
-                                       DiversionSelection::kFirstFit}) {
-    PlacementOptions options;
-    options.diversion_selection = selection;
-    auto policy = Make(PlacementKind::kKClosestDiversion, options);
+  for (PlacementKind kind : {PlacementKind::kKClosestDiversion, PlacementKind::kKClosestRandom,
+                             PlacementKind::kKClosestFirstFit}) {
+    PlacementPolicy policy{kind};
     ScriptedEntropy entropy;
     MaskEligibility holders({true, true, true});
     std::vector<PlacementCandidate> candidates = {Candidate(1), Candidate(2), Candidate(3)};
-    EXPECT_EQ(policy->ChooseDiversionTarget(candidates, holders, 100, entropy), std::nullopt);
+    EXPECT_EQ(policy.ChooseDiversionTarget(candidates, holders, entropy), std::nullopt);
     EXPECT_EQ(holders.probes(), (std::vector<int>{1, 1, 1}));
     EXPECT_EQ(entropy.calls(), 0u);
   }
@@ -242,18 +235,15 @@ TEST(KClosestDiversionTest, NoEligibleCandidateDeclinesWithoutDrawing) {
 struct PolicyCase {
   const char* name;
   PlacementKind kind;
-  DiversionSelection selection;
   bool ranked;
 };
 
 const PolicyCase kPolicyCases[] = {
-    {"kclosest/max-free", PlacementKind::kKClosestDiversion, DiversionSelection::kMaxFreeSpace,
-     true},
-    {"kclosest/random", PlacementKind::kKClosestDiversion, DiversionSelection::kRandom, false},
-    {"kclosest/first-fit", PlacementKind::kKClosestDiversion, DiversionSelection::kFirstFit,
-     true},
-    {"residual", PlacementKind::kResidualPerformance, DiversionSelection::kMaxFreeSpace, true},
-    {"random", PlacementKind::kRandomizedCacheSize, DiversionSelection::kMaxFreeSpace, false},
+    {"kclosest/max-free", PlacementKind::kKClosestDiversion, true},
+    {"kclosest/random", PlacementKind::kKClosestRandom, false},
+    {"kclosest/first-fit", PlacementKind::kKClosestFirstFit, true},
+    {"residual", PlacementKind::kResidualPerformance, true},
+    {"random", PlacementKind::kRandomizedCacheSize, false},
 };
 
 double ResidualScore(const PlacementCandidate& c) {
@@ -265,7 +255,7 @@ double RankScore(const PolicyCase& pc, const PlacementCandidate& c) {
   if (pc.kind == PlacementKind::kResidualPerformance) {
     return ResidualScore(c);
   }
-  if (pc.selection == DiversionSelection::kFirstFit) {
+  if (pc.kind == PlacementKind::kKClosestFirstFit) {
     return c.accepts_diverted ? 1.0 : 0.0;
   }
   return static_cast<double>(c.free_bytes);
@@ -281,38 +271,8 @@ std::optional<size_t> FilterThenPick(const PolicyCase& pc,
   if (eligible.empty()) {
     return std::nullopt;
   }
-  if (pc.kind == PlacementKind::kResidualPerformance) {
-    size_t best = 0;
-    double best_score = ResidualScore(eligible[0]);
-    for (size_t i = 1; i < eligible.size(); ++i) {
-      double score = ResidualScore(eligible[i]);
-      if (score > best_score) {
-        best = i;
-        best_score = score;
-      }
-    }
-    return best;
-  }
-  if (pc.kind == PlacementKind::kRandomizedCacheSize) {
-    uint64_t total = 0;
-    for (const PlacementCandidate& c : eligible) {
-      total += c.capacity_bytes;
-    }
-    if (total == 0) {
-      return static_cast<size_t>(entropy.NextBelow(eligible.size()));
-    }
-    uint64_t draw = entropy.NextBelow(total);
-    uint64_t prefix = 0;
-    for (size_t i = 0; i < eligible.size(); ++i) {
-      prefix += eligible[i].capacity_bytes;
-      if (draw < prefix) {
-        return i;
-      }
-    }
-    return eligible.size() - 1;
-  }
-  switch (pc.selection) {
-    case DiversionSelection::kMaxFreeSpace: {
+  switch (pc.kind) {
+    case PlacementKind::kKClosestDiversion: {
       size_t best = 0;
       for (size_t i = 1; i < eligible.size(); ++i) {
         if (eligible[best].free_bytes < eligible[i].free_bytes) {
@@ -321,15 +281,45 @@ std::optional<size_t> FilterThenPick(const PolicyCase& pc,
       }
       return best;
     }
-    case DiversionSelection::kRandom:
+    case PlacementKind::kKClosestRandom:
       return static_cast<size_t>(entropy.NextBelow(eligible.size()));
-    case DiversionSelection::kFirstFit:
+    case PlacementKind::kKClosestFirstFit:
       for (size_t i = 0; i < eligible.size(); ++i) {
         if (eligible[i].accepts_diverted) {
           return i;
         }
       }
       return 0;
+    case PlacementKind::kResidualPerformance: {
+      size_t best = 0;
+      double best_score = ResidualScore(eligible[0]);
+      for (size_t i = 1; i < eligible.size(); ++i) {
+        double score = ResidualScore(eligible[i]);
+        if (score > best_score) {
+          best = i;
+          best_score = score;
+        }
+      }
+      return best;
+    }
+    case PlacementKind::kRandomizedCacheSize: {
+      uint64_t total = 0;
+      for (const PlacementCandidate& c : eligible) {
+        total += c.capacity_bytes;
+      }
+      if (total == 0) {
+        return static_cast<size_t>(entropy.NextBelow(eligible.size()));
+      }
+      uint64_t draw = entropy.NextBelow(total);
+      uint64_t prefix = 0;
+      for (size_t i = 0; i < eligible.size(); ++i) {
+        prefix += eligible[i].capacity_bytes;
+        if (draw < prefix) {
+          return i;
+        }
+      }
+      return eligible.size() - 1;
+    }
   }
   return std::nullopt;
 }
@@ -395,9 +385,7 @@ TEST(DiversionProbeTest, MatchesFilterThenPickAndProbesOnlyWhatTheRankNeeds) {
         std::snprintf(where, sizeof(where), "seed %llu trial %d %s",
                       static_cast<unsigned long long>(seed), trial, pc.name);
         SCOPED_TRACE(where);
-        PlacementOptions options;
-        options.diversion_selection = pc.selection;
-        auto policy = Make(pc.kind, options);
+        PlacementPolicy policy{pc.kind};
 
         std::vector<PlacementCandidate> eligible;
         std::vector<size_t> eligible_at;
@@ -416,7 +404,7 @@ TEST(DiversionProbeTest, MatchesFilterThenPickAndProbesOnlyWhatTheRankNeeds) {
         RecordingEntropy entropy(seed * 1000 + static_cast<uint64_t>(trial));
         MaskEligibility probe(holds);
         std::optional<size_t> pick =
-            policy->ChooseDiversionTarget(candidates, probe, 100, entropy);
+            policy.ChooseDiversionTarget(candidates, probe, entropy);
         ASSERT_EQ(pick, expected);
         EXPECT_EQ(entropy.draws(), reference_entropy.draws());
 
@@ -446,12 +434,6 @@ TEST(DiversionProbeTest, MatchesFilterThenPickAndProbesOnlyWhatTheRankNeeds) {
       }
     }
   }
-}
-
-TEST(PlacementPolicyTest, FactoryReportsNames) {
-  EXPECT_STREQ(Make(PlacementKind::kKClosestDiversion)->name(), "kclosest");
-  EXPECT_STREQ(Make(PlacementKind::kResidualPerformance)->name(), "residual");
-  EXPECT_STREQ(Make(PlacementKind::kRandomizedCacheSize)->name(), "random");
 }
 
 }  // namespace

@@ -162,28 +162,6 @@ TEST(ScaleEngineTest, RegistryAgreesWithReport) {
   }
 }
 
-TEST(ScaleEngineTest, JoinCohortInvariantAcrossSeeds) {
-  // Batched join announcements are observationally identical to the eager
-  // per-join schedule: cohort=1 bypasses the queueing machinery entirely
-  // (the historical path), 16 exercises repeated intra-build flushes, and
-  // 1024 > nodes covers the single-flush-at-end edge. All three must land
-  // on the same state and schedule fingerprints for the full seed bank.
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    ScaleConfig base = SmallConfig(seed);
-    base.join_cohort = 1;
-    RunWitness eager = RunWith(base, 1);
-    for (size_t cohort : {size_t{16}, size_t{1024}}) {
-      ScaleConfig batched = SmallConfig(seed);
-      batched.join_cohort = cohort;
-      RunWitness b = RunWith(batched, 1);
-      EXPECT_EQ(b.state, eager.state) << "seed " << seed << " cohort " << cohort;
-      EXPECT_EQ(b.schedule, eager.schedule) << "seed " << seed << " cohort " << cohort;
-      EXPECT_EQ(b.report.inserts_stored, eager.report.inserts_stored);
-      EXPECT_EQ(b.report.route_hops, eager.report.route_hops);
-    }
-  }
-}
-
 TEST(ScaleEngineTest, DifferentSeedsDiverge) {
   RunWitness a = RunWith(SmallConfig(11), 2);
   RunWitness b = RunWith(SmallConfig(12), 2);

@@ -235,6 +235,10 @@ TEST(Simulation, ParseRejectsMalformedRepro) {
   // Zero capacity or k: a join would divide by zero, a store hold nothing.
   EXPECT_FALSE(ParseSimConfig("seed=1\ncapacity_per_node=0\nnum_events=60\n").has_value());
   EXPECT_FALSE(ParseSimConfig("seed=1\nk=0\n").has_value());
+  // The k closest come from one leaf set (l = 32), which is sound only for
+  // k <= l/2 + 1 = 17; a larger k once failed reclaim checks spuriously.
+  EXPECT_FALSE(ParseSimConfig("seed=1\nk=18\n").has_value());
+  EXPECT_TRUE(ParseSimConfig("seed=1\nk=17\n").has_value());
   // Numbers must parse in full, not read as their valid prefix (or 0).
   for (const char* bad : {"capacity_per_node=abc", "capacity_per_node=4M", "seed=", "seed=-1",
                           "seed= 5", "seed=99999999999999999999", "k=3.5", "num_nodes=0x20",

@@ -22,7 +22,7 @@ std::vector<ExperimentConfig> SweepConfigs() {
   std::vector<ExperimentConfig> configs;
   for (double t_pri : {0.5, 0.2, 0.1, 0.05}) {
     ExperimentConfig config = TinyConfig();
-    config.t_pri = t_pri;
+    config.past.policy.t_pri = t_pri;
     configs.push_back(config);
   }
   return configs;
@@ -93,8 +93,8 @@ TEST(SuiteTest, DerivesSeedFromConfigIndex) {
 
 TEST(SuiteTest, ValidatesEveryConfigUpFront) {
   std::vector<ExperimentConfig> configs = SweepConfigs();
-  configs[1].num_nodes = 0;   // invalid
-  configs[3].t_pri = -2.0;    // invalid
+  configs[1].num_nodes = 0;             // invalid
+  configs[3].past.policy.t_pri = -2.0;  // invalid
   try {
     RunExperimentSuite(configs, SuiteOptions{});
     FAIL() << "expected std::invalid_argument";
