@@ -21,7 +21,7 @@ double TruncatedNormal::Sample(Rng& rng) const {
   return lower_ + (upper_ - lower_) * rng.NextDouble();
 }
 
-Zipf::Zipf(size_t n, double alpha) : alpha_(alpha), cdf_(n) {
+Zipf::Zipf(size_t n, double alpha) : alpha_(alpha), cdf_(n), guide_(n) {
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
@@ -30,15 +30,30 @@ Zipf::Zipf(size_t n, double alpha) : alpha_(alpha), cdf_(n) {
   for (double& v : cdf_) {
     v /= sum;
   }
+  // cdf_.back() is sum / sum = 1 > j / n, so the sweep stays in range.
+  size_t i = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const double level = static_cast<double>(j) / static_cast<double>(n);
+    while (cdf_[i] < level) {
+      ++i;
+    }
+    guide_[j] = static_cast<uint32_t>(i);
+  }
 }
 
-size_t Zipf::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) {
-    return cdf_.size() - 1;
+size_t Zipf::RankAt(double u) const {
+  const size_t n = cdf_.size();
+  // u * n may round up past the bucket u lies in, and j / n may round above
+  // u, so walk back before walking forward: the two walks end at the first
+  // i with cdf_[i] >= u from any start, which is std::lower_bound's answer.
+  size_t i = guide_[std::min(static_cast<size_t>(u * static_cast<double>(n)), n - 1)];
+  while (i > 0 && cdf_[i - 1] >= u) {
+    --i;
   }
-  return static_cast<size_t>(it - cdf_.begin());
+  while (i < n && cdf_[i] < u) {
+    ++i;
+  }
+  return i == n ? n - 1 : i;
 }
 
 namespace {

@@ -34,19 +34,29 @@ class TruncatedNormal {
 // Zipf distribution over ranks {0, ..., n-1} with exponent alpha:
 // P(rank i) proportional to 1/(i+1)^alpha. Web request popularity is
 // Zipf-like with alpha slightly below 1 (Breslau et al., cited by the paper).
-// Sampling is O(log n) via a precomputed CDF and binary search.
+// Sampling returns the first rank whose CDF value is >= a uniform draw u,
+// exactly as a binary search over the CDF would, in O(1) expected time: a
+// guide table (Chen and Asau's indexed search) maps floor(u * n) to a rank
+// at most a few steps from the answer.
 class Zipf {
  public:
   Zipf(size_t n, double alpha);
 
-  size_t Sample(Rng& rng) const;
+  size_t Sample(Rng& rng) const { return RankAt(rng.NextDouble()); }
+  // The rank Sample returns when the draw is u >= 0: the first i with
+  // cdf()[i] >= u, or n - 1 when there is none.
+  size_t RankAt(double u) const;
 
   size_t n() const { return cdf_.size(); }
   double alpha() const { return alpha_; }
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
   double alpha_;
   std::vector<double> cdf_;
+  // guide_[j] is the first rank i with cdf_[i] >= j / n. Ranks fit in 32
+  // bits: a CDF over 2^32 ranks alone would take 32 GB.
+  std::vector<uint32_t> guide_;
 };
 
 // Lognormal body with an optional Pareto upper tail. Used to synthesize file

@@ -15,7 +15,11 @@
 // h^d mod n, where h is the digest's first eight bytes (big-endian) reduced
 // mod n. Signing computes it by CRT over the two 31-bit primes with
 // per-key Montgomery constants (R = 2^32, so every product fits in 64 bits);
-// verification and primality testing use 64-bit Montgomery exponentiation.
+// verification uses 64-bit Montgomery exponentiation. Primality testing
+// below 2^32 (every key candidate) is trial division by the primes below
+// 256 and Miller-Rabin with witnesses {2, 7, 61} in 32-bit Montgomery form,
+// which is exact there; larger n keep seven witnesses and 64-bit
+// exponentiation.
 #ifndef SRC_CRYPTO_KEYS_H_
 #define SRC_CRYPTO_KEYS_H_
 
@@ -84,7 +88,8 @@ class KeyPair {
 };
 
 // Modular arithmetic helpers (exposed for tests). ModPow works for every
-// m > 0; odd moduli below 2^63 take the Montgomery path.
+// m > 0; odd moduli below 2^63 take the Montgomery path. IsPrime is exact
+// for n < 3.4e14, which covers every key candidate.
 uint64_t ModMul(uint64_t a, uint64_t b, uint64_t m);
 uint64_t ModPow(uint64_t base, uint64_t exp, uint64_t m);
 bool IsPrime(uint64_t n);

@@ -109,7 +109,21 @@ void CommandLine::ExitOnUnknownFlags() const {
   for (const std::string& flag : unknown) {
     std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
   }
-  if (!unknown.empty()) {
+  // A word that is no flag must be the value of the flag before it: one read
+  // as `--flag value`, or an unknown flag, already reported above.
+  bool stray = false;
+  for (size_t i = 0; i < args_.size(); ++i) {
+    const std::string& a = args_[i];
+    if (a.rfind("--", 0) == 0 || queried_.count(a) != 0) {
+      continue;
+    }
+    const bool after_flag = i > 0 && args_[i - 1].rfind("--", 0) == 0;
+    if (!after_flag || (queried_.count(args_[i - 1]) != 0 && valued_.count(args_[i - 1]) == 0)) {
+      std::fprintf(stderr, "error: unexpected argument %s\n", a.c_str());
+      stray = true;
+    }
+  }
+  if (!unknown.empty() || stray) {
     std::exit(2);
   }
 }

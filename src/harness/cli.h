@@ -2,8 +2,9 @@
 //
 // A bench reads its `--flag value` / `--flag` options through the queries
 // below, then calls ExitOnUnknownFlags(): a flag it never asked about (a
-// typo, or a flag the bench no longer has) fails the run instead of leaving
-// the default in place without a word. A valued flag with no value (the
+// typo, or a flag the bench no longer has), or a stray word such as the 70
+// in `--nodes 60 70`, fails the run instead of leaving the default in place
+// without a word. A valued flag with no value (the
 // next word is missing or starts with `--`), a valued flag given more than
 // once, a GetInt/GetDouble value that is not a number, or a negative GetInt
 // value, exits 2 from the query itself. A bare run has no
@@ -35,8 +36,10 @@ class CommandLine {
   // word after a flag read as `--flag value` is its value, never a flag.
   std::vector<std::string> UnknownFlags() const;
 
-  // Prints `error: unknown flag --x` for each unknown flag and exits with
-  // status 2 if there is any. Call once every flag has been read.
+  // Prints `error: unknown flag --x` for each unknown flag, and
+  // `error: unexpected argument x` for each word that is neither a flag nor
+  // the value after one, and exits with status 2 if there is any. Call once
+  // every flag has been read.
   void ExitOnUnknownFlags() const;
 
  private:

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/harness/experiment.h"
@@ -790,14 +791,40 @@ std::optional<SimConfig> ParseSimConfig(const std::string& text) {
       return std::nullopt;
     }
   }
-  // Zero capacity would divide by zero (DoJoin). A k of zero, or one larger
-  // than l/2 + 1, leaves the k closest unsound (ValidatePastConfig).
-  if (!any || config.num_nodes == 0 || config.num_clients == 0 ||
-      config.checkpoint_every == 0 || config.capacity_per_node == 0 ||
-      !ValidatePastConfig(DeployedPastConfig(config), PastryConfig{}).empty()) {
+  if (!any || !ValidateSimConfig(config).empty()) {
     return std::nullopt;
   }
   return config;
+}
+
+std::vector<std::string> ValidateSimConfig(const SimConfig& config) {
+  std::vector<std::string> errors;
+  // Zero capacity would divide by zero (DoJoin).
+  if (config.num_nodes == 0) {
+    errors.push_back("num_nodes must be positive");
+  }
+  if (config.num_clients == 0) {
+    errors.push_back("num_clients must be positive");
+  }
+  if (config.checkpoint_every == 0) {
+    errors.push_back("checkpoint_every must be positive");
+  }
+  if (config.capacity_per_node == 0) {
+    errors.push_back("capacity_per_node must be positive");
+  }
+  const ScheduleOptions& s = config.schedule;
+  for (double weight : {s.insert_weight, s.lookup_weight, s.reclaim_weight, s.join_weight,
+                        s.crash_weight, s.partition_weight, s.recover_weight}) {
+    if (!std::isfinite(weight)) {
+      errors.push_back("schedule weights must be finite");
+      break;
+    }
+  }
+  // A k of zero, or one larger than l/2 + 1, leaves the k closest unsound.
+  for (std::string& error : ValidatePastConfig(DeployedPastConfig(config), PastryConfig{})) {
+    errors.push_back(std::move(error));
+  }
+  return errors;
 }
 
 }  // namespace past

@@ -131,7 +131,11 @@ std::optional<MinimizeOutcome> MinimizeFailure(const SimConfig& failing);
 // ignored so old binaries load newer files. `failure` is embedded as a
 // comment for humans.
 std::string SerializeSimConfig(const SimConfig& config, std::string_view failure = {});
+// nullopt when a line is malformed or the config fails ValidateSimConfig.
 std::optional<SimConfig> ParseSimConfig(const std::string& text);
+
+// Why `config` cannot run, one message per problem; empty when it can.
+std::vector<std::string> ValidateSimConfig(const SimConfig& config);
 
 }  // namespace past
 

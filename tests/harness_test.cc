@@ -221,6 +221,27 @@ TEST(CommandLineTest, RejectsFlagsNeverRead) {
   bare_cli.ExitOnUnknownFlags();
 }
 
+// A word that is neither a flag nor the value after one would otherwise be
+// dropped without a word: `--nodes 60 70` runs 60 nodes.
+TEST(CommandLineTest, RejectsStrayWords) {
+  for (const std::vector<const char*>& words :
+       {std::vector<const char*>{"bench", "foo", "--nodes", "60"},
+        std::vector<const char*>{"bench", "--nodes", "60", "70"},
+        std::vector<const char*>{"bench", "--smoke", "extra"}}) {
+    CommandLine cli(static_cast<int>(words.size()), const_cast<char**>(words.data()));
+    cli.GetInt("--nodes", 300);
+    cli.Has("--smoke");
+    EXPECT_TRUE(cli.UnknownFlags().empty());
+    EXPECT_EXIT(cli.ExitOnUnknownFlags(), ::testing::ExitedWithCode(2),
+                "error: unexpected argument");
+  }
+  // A word read by Has is a flag of its own (sim_soak's `-h`).
+  const char* help[] = {"tool", "-h"};
+  CommandLine help_cli(2, const_cast<char**>(help));
+  EXPECT_TRUE(help_cli.Has("-h"));
+  help_cli.ExitOnUnknownFlags();
+}
+
 TEST(CommandLineTest, RejectsValuesThatAreNotNumbers) {
   const char* argv[] = {"bench", "--jobs", "two", "--nodes", "60x", "--tpri", "0.2.1",
                         "--seed", "-7", "--tdiv", "5e-2"};

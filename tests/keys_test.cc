@@ -85,6 +85,96 @@ TEST(PrimalityTest, KnownLargePrimes) {
   EXPECT_FALSE(IsPrime(561));
 }
 
+// IsPrime as it was before n < 2^32 took its own path: trial division to 23,
+// then Miller-Rabin with the first seven prime witnesses.
+bool ReferenceIsPrime(uint64_t n) {
+  if (n < 2) {
+    return false;
+  }
+  for (uint64_t p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL, 23ULL}) {
+    if (n % p == 0) {
+      return n == p;
+    }
+  }
+  uint64_t d = n - 1;
+  int r = 0;
+  while ((d & 1) == 0) {
+    d >>= 1;
+    ++r;
+  }
+  for (uint64_t a : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL}) {
+    uint64_t x = ModPow(a % n, d, n);
+    if (x == 1 || x == n - 1) {
+      continue;
+    }
+    bool composite = true;
+    for (int i = 0; i < r - 1; ++i) {
+      x = ModMul(x, x, n);
+      if (x == n - 1) {
+        composite = false;
+        break;
+      }
+    }
+    if (composite) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Counts the n in [begin, end) where IsPrime disagrees with the reference,
+// and reports the first.
+size_t PrimalityMismatches(uint64_t begin, uint64_t end) {
+  size_t mismatches = 0;
+  for (uint64_t n = begin; n < end; ++n) {
+    if (IsPrime(n) != ReferenceIsPrime(n) && mismatches++ == 0) {
+      ADD_FAILURE() << "IsPrime(" << n << ") = " << IsPrime(n);
+    }
+  }
+  return mismatches;
+}
+
+TEST(PrimalityTest, MatchesReferenceOnEverySmallNumber) {
+  EXPECT_EQ(PrimalityMismatches(0, 1u << 22), 0u);
+}
+
+// Both sides of 2^32, where IsPrime switches between its two paths.
+TEST(PrimalityTest, MatchesReferenceAroundTwoToThe32) {
+  EXPECT_EQ(PrimalityMismatches((1ULL << 32) - (1u << 16), (1ULL << 32) + (1u << 16)), 0u);
+}
+
+// The candidates key generation draws: 31 bits, top bit set, odd.
+TEST(PrimalityTest, MatchesReferenceOnKeyCandidates) {
+  Rng rng(3232);
+  size_t mismatches = 0;
+  size_t primes = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t n = (rng.NextU64() & ((1ULL << 31) - 1)) | (1ULL << 30) | 1;
+    const bool prime = IsPrime(n);
+    primes += prime;
+    if (prime != ReferenceIsPrime(n) && mismatches++ == 0) {
+      ADD_FAILURE() << "IsPrime(" << n << ") = " << prime;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // About 2 / ln(2^31) of odd 31-bit numbers are prime.
+  EXPECT_GT(primes, 80'000u);
+  EXPECT_LT(primes, 110'000u);
+}
+
+// Key generation draws candidates from the caller's Rng until it finds two
+// primes; how many it draws fixes every later draw (node ids among them), so
+// the stream after a few keys is pinned.
+TEST(KeyPairTest, GenerationDrawsArePinned) {
+  Rng rng(0x6b6579);
+  uint64_t moduli = 0;
+  for (int i = 0; i < 8; ++i) {
+    moduli ^= KeyPair::Generate(rng).public_key().modulus;
+  }
+  EXPECT_EQ(moduli, 3941443948725146454u);
+  EXPECT_EQ(rng.NextU64(), 13393260995283705457u);
+}
+
 TEST(KeyPairTest, SignVerifyRoundTrip) {
   Rng rng(42);
   KeyPair keys = KeyPair::Generate(rng);

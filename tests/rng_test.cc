@@ -1,7 +1,9 @@
 // Tests for the deterministic RNG and the workload distributions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/distributions.h"
 #include "src/common/rng.h"
@@ -86,6 +88,48 @@ TEST(ZipfTest, RankZeroMostPopular) {
   double ratio = static_cast<double>(counts[0]) / std::max(1, counts[9]);
   EXPECT_GT(ratio, 3.0);
   EXPECT_LT(ratio, 12.0);
+}
+
+// The guide-table sampler must return exactly the index a binary search over
+// the CDF finds, for random draws and for the draws where rounding matters:
+// 0, the largest draw below 1, every CDF value and its two neighbours.
+TEST(ZipfTest, RankAtMatchesBinarySearch) {
+  for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{100000}}) {
+    for (double alpha : {0.5, 0.8, 1.2}) {
+      const Zipf zipf(n, alpha);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0)};
+      for (double c : cdf) {
+        draws.insert(draws.end(), {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)});
+      }
+      Rng rng(n + static_cast<uint64_t>(alpha * 10));
+      for (int i = 0; i < 1'000'000; ++i) {
+        draws.push_back(rng.NextDouble());
+      }
+      size_t mismatches = 0;
+      for (double u : draws) {
+        const size_t expected = static_cast<size_t>(
+            std::min(std::lower_bound(cdf.begin(), cdf.end(), u), cdf.end() - 1) - cdf.begin());
+        const size_t got = zipf.RankAt(u);
+        if (got != expected && mismatches++ == 0) {
+          ADD_FAILURE() << "n=" << n << " alpha=" << alpha << " u=" << u << ": rank " << got
+                        << ", binary search " << expected;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " alpha=" << alpha;
+    }
+  }
+}
+
+// Sample draws one double per rank.
+TEST(ZipfTest, SampleIsRankAtOfOneDraw) {
+  const Zipf zipf(1000, 0.8);
+  Rng a(12), b(12);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(zipf.Sample(a), zipf.RankAt(b.NextDouble()));
+  }
+  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 TEST(FileSizeDistributionTest, MatchesCalibratedMedianAndMean) {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <ostream>
 
+#include "src/crypto/sha1.h"
 #include "src/workload/capacity.h"
 #include "src/workload/trace_generator.h"
 
@@ -107,6 +108,32 @@ TEST(WebTraceTest, ReferenceStreamInsertsBeforeLookups) {
   }
   EXPECT_EQ(inserts + lookups, 20000u);
   EXPECT_GT(lookups, inserts);  // Zipf reuse
+}
+
+// The whole reference stream, folded into one SHA-1: a sampler or generator
+// change that moves any event or size moves the digest.
+TEST(WebTraceTest, ReferenceStreamDigestPinned) {
+  WebTraceConfig config;
+  config.catalog_size = 20000;
+  config.total_references = 100000;
+  config.seed = 33;
+  Trace trace = GenerateWebTrace(config);
+  Sha1 fold;
+  auto fold_u64 = [&fold](uint64_t v) {
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
+    }
+    fold.Update(bytes, sizeof(bytes));
+  };
+  for (uint64_t size : trace.file_sizes) {
+    fold_u64(size);
+  }
+  for (const TraceEvent& e : trace.events) {
+    fold_u64(static_cast<uint64_t>(e.op) << 63 | uint64_t{e.file_index} << 32 | e.client);
+  }
+  EXPECT_EQ(trace.events.size(), 100000u);
+  EXPECT_EQ(DigestToHex(fold.Final()), "35eb9e71ba13a01a0dfd6bb4ccc27da8350bb604");
 }
 
 TEST(WebTraceTest, PopularityIsSkewed) {

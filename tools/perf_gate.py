@@ -3,7 +3,7 @@
 
 Usage, with two checkouts of the repository side by side:
 
-    python3 tools/perf_gate.py PARENT_DIR CHANGE_DIR
+    python3 tools/perf_gate.py PARENT_DIR CHANGE_DIR [--json PATH]
 
 Everything the gate needs comes from CHANGE_DIR/BENCHMARK.json: the benchmark
 `command`, its `workloads`, `run_seconds`, and the `end_to_end` metrics with
@@ -27,8 +27,14 @@ It prints, per workload and metric, both medians, the relative change and
 the parent's quartile spread, (Q3 - Q1) / median. A metric whose spread
 exceeds its bound is marked "unresolved": its runs are too noisy to tell a
 change of that size from chance, so passing says little about it.
+
+With --json PATH it also writes the record it printed: per workload and
+metric, both medians, the relative change, the parent's quartile spread and
+every run's value in pair order; per workload, both failed shares; and the
+verdict with its failures.
 """
 
+import argparse
 import json
 import os
 import statistics
@@ -67,7 +73,7 @@ def failed_share(results):
 
 
 def gate_workload(name, sides, spec, metrics):
-    """Measures one workload on both sides; returns its list of failures."""
+    """Measures one workload on both sides; returns its failures and record."""
     results = {"parent": [], "change": []}
     for seed in range(1, PAIRS + 1):
         order = ["parent", "change"] if seed % 2 == 1 else ["change", "parent"]
@@ -79,6 +85,7 @@ def gate_workload(name, sides, spec, metrics):
             print(f"  pair {seed} {side:6s} {values}", flush=True)
 
     failures = []
+    record = {"metrics": {}}
     print(f"{'workload':14s} {'metric':12s} {'parent':>12s} {'change':>12s} "
           f"{'rel':>8s} {'parent IQR':>10s}  bound")
     for m in metrics:
@@ -97,35 +104,55 @@ def gate_workload(name, sides, spec, metrics):
             note = (note + " unresolved").strip()
         print(f"{name:14s} {m['name']:12s} {p:12.6g} {c:12.6g} {rel:+8.1%} {spread:10.1%}  "
               f"{m['bound']:.0%} {note}".rstrip())
+        record["metrics"][m["name"]] = {
+            "better": m["better"], "bound": m["bound"],
+            "parent_median": p, "change_median": c, "rel_change": rel,
+            "parent_iqr": spread, "parent": parent, "change": change,
+        }
 
     parent_failed, change_failed = failed_share(results["parent"]), failed_share(results["change"])
     print(f"{name:14s} {'failed/att':12s} {parent_failed:12.6g} {change_failed:12.6g}")
     if change_failed > parent_failed:
         failures.append(f"{name}: failed share rose from {parent_failed:.6g} to {change_failed:.6g}")
-    return failures
+    record["failed_share"] = {"parent": parent_failed, "change": change_failed}
+    return failures, record
 
 
 def main(argv):
-    if len(argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    sides = {"parent": os.path.abspath(argv[1]), "change": os.path.abspath(argv[2])}
+    parser = argparse.ArgumentParser(usage=__doc__)
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--json", metavar="PATH", help="write the gate's record here")
+    args = parser.parse_args(argv[1:])
+    sides = {"parent": os.path.abspath(args.parent_dir),
+             "change": os.path.abspath(args.change_dir)}
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
         spec = json.load(f)
 
     failures = []
+    workloads = {}
     for workload in spec["workloads"]:
         print(f"workload {workload['name']}: {PAIRS} pairs of {spec['run_seconds']} s runs",
               flush=True)
         try:
-            failures += gate_workload(workload["name"], sides, spec, spec["end_to_end"])
+            workload_failures, workloads[workload["name"]] = gate_workload(
+                workload["name"], sides, spec, spec["end_to_end"])
+            failures += workload_failures
         except RunError as error:
             failures.append(str(error))
             break
 
     for failure in failures:
         print(f"FAIL: {failure}")
-    print("perf gate: " + ("FAIL" if failures else "PASS"))
+    verdict = "FAIL" if failures else "PASS"
+    print("perf gate: " + verdict)
+    if args.json:
+        record = {"schema": "past-perf-gate-v1", "pairs": PAIRS,
+                  "run_seconds": spec["run_seconds"], "cores": os.cpu_count(),
+                  "verdict": verdict, "failures": failures, "workloads": workloads}
+        with open(args.json, "w") as f:
+            json.dump(record, f, indent=2)
+            f.write("\n")
     return 1 if failures else 0
 
 

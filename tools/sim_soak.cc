@@ -11,13 +11,13 @@
 //   sim_soak --repro failure.repro
 //   sim_soak --seeds 1 --corrupt-at 12   (inject a store corruption: must fail)
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/harness/cli.h"
 #include "src/sim/sim_runner.h"
 
 namespace {
@@ -81,57 +81,43 @@ int ReplayRepro(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t seeds = 1000;
-  uint64_t start_seed = 1;
-  past::SimConfig base;
-  std::string repro_path;
-  std::string repro_out = "sim_failure.repro";
-  bool minimize = true;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "sim_soak: " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--seeds") {
-      seeds = std::strtoull(next("--seeds"), nullptr, 10);
-    } else if (arg == "--start-seed") {
-      start_seed = std::strtoull(next("--start-seed"), nullptr, 10);
-    } else if (arg == "--nodes") {
-      base.num_nodes = std::strtoull(next("--nodes"), nullptr, 10);
-    } else if (arg == "--events") {
-      base.schedule.num_events = std::strtoull(next("--events"), nullptr, 10);
-    } else if (arg == "--checkpoint") {
-      base.checkpoint_every = std::strtoull(next("--checkpoint"), nullptr, 10);
-    } else if (arg == "--corrupt-at") {
-      base.corrupt_at_event = std::strtoull(next("--corrupt-at"), nullptr, 10);
-    } else if (arg == "--durable") {
-      base.durable_store = true;
-    } else if (arg == "--recover-weight") {
-      base.schedule.recover_weight = std::strtod(next("--recover-weight"), nullptr);
-      base.durable_store = true;  // rejoining with a directory needs one
-    } else if (arg == "--repro") {
-      repro_path = next("--repro");
-    } else if (arg == "--repro-out") {
-      repro_out = next("--repro-out");
-    } else if (arg == "--no-minimize") {
-      minimize = false;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return 0;
-    } else {
-      std::cerr << "sim_soak: unknown option " << arg << '\n';
-      PrintUsage();
-      return 2;
-    }
+  const past::CommandLine cli(argc, argv);
+  if (cli.Has("--help") || cli.Has("-h")) {
+    PrintUsage();
+    return 0;
   }
+  const uint64_t seeds = static_cast<uint64_t>(cli.GetInt("--seeds", 1000));
+  const uint64_t start_seed = static_cast<uint64_t>(cli.GetInt("--start-seed", 1));
+  past::SimConfig base;
+  base.num_nodes = static_cast<size_t>(
+      cli.GetInt("--nodes", static_cast<int64_t>(base.num_nodes)));
+  base.schedule.num_events = static_cast<size_t>(
+      cli.GetInt("--events", static_cast<int64_t>(base.schedule.num_events)));
+  base.checkpoint_every = static_cast<size_t>(
+      cli.GetInt("--checkpoint", static_cast<int64_t>(base.checkpoint_every)));
+  if (cli.Has("--corrupt-at")) {
+    base.corrupt_at_event = static_cast<uint64_t>(cli.GetInt("--corrupt-at", 0));
+  }
+  base.durable_store = cli.Has("--durable");
+  if (cli.Has("--recover-weight")) {
+    base.schedule.recover_weight = cli.GetDouble("--recover-weight", 0.0);
+    base.durable_store = true;  // rejoining with a directory needs one
+  }
+  const std::string repro_path = cli.GetString("--repro", "");
+  const std::string repro_out = cli.GetString("--repro-out", "sim_failure.repro");
+  const bool minimize = !cli.Has("--no-minimize");
+  cli.ExitOnUnknownFlags();
 
   if (!repro_path.empty()) {
     return ReplayRepro(repro_path);
+  }
+  // The sweep's config must pass the checks a repro file does.
+  const std::vector<std::string> errors = past::ValidateSimConfig(base);
+  for (const std::string& error : errors) {
+    std::cerr << "error: " << error << '\n';
+  }
+  if (!errors.empty()) {
+    return 2;
   }
 
   uint64_t passed = 0;
